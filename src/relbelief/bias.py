@@ -66,25 +66,25 @@ MONTE_CARLO = "MonteCarlo"
 # computation is declared nonconvergent and falls back to Monte Carlo.
 QUAD_DOUBLING_RTOL = 1e-6
 
+# Cells per intermediate array in the blocked table computations, so memory
+# stays bounded whatever n_sim or the number of interest values.
+_BLOCK_CELLS = 1 << 18
+
 
 @dataclass(frozen=True)
 class McConfig:
-    """Replication count, seed, and substream scheme for Monte Carlo paths.
+    """Replication count and seed for Monte Carlo paths.
 
-    Only the counter-based Philox scheme is implemented: replication ``i`` of
-    a task always reads position ``i`` of that task's substream, so the seed
-    alone fixes every estimate.
+    Replication ``i`` of a task always reads position ``i`` of that task's
+    counter-based Philox substream, so the seed alone fixes every estimate.
     """
 
     n_sim: int = 100_000
     seed: int = 0
-    stream_scheme: str = "philox-counter"
 
     def __post_init__(self):
         if not (isinstance(self.n_sim, (int, np.integer)) and self.n_sim >= 1):
             raise DomainError(f"n_sim must be an integer >= 1, got {self.n_sim!r}")
-        if self.stream_scheme != "philox-counter":
-            raise DomainError(f"unsupported stream scheme {self.stream_scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def _mc_probability(indicator: np.ndarray) -> Tuple[float, float]:
     return p, math.sqrt(p * (1.0 - p) / n)
 
 
-def _resolve_method(bundle, method: str) -> str:
+def _resolve_method(method: str) -> str:
     if method == "auto":
         return EXACT
     if method in ("exact", EXACT):
@@ -246,7 +246,7 @@ def bias_against_h(
 ) -> BiasComponent:
     """Prior probability of failing to obtain evidence in favor of ``psi0``
     when it is true (ties at a ratio of exactly 1 count as failures)."""
-    how = _resolve_method(bundle, method)
+    how = _resolve_method(method)
 
     if isinstance(bundle, LocationNormalBundle):
         psi0 = float(psi0)
@@ -276,9 +276,8 @@ def bias_against_h(
         if bundle.prior_psi[pi] < PRIOR_CONTENT_FLOOR:
             raise DomainError(f"interest value {psi0!r} has prior content below {PRIOR_CONTENT_FLOOR}")
         rb_row = bundle.rb_psi_table()[pi]
-        pred = bundle.predictive_given_psi(pi)
         if how == EXACT:
-            value = float(pred[rb_row <= 1.0].sum())
+            value = float(bundle.predictive_psi[pi][rb_row <= 1.0].sum())
             return BiasComponent(value=min(value, 1.0), se=0.0, method=EXACT)
         mc = mc or McConfig()
         rng = substream(mc.seed, "bias-against-h")
@@ -322,7 +321,7 @@ def bias_in_favor_h(
     """
     if delta is None or not (delta > 0.0):
         raise DomainError(f"a positive difference-that-matters is required, got {delta!r}")
-    how = _resolve_method(bundle, method)
+    how = _resolve_method(method)
 
     if isinstance(bundle, LocationNormalBundle):
         psi0 = float(psi0)
@@ -378,21 +377,16 @@ def bias_in_favor_h(
         if bundle.prior_psi[pi] < PRIOR_CONTENT_FLOOR:
             raise DomainError(f"interest value {psi0!r} has prior content below {PRIOR_CONTENT_FLOOR}")
         rb_row = bundle.rb_psi_table()[pi]
-        others = [
-            j
-            for j in range(len(bundle.psi_labels))
-            if j != pi and bundle.prior_psi[j] >= PRIOR_CONTENT_FLOOR
-        ]
-        if not others:
+        others = np.flatnonzero(bundle.prior_psi >= PRIOR_CONTENT_FLOOR)
+        others = others[others != pi]
+        if not others.size:
             raise DomainError("no alternative interest value carries prior mass")
         if how == EXACT:
-            value = max(
-                float(bundle.predictive_given_psi(j)[rb_row >= 1.0].sum()) for j in others
-            )
+            value = float((bundle.predictive_psi[others] @ (rb_row >= 1.0)).max())
             return BiasComponent(value=min(value, 1.0), se=0.0, method=EXACT)
         mc = mc or McConfig()
         best, best_se = -1.0, 0.0
-        for j in others:
+        for j in others.tolist():
             rng = substream(mc.seed, "bias-favor-h", j)
             _, x_idx = bundle.sample_joint(rng, mc.n_sim, cond_prior=bundle.cond_prior_given_psi(j))
             p, se = _mc_probability(rb_row[x_idx] >= 1.0)
@@ -460,7 +454,7 @@ def bias_against_e(
 ) -> Tuple[BiasComponent, BiasComponent]:
     """Average and worst-case prior probability that the plausible region
     misses the true value.  Returns (average, supremum)."""
-    how = _resolve_method(bundle, method)
+    how = _resolve_method(method)
     quad_nodes = max(64, int(quad_nodes))
 
     if isinstance(bundle, LocationNormalBundle):
@@ -522,10 +516,8 @@ def bias_against_e(
         rb = bundle.rb_psi_table()
         usable = bundle.prior_psi >= PRIOR_CONTENT_FLOOR
         per_psi = np.zeros(len(bundle.psi_labels))
-        for pi in np.flatnonzero(usable):
-            per_psi[pi] = float(
-                bundle.predictive_given_psi(int(pi))[rb[pi] <= 1.0].sum()
-            )
+        against = rb[usable] <= 1.0
+        per_psi[usable] = np.where(against, bundle.predictive_psi[usable], 0.0).sum(axis=1)
         if how == EXACT:
             avg_val = float(np.dot(bundle.prior_psi[usable], per_psi[usable]))
             sup_val = float(per_psi[usable].max())
@@ -575,7 +567,7 @@ def bias_in_favor_e(
     of a value that is meaningfully false (at least ``delta`` away)."""
     if delta is None or not (delta > 0.0):
         raise DomainError(f"a positive difference-that-matters is required, got {delta!r}")
-    how = _resolve_method(bundle, method)
+    how = _resolve_method(method)
 
     if isinstance(bundle, LocationNormalBundle):
         spec = bundle.spec
@@ -615,17 +607,7 @@ def bias_in_favor_e(
         mc = mc or McConfig()
         rng = substream(mc.seed, "bias-favor-e")
         draws = bundle.sample_prior(rng, mc.n_sim)
-        counts = np.arange(bundle.n + 1)
-        vals = np.empty(mc.n_sim)
-        for i, p0 in enumerate(draws):
-            cands = [m for m in (p0 - delta, p0 + delta) if 0.0 < m < 1.0]
-            if not cands:
-                vals[i] = 0.0
-                continue
-            table = bundle.log_rb_point(p0, counts) >= 0.0
-            vals[i] = max(
-                float(np.exp(bundle.log_sampling_pmf(m))[table].sum()) for m in cands
-            )
+        vals = _betabinomial_favor_at_draws(bundle, draws, delta)
         return BiasComponent(
             value=float(vals.mean()),
             se=float(vals.std(ddof=1) / math.sqrt(mc.n_sim)),
@@ -637,21 +619,47 @@ def bias_in_favor_e(
             raise DomainError(
                 f"no interest value lies at distance >= {delta} under the discrete metric"
             )
-        rb = bundle.rb_psi_table()
         usable = np.flatnonzero(bundle.prior_psi >= PRIOR_CONTENT_FLOOR)
-        total = 0.0
-        for pi in usable:
-            others = [int(j) for j in usable if j != pi]
-            if not others:
-                continue
-            row = rb[pi] >= 1.0
-            worst = max(
-                float(bundle.predictive_given_psi(j)[row].sum()) for j in others
-            )
-            total += bundle.prior_psi[pi] * worst
+        if usable.size < 2:
+            return BiasComponent(value=0.0, se=0.0, method=EXACT)
+        # favor[j, i]: probability under M(. | psi_j) of evidence in favor of psi_i
+        pred = bundle.predictive_psi[usable]
+        in_favor = bundle.rb_psi_table()[usable] >= 1.0
+        worst = np.empty(usable.size)
+        cols = max(1, _BLOCK_CELLS // max(usable.size, len(bundle.x_labels)))
+        for start in range(0, usable.size, cols):
+            favor = pred @ in_favor[start:start + cols].T
+            block = np.arange(favor.shape[1])
+            favor[start + block, block] = -np.inf  # the truth is not an alternative
+            worst[start:start + cols] = favor.max(axis=0)
+        total = float(np.dot(bundle.prior_psi[usable], worst))
         return BiasComponent(value=min(total, 1.0), se=0.0, method=EXACT)
 
     raise DomainError(f"unsupported bundle type {type(bundle)!r}")
+
+
+def _betabinomial_favor_at_draws(bundle, draws: np.ndarray, delta: float) -> np.ndarray:
+    """For each prior draw p0, the larger probability of evidence in favor of
+    p0 when the truth is p0 - delta or p0 + delta; a candidate outside (0, 1)
+    is dropped, and a draw with neither scores 0.  Draws are processed in
+    blocks of at most ``_BLOCK_CELLS`` (draw, count) cells."""
+    counts = np.arange(bundle.n + 1)
+    vals = np.zeros(draws.size)
+    rows = max(1, _BLOCK_CELLS // counts.size)
+    for start in range(0, draws.size, rows):
+        block = draws[start:start + rows]
+        truths = (block - delta, block + delta)
+        inside = [(t > 0.0) & (t < 1.0) for t in truths]
+        live = np.flatnonzero(inside[0] | inside[1])
+        in_favor = bundle.log_rb_point(block[live, None], counts) >= 0.0
+        best = np.zeros(live.size)
+        for truth, ok in zip(truths, inside):
+            truth, ok = truth[live], ok[live]
+            pmf = np.exp(bundle.log_sampling_pmf(np.where(ok, truth, 0.5)))
+            prob = np.where(in_favor, pmf, 0.0).sum(axis=1)
+            best = np.maximum(best, np.where(ok, prob, 0.0))
+        vals[start + live] = best
+    return vals
 
 
 def estimation_bias(
@@ -661,9 +669,12 @@ def estimation_bias(
     mc: Optional[McConfig] = None,
     method: str = "auto",
     quad_nodes: int = 64,
+    boundary_only: bool = True,
 ) -> BiasEReport:
     avg, sup = bias_against_e(bundle, disc=disc, mc=mc, method=method, quad_nodes=quad_nodes)
-    favor = bias_in_favor_e(bundle, delta, disc=disc, mc=mc, method=method)
+    favor = bias_in_favor_e(
+        bundle, delta, disc=disc, mc=mc, method=method, boundary_only=boundary_only
+    )
     methods = {avg.method, sup.method, favor.method}
     return BiasEReport(
         avg_bias_against=avg.value,
@@ -700,13 +711,15 @@ def design_sample_size(
     disc: Optional[Discretization] = None,
     mc: Optional[McConfig] = None,
     method: str = "auto",
+    boundary_only: bool = True,
 ) -> DesignResult:
     """Walk ``n_grid`` in ascending order and return the first sample size
     whose hypothesis biases meet every target.
 
     ``targets`` may contain ``max_bias_against`` and/or ``max_bias_in_favor``,
-    each strictly inside (0, 1).  Raises :class:`DesignSearchError` carrying
-    the full table when no candidate qualifies.
+    each strictly inside (0, 1).  ``boundary_only`` is passed on to every
+    hypothesis bias.  Raises :class:`DesignSearchError` carrying the full
+    table when no candidate qualifies.
     """
     known = {"max_bias_against", "max_bias_in_favor"}
     unknown = set(targets) - known
@@ -723,7 +736,10 @@ def design_sample_size(
 
     evaluated = []
     for n in n_grid:
-        report = hypothesis_bias(bundle_family(n), psi0, delta, disc=disc, mc=mc, method=method)
+        report = hypothesis_bias(
+            bundle_family(n), psi0, delta, disc=disc, mc=mc, method=method,
+            boundary_only=boundary_only,
+        )
         evaluated.append((n, report))
         ok = True
         if "max_bias_against" in targets and report.bias_against > targets["max_bias_against"]:

@@ -198,6 +198,13 @@ def _parse_mc(section, seed_override, sims_override) -> McConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _parse_boundary_only(config) -> bool:
+    value = config.get("boundary_only", True)
+    if not isinstance(value, bool):
+        raise ConfigError(f"'boundary_only' must be true or false, got {value!r}")
+    return value
+
+
 def _parse_method(config) -> str:
     method = config.get("method", "auto")
     if method not in ("auto", "exact", "mc"):
@@ -359,7 +366,7 @@ def cmd_bias(config, args, out: Path) -> int:
     disc = _parse_disc(config["discretization"]) if "discretization" in config else None
     mc = _parse_mc(config.get("mc"), args.seed, args.sims)
     method = _parse_method(config)
-    boundary_only = bool(config.get("boundary_only", True))
+    boundary_only = _parse_boundary_only(config)
 
     if mode == "hypothesis":
         if "psi0" not in config:
@@ -450,6 +457,7 @@ def cmd_design(config, args, out: Path) -> int:
     _require_keys(targets, set(), {"max_bias_against", "max_bias_in_favor"}, "targets")
     mc = _parse_mc(config.get("mc"), args.seed, args.sims)
     method = _parse_method(config)
+    boundary_only = _parse_boundary_only(config)
     disc = _parse_disc(config["discretization"]) if "discretization" in config else None
 
     header = ["n", "bias_against", "se_against", "bias_in_favor", "se_in_favor", "method", "admissible"]
@@ -479,6 +487,7 @@ def cmd_design(config, args, out: Path) -> int:
             disc=disc,
             mc=mc,
             method=method,
+            boundary_only=boundary_only,
         )
     except DesignSearchError as exc:
         _write_csv(out / "design.csv", header, rows_of(exc.reports))

@@ -474,9 +474,20 @@ class FiniteBundle:
         self.joint = self.prior[:, None] * self.like  # (theta, x)
         self.predictive = self.joint.sum(axis=0)
         self.prior_psi = self._group @ self.prior
+        joint_psi = self._group @ self.joint  # (psi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # predictive_psi[psi, x] = M(x | psi); NaN rows for zero prior mass
+            self.predictive_psi = np.where(
+                self.prior_psi[:, None] > 0.0, joint_psi / self.prior_psi[:, None], np.nan
+            )
+            self._rb_psi = np.where(
+                self.prior_psi[:, None] >= PRIOR_CONTENT_FLOOR,
+                joint_psi / self.predictive[None, :] / self.prior_psi[:, None],
+                np.nan,
+            )
         self._x_index = {lab: i for i, lab in enumerate(self.x_labels)}
-        for arr in (self.prior, self.like, self.joint, self.predictive,
-                    self.prior_psi, self.psi_index_of_theta, self._group):
+        for arr in (self.prior, self.like, self.joint, self.predictive, self.prior_psi,
+                    self.predictive_psi, self._rb_psi, self.psi_index_of_theta, self._group):
             arr.setflags(write=False)
 
     @property
@@ -521,14 +532,9 @@ class FiniteBundle:
         return self._group @ self.posterior_theta(x_idx)
 
     def rb_psi_table(self) -> np.ndarray:
-        """rb[psi, x] for every interest value and observable outcome."""
-        post = (self._group @ self.joint) / self.predictive[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(
-                self.prior_psi[:, None] >= PRIOR_CONTENT_FLOOR,
-                post / self.prior_psi[:, None],
-                np.nan,
-            )
+        """rb[psi, x] for every interest value and observable outcome
+        (read-only; NaN rows for interest values below the prior floor)."""
+        return self._rb_psi
 
     def cond_prior_given_psi(self, psi_idx: int) -> np.ndarray:
         mask = self.psi_index_of_theta == psi_idx
@@ -542,8 +548,13 @@ class FiniteBundle:
         return out
 
     def predictive_given_psi(self, psi_idx: int) -> np.ndarray:
-        """M(x | psi): data distribution under the conditional prior."""
-        return self.cond_prior_given_psi(psi_idx) @ self.like
+        """M(x | psi): data distribution under the conditional prior
+        (a read-only row of ``predictive_psi``)."""
+        if not (self.prior_psi[psi_idx] > 0.0):
+            raise DomainError(
+                f"interest value {self.psi_labels[psi_idx]!r} has zero prior probability"
+            )
+        return self.predictive_psi[psi_idx]
 
     def sample_joint(self, rng: np.random.Generator, size: int, cond_prior=None):
         """Draw (theta index, x index) pairs; inverse-CDF on two uniform blocks

@@ -257,6 +257,147 @@ def test_beta_binomial_exact_enumeration_and_mc_agree():
         bias_in_favor_h(make_beta_binomial(5, 1.0, 1.0), 0.5, 0.9)
 
 
+def _finite_spec(prior, psi_of_theta, n_x, seed):
+    rng = np.random.default_rng(seed)
+    like = rng.uniform(0.05, 1.0, size=(len(prior), n_x))
+    like /= like.sum(axis=1, keepdims=True)
+    return {
+        "theta_labels": [f"t{i}" for i in range(len(prior))],
+        "prior": list(prior),
+        "likelihood": like.tolist(),
+        "x_labels": [f"x{j}" for j in range(n_x)],
+        "psi_of_theta": list(psi_of_theta),
+    }
+
+
+FINITE_EDGE_SPECS = {
+    # an interest label with zero prior mass among usable ones
+    "zero_prior_label": _finite_spec([0.2, 0.3, 0.0, 0.1, 0.4], ["a", "b", "c", "d", "e"], 7, 1),
+    # one usable label: no alternative exists, so the bias in favor is 0
+    "single_usable": _finite_spec([0.4, 0.6, 0.0], ["a", "a", "b"], 5, 2),
+    # several theta values per interest label
+    "grouped": _finite_spec(
+        [0.05, 0.15, 0.1, 0.2, 0.1, 0.05, 0.25, 0.1], ["a", "b", "a", "c", "b", "c", "a", "d"], 9, 3
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FINITE_EDGE_SPECS))
+def test_finite_estimation_bias_matches_oracle_on_edge_specs(name):
+    spec = FINITE_EDGE_SPECS[name]
+    bundle = make_finite(FiniteModelSpec(**spec))
+    oracle = FiniteOracle(spec)
+    report = estimation_bias(bundle, delta=1.0)
+    assert report.method == "Exact"
+    assert report.avg_bias_against == pytest.approx(oracle.avg_bias_against(), abs=1e-12)
+    assert report.sup_bias_against == pytest.approx(oracle.sup_bias_against(), abs=1e-12)
+    assert report.avg_bias_in_favor == pytest.approx(oracle.avg_bias_in_favor(), abs=1e-12)
+    usable = [p for p in oracle.psi_labels if oracle.usable(p)]
+    for psi0 in usable:
+        assert bias_against_h(bundle, psi0).value == pytest.approx(
+            oracle.bias_against_h(psi0), abs=1e-12
+        )
+        if len(usable) > 1:
+            assert bias_in_favor_h(bundle, psi0, 1.0).value == pytest.approx(
+                oracle.bias_in_favor_h(psi0), abs=1e-12
+            )
+    if len(usable) == 1:
+        assert report.avg_bias_in_favor == 0.0
+
+
+def test_finite_exact_biases_use_the_cached_table(monkeypatch):
+    from relbelief.models import FiniteBundle
+
+    bundle = make_finite(FiniteModelSpec(**FINITE_EDGE_SPECS["grouped"]))
+
+    def per_pair(self, psi_idx):
+        raise AssertionError("exact bias rebuilt M(x | psi) for one interest value")
+
+    monkeypatch.setattr(FiniteBundle, "predictive_given_psi", per_pair)
+    estimation_bias(bundle, delta=1.0)
+    for psi0 in bundle.psi_labels:
+        hypothesis_bias(bundle, psi0, 1.0, method="exact")
+
+
+def _betabinomial_favor_reference(bundle, delta, mc):
+    """Average bias in favor, one prior draw at a time."""
+    from relbelief.rng import substream
+
+    draws = bundle.sample_prior(substream(mc.seed, "bias-favor-e"), mc.n_sim)
+    counts = np.arange(bundle.n + 1)
+    vals = np.empty(mc.n_sim)
+    for i, p0 in enumerate(draws):
+        cands = [m for m in (p0 - delta, p0 + delta) if 0.0 < m < 1.0]
+        if not cands:
+            vals[i] = 0.0
+            continue
+        table = bundle.log_rb_point(p0, counts) >= 0.0
+        vals[i] = max(float(np.exp(bundle.log_sampling_pmf(m))[table].sum()) for m in cands)
+    return draws, float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(mc.n_sim))
+
+
+@pytest.mark.parametrize("n, alpha, beta, delta", [(20, 3.0, 6.0, 0.1), (12, 0.5, 0.5, 0.6)])
+def test_beta_binomial_favor_e_matches_per_draw_reference(monkeypatch, n, alpha, beta, delta):
+    import relbelief.bias as bias_module
+
+    bundle = make_beta_binomial(n, alpha, beta)
+    mc = McConfig(n_sim=1500, seed=31)
+    draws, value, se = _betabinomial_favor_reference(bundle, delta, mc)
+    if delta > 0.5:
+        # draws near 0 or 1 lose one candidate, draws near 1/2 lose both
+        assert np.any(draws < 1.0 - delta) and np.any(draws > delta)
+        assert np.any((draws >= 1.0 - delta) & (draws <= delta))
+    unblocked = bias_in_favor_e(bundle, delta, mc=mc, method="mc")
+    monkeypatch.setattr(bias_module, "_BLOCK_CELLS", 4 * (n + 1) + 3)  # 4 draws per block
+    blocked = bias_in_favor_e(bundle, delta, mc=mc, method="mc")
+    for comp in (unblocked, blocked):
+        assert comp.method == "MonteCarlo"
+        assert comp.value == pytest.approx(value, abs=1e-12)
+        assert comp.se == pytest.approx(se, abs=1e-12)
+
+
+def test_finite_favor_e_blocks_give_the_same_value(monkeypatch):
+    import relbelief.bias as bias_module
+
+    bundle = make_finite(FiniteModelSpec(**FINITE_EDGE_SPECS["zero_prior_label"]))
+    whole = bias_in_favor_e(bundle, 1.0).value
+    monkeypatch.setattr(bias_module, "_BLOCK_CELLS", 1)  # one interest value per block
+    assert bias_in_favor_e(bundle, 1.0).value == pytest.approx(whole, abs=1e-15)
+
+
+def test_estimation_bias_forwards_boundary_only(monkeypatch):
+    import relbelief.bias as bias_module
+
+    seen = []
+    real = bias_module.bias_in_favor_e
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("boundary_only"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bias_module, "bias_in_favor_e", spy)
+    bundle = locnormal(10, 0.0, 1.0)
+    estimation_bias(bundle, delta=0.5, boundary_only=False)
+    estimation_bias(bundle, delta=0.5)
+    assert seen == [False, True]
+
+
+def test_design_forwards_boundary_only(monkeypatch):
+    import relbelief.bias as bias_module
+
+    seen = []
+    real = bias_module.hypothesis_bias
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("boundary_only"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bias_module, "hypothesis_bias", spy)
+    family = lambda n: locnormal(n, 0.0, 1.0)
+    design_sample_size(family, 0.0, 0.5, {"max_bias_in_favor": 0.07}, [5, 50], boundary_only=False)
+    assert seen == [False, False]
+
+
 def test_theorem_optimality_spot_checks_on_finite_models():
     # among all data-set rules no likelier than the evidence rule under the
     # truth, the evidence rule has the largest unconditional probability; the

@@ -181,6 +181,28 @@ def test_bias_estimation_mode(tmp_path):
     assert float(row["avg_bias_in_favor"]) == pytest.approx(0.486, abs=0.003)
 
 
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_boundary_only_must_be_a_json_boolean(tmp_path, value):
+    bias = {"bundle": LOCNORMAL_20, "psi0": 0.0, "delta": 0.5, "boundary_only": value}
+    code, _ = run(tmp_path, bias, "bias")
+    assert code == 2
+    design = {
+        "bundle": {"kind": "location_normal", "sigma0_sq": 1.0, "mu_star": 0.0, "tau_star_sq": 1.0},
+        "psi0": 0.0,
+        "delta": 0.5,
+        "targets": {"max_bias_in_favor": 0.07},
+        "n_grid": [5, 50],
+        "boundary_only": value,
+    }
+    code, _ = run(tmp_path, design, "design")
+    assert code == 2
+    for boolean in (True, False):
+        code, _ = run(tmp_path, dict(bias, boundary_only=boolean), "bias")
+        assert code == 0
+        code, _ = run(tmp_path, dict(design, boundary_only=boolean), "design")
+        assert code == 0
+
+
 def test_design_command(tmp_path):
     config = {
         "bundle": {

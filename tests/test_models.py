@@ -148,6 +148,21 @@ def test_finite_predictive_sums_to_one():
         assert abs(bundle.predictive.sum() - 1.0) <= 1e-12
 
 
+def test_finite_predictive_given_psi_is_a_row_of_the_cached_table():
+    spec = random_finite_spec(np.random.default_rng(8))
+    spec["prior"] = [0.0] + [p / sum(spec["prior"][1:]) for p in spec["prior"][1:]]
+    spec["psi_of_theta"] = [f"q{i}" for i in range(len(spec["prior"]))]
+    bundle = make_finite(FiniteModelSpec(**spec))
+    for table in (bundle.predictive_psi, bundle.rb_psi_table()):
+        assert not table.flags.writeable
+    with pytest.raises(DomainError, match="zero prior probability"):
+        bundle.predictive_given_psi(0)
+    assert np.all(np.isnan(bundle.rb_psi_table()[0]))
+    for j in range(1, len(bundle.psi_labels)):
+        direct = bundle.cond_prior_given_psi(j) @ bundle.like
+        np.testing.assert_allclose(bundle.predictive_given_psi(j), direct, rtol=0, atol=1e-15)
+
+
 # -- discretization -------------------------------------------------------------
 
 
