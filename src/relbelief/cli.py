@@ -39,8 +39,10 @@ from .bias import (
     bias_in_favor_e,
     bias_in_favor_h,
     design_sample_size,
+    estimation_bias,
     favor_prob_locnormal,
     hypothesis_bias,
+    meets_targets,
 )
 from .checking import conflict_check
 from .errors import DesignSearchError, DomainError
@@ -392,8 +394,7 @@ def cmd_bias(config, args, out: Path) -> int:
         )
         return EXIT_OK
 
-    avg, sup = bias_against_e(bundle, disc=disc, mc=mc, method=method)
-    favor = bias_in_favor_e(bundle, delta, disc=disc, mc=mc, method=method, boundary_only=boundary_only)
+    report = estimation_bias(bundle, delta, disc=disc, mc=mc, method=method, boundary_only=boundary_only)
     _write_csv(
         out / "bias_estimation.csv",
         [
@@ -409,21 +410,19 @@ def cmd_bias(config, args, out: Path) -> int:
         ],
         [
             (
-                delta,
-                avg.value,
-                avg.se,
-                sup.value,
-                sup.se,
-                favor.value,
-                favor.se,
-                1.0 - avg.value,
-                avg.method if avg.method == sup.method == favor.method else "MonteCarlo",
+                report.delta,
+                report.avg_bias_against,
+                report.se_avg_against,
+                report.sup_bias_against,
+                report.se_sup_against,
+                report.avg_bias_in_favor,
+                report.se_avg_in_favor,
+                report.implied_coverage,
+                report.method,
             )
         ],
     )
-    if any(c.fallback for c in (avg, sup, favor)):
-        return EXIT_FALLBACK
-    return EXIT_OK
+    return EXIT_FALLBACK if report.fallback else EXIT_OK
 
 
 def cmd_design(config, args, out: Path) -> int:
@@ -455,6 +454,7 @@ def cmd_design(config, args, out: Path) -> int:
     if not isinstance(targets, dict):
         raise ConfigError("'targets' must be an object")
     _require_keys(targets, set(), {"max_bias_against", "max_bias_in_favor"}, "targets")
+    targets = {k: float(v) for k, v in targets.items()}
     mc = _parse_mc(config.get("mc"), args.seed, args.sims)
     method = _parse_method(config)
     boundary_only = _parse_boundary_only(config)
@@ -462,18 +462,10 @@ def cmd_design(config, args, out: Path) -> int:
 
     header = ["n", "bias_against", "se_against", "bias_in_favor", "se_in_favor", "method", "admissible"]
 
-    def admissible(report):
-        ok = True
-        if "max_bias_against" in targets:
-            ok = ok and report.bias_against <= targets["max_bias_against"]
-        if "max_bias_in_favor" in targets:
-            ok = ok and report.bias_in_favor <= targets["max_bias_in_favor"]
-        return ok
-
     def rows_of(evaluated):
         return [
             (n, r.bias_against, r.se_against, r.bias_in_favor, r.se_in_favor, r.method,
-             int(admissible(r)))
+             int(meets_targets(r, targets)))
             for n, r in evaluated
         ]
 
@@ -482,7 +474,7 @@ def cmd_design(config, args, out: Path) -> int:
             family,
             float(config["psi0"]),
             float(config["delta"]),
-            {k: float(v) for k, v in targets.items()},
+            targets,
             config["n_grid"],
             disc=disc,
             mc=mc,

@@ -322,9 +322,6 @@ def rb_locnormal_exact(spec: LocationNormalSpec, xbar: float, mu0: float) -> flo
     return float(np.exp(locnormal_log_rb(spec, xbar, mu0)))
 
 
-_TAIL_DIFF_TESTED = False
-
-
 def tail_difference_locnormal(spec: LocationNormalSpec, xbar: float, mu0: float) -> float:
     """Difference of two tail probabilities; positive exactly when the data
     are evidence in favor of ``mu0``, negative when against (cutoff 0).
@@ -335,40 +332,11 @@ def tail_difference_locnormal(spec: LocationNormalSpec, xbar: float, mu0: float)
     (sigma0/sqrt(n)), which makes the sign agree exactly with the relative
     belief ratio's position relative to 1.
     """
-    global _TAIL_DIFF_TESTED
-    if not _TAIL_DIFF_TESTED:
-        _TAIL_DIFF_TESTED = True
-        _tail_difference_self_test()
-    return _tail_difference_value(spec, xbar, mu0)
-
-
-def _tail_difference_value(spec: LocationNormalSpec, xbar: float, mu0: float) -> float:
     a = spec.n * spec.tau_star_sq / spec.sigma0_sq
     z = math.sqrt(spec.n) * abs(xbar - mu0) / math.sqrt(spec.sigma0_sq)
     u_sq = spec.n * (xbar - spec.mu_star) ** 2 / spec.sigma0_sq
     w = math.sqrt(math.log1p(a) + u_sq / (1.0 + a))
     return 2.0 * (1.0 - float(norm_cdf(z))) - 2.0 * (1.0 - float(norm_cdf(w)))
-
-
-def _tail_difference_self_test(n_points: int = 100) -> None:
-    """One-time sweep confirming the sign always agrees with rb - 1."""
-    rng = np.random.default_rng(20190610)
-    for _ in range(n_points):
-        spec = LocationNormalSpec(
-            n=int(rng.integers(1, 60)),
-            sigma0_sq=float(rng.uniform(0.2, 4.0)),
-            mu_star=float(rng.normal(0.0, 2.0)),
-            tau_star_sq=float(rng.uniform(0.2, 5.0)),
-        )
-        xbar = float(rng.normal(0.0, 2.0))
-        mu0 = float(rng.normal(0.0, 2.0))
-        log_rb = float(locnormal_log_rb(spec, xbar, mu0))
-        value = _tail_difference_value(spec, xbar, mu0)
-        if abs(log_rb) > 1e-10 and (value > 0.0) != (log_rb > 0.0):
-            raise AssertionError(
-                f"tail-difference sign disagrees with the ratio at {spec}, "
-                f"xbar={xbar}, mu0={mu0}"
-            )
 
 
 def reparam_profile(profile: EvidenceProfile, lam: Callable[[float], float]) -> EvidenceProfile:

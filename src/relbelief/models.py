@@ -13,6 +13,14 @@ Three builtin bundles cover the package's needs:
 
 A bundle is immutable after construction and safe to share across threads;
 samplers take an explicit generator instead of hidden state.
+
+Every bundle also offers the small primitive the bias engine is built on:
+``interest`` (the internal coordinate of a hypothesized value), ``log_rb``
+(the log ratio of the point, or of the cell anchored at a value, for
+statistic values), ``region_prob`` (the exact probability that this ratio is
+at most or at least 1 under each true value, ``None`` where no closed form
+exists), ``alternatives`` (the true values a bias in favor ranges over, with
+their Monte Carlo stream keys), ``sample_stat`` and ``sample_joint``.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ __all__ = [
     "normal_interval_prob",
     "beta_interval_prob",
     "locnormal_log_rb",
+    "favor_prob_locnormal",
     "build_cells",
 ]
 
@@ -103,7 +112,6 @@ class Discretization:
     delta: float
     range: Optional[Tuple[float, float]] = None
     anchor: Optional[float] = None
-    dist: str = "euclidean"
 
     def __post_init__(self):
         if not (self.delta > 0.0):
@@ -112,8 +120,6 @@ class Discretization:
             lo, hi = self.range
             if not (lo < hi):
                 raise DomainError(f"range must satisfy lo < hi, got {self.range}")
-        if self.dist != "euclidean":
-            raise DomainError(f"unsupported distance descriptor {self.dist!r}")
 
 
 def build_cells(disc: Discretization, default_range: Tuple[float, float]):
@@ -140,6 +146,25 @@ def build_cells(disc: Discretization, default_range: Tuple[float, float]):
     if edges[-1] > hi:
         edges[-1] = hi
     return edges, None
+
+
+def _log_cell_rb(bundle, lo, hi, t):
+    """log ratio of the cell (lo, hi] for statistic values ``t``."""
+    prior = bundle.prior_interval(lo, hi)
+    if np.any(prior < PRIOR_CONTENT_FLOOR):
+        raise DomainError(f"a cell anchored at the hypothesized value has prior content below {PRIOR_CONTENT_FLOOR}")
+    with np.errstate(divide="ignore"):
+        return np.log(bundle.posterior_interval(lo, hi, t)) - np.log(prior)
+
+
+def _numbered(truths):
+    """Number candidate true values as (stream key, value) pairs.
+
+    For one hypothesized value a NaN candidate is no alternative and is
+    dropped before numbering; for an array of hypothesized values every
+    candidate is an array, NaN where it is no alternative."""
+    kept = [t if np.ndim(t) else float(t) for t in truths if np.ndim(t) or not np.isnan(t)]
+    return list(enumerate(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +213,32 @@ def locnormal_log_rb(spec: LocationNormalSpec, xbar, mu0):
         - 0.5 * shrink * (z + d) ** 2
         + (mu0 - spec.mu_star) ** 2 / (2.0 * spec.tau_star_sq)
     )
+
+
+def _favor_window(spec: LocationNormalSpec, mu0):
+    """Window (r, d) such that the ratio at mu0 is >= 1 iff |z + d| <= r,
+    where z is the standardized distance of the data mean from mu0."""
+    mu0 = np.asarray(mu0, dtype=float)
+    a = spec.n * spec.tau_star_sq / spec.sigma0_sq
+    c = math.sqrt(spec.n) * (mu0 - spec.mu_star) / math.sqrt(spec.sigma0_sq)
+    d = -c / a
+    r_sq = (1.0 + a) / a * math.log1p(a) + (1.0 + a) * c * c / (a * a)
+    if not np.all(r_sq > 0.0):
+        raise AssertionError("window radius lost positivity; this cannot happen for a > 0")
+    return np.sqrt(r_sq), d
+
+
+def favor_prob_locnormal(spec: LocationNormalSpec, mu0, mu_true):
+    """Probability of obtaining evidence in favor of ``mu0`` when data are
+    generated with true mean ``mu_true`` (exact; vectorized)."""
+    mu0_arr = np.asarray(mu0, dtype=float)
+    mu_true_arr = np.asarray(mu_true, dtype=float)
+    r, d = _favor_window(spec, mu0_arr)
+    shift = math.sqrt(spec.n) * (mu_true_arr - mu0_arr) / math.sqrt(spec.sigma0_sq)
+    prob = norm_cdf(r - d - shift) - norm_cdf(-r - d - shift)
+    if np.isscalar(mu0) and np.isscalar(mu_true):
+        return float(prob)
+    return prob
 
 
 class LocationNormalBundle:
@@ -246,6 +297,37 @@ class LocationNormalBundle:
     def log_rb_point(self, psi0, t):
         return locnormal_log_rb(self.spec, t, psi0)
 
+    def interest(self, psi0) -> float:
+        return float(psi0)
+
+    def log_rb(self, psi0, t, disc: Optional[Discretization] = None):
+        """log ratio at ``psi0`` for data means ``t``: of the point, or of the
+        cell of half-width ``disc.delta`` anchored there (broadcast)."""
+        if disc is None:
+            return self.log_rb_point(psi0, t)
+        return _log_cell_rb(self, psi0 - disc.delta, psi0 + disc.delta, t)
+
+    def region_prob(self, psi0, truths, disc: Optional[Discretization] = None, against: bool = True):
+        """Exact probability that the ratio at ``psi0`` is <= 1 (``against``)
+        or >= 1 when the data mean comes from each true value (broadcast).
+        ``None`` for a cell ratio, which has no closed form here."""
+        if disc is not None:
+            return None
+        favor = favor_prob_locnormal(self.spec, psi0, truths)
+        return 1.0 - favor if against else favor
+
+    def alternatives(self, psi0, delta: float, boundary_only: bool = True):
+        """(stream key, true mean) pairs for the bias in favor of ``psi0``:
+        the two values at distance ``delta`` and, unless ``boundary_only``,
+        the center of the favor window when the prior pull puts it in the
+        exterior (the favor probability peaks there)."""
+        truths = [psi0 - delta, psi0 + delta]
+        if not boundary_only:
+            _, d = _favor_window(self.spec, psi0)
+            center = psi0 - d * math.sqrt(self.spec.sigma0_sq) / math.sqrt(self.spec.n)
+            truths.append(np.where(np.abs(center - psi0) >= delta, center, np.nan))
+        return _numbered(truths)
+
     def prior_predictive_params(self) -> Tuple[float, float]:
         """Mean and variance of the sample mean under the prior predictive."""
         s = self.spec
@@ -259,6 +341,11 @@ class LocationNormalBundle:
         mu = np.asarray(mu, dtype=float)
         shape = mu.shape if size is None else (size,)
         return mu + self._stat_sd * rng.standard_normal(shape)
+
+    def sample_joint(self, rng: np.random.Generator, size: int):
+        """Draw (true mean, data mean) pairs from the prior predictive."""
+        mu = self.sample_prior(rng, size)
+        return mu, self.sample_stat(rng, mu)
 
     def prior_cdf(self, x):
         return norm_cdf((np.asarray(x, dtype=float) - self.spec.mu_star) / self._tau_star)
@@ -290,6 +377,9 @@ class BetaBinomialBundle:
         self.n = int(n)
         self.alpha = float(alpha)
         self.beta = float(beta)
+        self._counts = np.arange(self.n + 1)
+        # the count-only term of the point ratio, so no draw evaluates it
+        self._log_beta_post = special.betaln(self.alpha + self._counts, self.beta + self.n - self._counts)
 
     @property
     def digest(self) -> str:
@@ -342,17 +432,59 @@ class BetaBinomialBundle:
         if np.any((psi0 <= 0.0) | (psi0 >= 1.0)):
             raise DomainError("success rate must lie strictly inside (0, 1)")
         s = np.asarray(s)
-        a0, b0 = self.alpha, self.beta
         return (
             s * np.log(psi0)
             + (self.n - s) * np.log1p(-psi0)
-            + special.betaln(a0, b0)
-            - special.betaln(a0 + s, b0 + self.n - s)
+            + special.betaln(self.alpha, self.beta)
+            - self._log_beta_post[s]
         )
+
+    def interest(self, psi0) -> float:
+        return float(psi0)
+
+    def log_rb(self, psi0, t, disc: Optional[Discretization] = None):
+        """log ratio at ``psi0`` for counts ``t``: of the point, or of the
+        cell of half-width ``disc.delta`` anchored there and cut to [0, 1].
+        One ``psi0`` is tabulated over the counts 0..n and the counts are
+        looked up; an array ``psi0`` broadcasts against ``t``."""
+        one = np.ndim(psi0) == 0
+        s = self._counts if one else t
+        if disc is None:
+            out = self.log_rb_point(psi0, s)
+        else:
+            psi0 = np.asarray(psi0, dtype=float)
+            lo, hi = np.maximum(psi0 - disc.delta, 0.0), np.minimum(psi0 + disc.delta, 1.0)
+            out = _log_cell_rb(self, lo, hi, s)
+        return out[t] if one else out
+
+    def region_prob(self, psi0, truths, disc: Optional[Discretization] = None, against: bool = True):
+        """Exact probability that the ratio at ``psi0`` is <= 1 (``against``)
+        or >= 1 when counts come from each true rate (broadcast; NaN for a
+        NaN rate)."""
+        log_rb = self.log_rb(np.asarray(psi0, dtype=float)[..., None], self._counts, disc)
+        region = log_rb <= 0.0 if against else log_rb >= 0.0
+        pmf = np.exp(self.log_sampling_pmf(truths))
+        return np.where(region, pmf, 0.0).sum(axis=-1)
+
+    def alternatives(self, psi0, delta: float, boundary_only: bool = True):
+        """(stream key, true rate) pairs for the bias in favor of ``psi0``:
+        the two rates at distance ``delta`` and, unless ``boundary_only``,
+        every point of an 801-point grid at least ``delta`` away; only rates
+        inside (0, 1) count.  The grid is searched for one ``psi0`` only."""
+        truths = [psi0 - delta, psi0 + delta]
+        if not boundary_only:
+            if np.ndim(psi0):
+                raise DomainError(
+                    "the exterior grid search runs for one hypothesized rate; "
+                    "an average over the prior needs boundary_only=True"
+                )
+            grid = np.linspace(1e-6, 1.0 - 1e-6, 801)
+            truths.extend(grid[np.abs(grid - psi0) >= delta])
+        return _numbered([np.where((t > 0.0) & (t < 1.0), t, np.nan) for t in truths])
 
     def log_predictive(self) -> np.ndarray:
         """log prior predictive pmf of the success count, s = 0..n."""
-        s = np.arange(self.n + 1)
+        s = self._counts
         return (
             special.gammaln(self.n + 1)
             - special.gammaln(s + 1)
@@ -364,7 +496,7 @@ class BetaBinomialBundle:
     def log_sampling_pmf(self, theta) -> np.ndarray:
         """log Binomial(n, theta) pmf over s = 0..n (vectorized in theta)."""
         theta = np.asarray(theta, dtype=float)
-        s = np.arange(self.n + 1)
+        s = self._counts
         logc = (
             special.gammaln(self.n + 1)
             - special.gammaln(s + 1)
@@ -382,6 +514,11 @@ class BetaBinomialBundle:
         if size is not None and theta.ndim == 0:
             theta = np.full(size, float(theta))
         return rng.binomial(self.n, theta)
+
+    def sample_joint(self, rng: np.random.Generator, size: int):
+        """Draw (true rate, count) pairs from the prior predictive."""
+        theta = self.sample_prior(rng, size)
+        return theta, self.sample_stat(rng, theta)
 
     def prior_cdf(self, x):
         return special.betainc(self.alpha, self.beta, np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
@@ -525,6 +662,36 @@ class FiniteBundle:
         except ValueError:
             raise DomainError(f"unknown interest value {psi!r}") from None
 
+    def interest(self, psi0) -> int:
+        """Index of the interest value ``psi0``, which must clear the prior floor."""
+        idx = self.psi_index(psi0)
+        if self.prior_psi[idx] < PRIOR_CONTENT_FLOOR:
+            raise DomainError(f"interest value {psi0!r} has prior content below {PRIOR_CONTENT_FLOOR}")
+        return idx
+
+    def log_rb(self, psi0, t, disc: Optional[Discretization] = None):
+        """log ratio at interest index ``psi0`` for outcome indices ``t``
+        (broadcast).  Labels have no cells, so ``disc`` is ignored."""
+        with np.errstate(divide="ignore"):
+            return np.log(self._rb_psi[psi0, t])
+
+    def region_prob(self, psi0, truths, disc: Optional[Discretization] = None, against: bool = True):
+        """Exact probability that the ratio at ``psi0`` is <= 1 (``against``)
+        or >= 1 under M(x | psi) for each true index (broadcast)."""
+        rb = self._rb_psi[psi0]
+        region = rb <= 1.0 if against else rb >= 1.0
+        return np.where(region, self.predictive_psi[truths], 0.0).sum(axis=-1)
+
+    def alternatives(self, psi0, delta: float, boundary_only: bool = True):
+        """(stream key, true index) pairs for the bias in favor of ``psi0``:
+        every other interest value above the prior floor.  Labels carry the
+        discrete metric, so each lies at distance 1 and ``boundary_only``
+        changes nothing."""
+        if delta > 1.0:
+            raise DomainError(f"no interest value lies at distance >= {delta} under the discrete metric")
+        usable = np.flatnonzero(self.prior_psi >= PRIOR_CONTENT_FLOOR)
+        return [(int(j), int(j)) for j in usable if j != psi0]
+
     def posterior_theta(self, x_idx: int) -> np.ndarray:
         return self.joint[:, x_idx] / self.predictive[x_idx]
 
@@ -556,9 +723,14 @@ class FiniteBundle:
             )
         return self.predictive_psi[psi_idx]
 
+    def sample_stat(self, rng: np.random.Generator, psi_idx: int, size: int) -> np.ndarray:
+        """Draw outcome indices under M(x | psi): the outcome row of
+        :meth:`sample_joint` under the conditional prior."""
+        return self.sample_joint(rng, size, cond_prior=self.cond_prior_given_psi(psi_idx))[1]
+
     def sample_joint(self, rng: np.random.Generator, size: int, cond_prior=None):
-        """Draw (theta index, x index) pairs; inverse-CDF on two uniform blocks
-        so the layout is replication-indexed and schedule independent."""
+        """Draw (interest index, x index) pairs; inverse-CDF on two uniform
+        blocks so the layout is replication-indexed and schedule independent."""
         weights = self.prior if cond_prior is None else cond_prior
         cum_theta = np.cumsum(weights)
         u_theta = rng.random(size)
@@ -569,7 +741,7 @@ class FiniteBundle:
         row_cum = cum_rows[theta_idx]
         x_idx = (u_x[:, None] * row_cum[:, -1:] > row_cum).sum(axis=1)
         x_idx = np.clip(x_idx, 0, len(self.x_labels) - 1)
-        return theta_idx, x_idx
+        return self.psi_index_of_theta[theta_idx], x_idx
 
 
 def make_finite(spec: FiniteModelSpec) -> FiniteBundle:

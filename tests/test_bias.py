@@ -382,6 +382,47 @@ def test_estimation_bias_forwards_boundary_only(monkeypatch):
     assert seen == [False, True]
 
 
+OPTION_BUNDLES = {
+    # weak data: the favor window's center lies in the exterior for most values
+    "location_normal": (lambda: locnormal(4, 0.0, 1.0, sigma0_sq=4.0), 0.5),
+    "beta_binomial": (lambda: make_beta_binomial(15, 2.0, 3.0), 0.15),
+    "finite": (lambda: make_finite(FiniteModelSpec(**FINITE_EDGE_SPECS["grouped"])), 1.0),
+}
+
+
+@pytest.mark.parametrize("method", ["auto", "exact", "mc"])
+@pytest.mark.parametrize("functional", ["against_e", "favor_e"])
+@pytest.mark.parametrize("kind", list(OPTION_BUNDLES))
+def test_estimation_options_are_honoured_or_refused(kind, functional, method):
+    """A discretization or a full exterior search either changes an
+    estimation bias or is refused by name; only finite models, whose labels
+    have no cells and sit at distance 1 from each other, are unaffected."""
+    from relbelief import Discretization
+
+    build, delta = OPTION_BUNDLES[kind]
+    bundle, mc = build(), McConfig(n_sim=2000, seed=3)
+
+    def values(**opts):
+        if functional == "against_e":
+            return [c.value for c in bias_against_e(bundle, mc=mc, method=method, **opts)]
+        return [bias_in_favor_e(bundle, delta, mc=mc, method=method, **opts).value]
+
+    base = values()
+    options = {"discretization": {"disc": Discretization(delta=0.2)}}
+    if functional == "favor_e":
+        options["boundary_only"] = {"boundary_only": False}
+    for name, opts in options.items():
+        try:
+            got = values(**opts)
+        except DomainError as exc:
+            assert kind != "finite" and name in str(exc)
+            continue
+        if kind == "finite":
+            assert got == base
+        else:
+            assert all(g != b for g, b in zip(got, base)), (name, got, base)
+
+
 def test_design_forwards_boundary_only(monkeypatch):
     import relbelief.bias as bias_module
 

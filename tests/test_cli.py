@@ -303,14 +303,14 @@ def test_reproduce_tables_match_reference_values(tmp_path):
 
 def test_bias_estimation_fallback_exit_code(tmp_path, monkeypatch):
     # force the quadrature fallback path and confirm it surfaces as exit 4
-    import relbelief.cli as cli_mod
+    import relbelief.bias as bias_mod
     from relbelief.bias import BiasComponent
 
     def fake_against(bundle, disc=None, mc=None, method="auto", quad_nodes=64):
         comp = BiasComponent(value=0.1, se=0.001, method="MonteCarlo", fallback=True)
         return comp, BiasComponent(value=0.2, se=0.0, method="Exact")
 
-    monkeypatch.setattr(cli_mod, "bias_against_e", fake_against)
+    monkeypatch.setattr(bias_mod, "bias_against_e", fake_against)
     config = {
         "bundle": {
             "kind": "location_normal",

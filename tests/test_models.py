@@ -171,8 +171,6 @@ def test_discretization_validation():
         Discretization(delta=0.0)
     with pytest.raises(DomainError):
         Discretization(delta=0.1, range=(2.0, 1.0))
-    with pytest.raises(DomainError):
-        Discretization(delta=0.1, dist="mahalanobis")
 
 
 def test_build_cells_partitions_range():
