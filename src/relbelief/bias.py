@@ -61,9 +61,15 @@ __all__ = [
 EXACT = "Exact"
 MONTE_CARLO = "MonteCarlo"
 
+# The values of every ``method`` argument.
+METHODS = ("auto", "exact", "mc")
+
 # Relative change allowed when doubling quadrature nodes before the
 # computation is declared nonconvergent and falls back to Monte Carlo.
 QUAD_DOUBLING_RTOL = 1e-6
+# Gauss-Hermite node counts tried in turn: the first doubling within
+# QUAD_DOUBLING_RTOL is accepted.  hermegauss(512) returns NaN weights.
+_QUAD_NODES = (64, 128, 256)
 
 # Cells per intermediate array in the blocked table computations, so memory
 # stays bounded whatever n_sim or the number of interest values.
@@ -161,11 +167,9 @@ def _mc_probability(indicator: np.ndarray) -> Tuple[float, float]:
 
 
 def _resolve_method(method: str) -> str:
-    if method in ("auto", "exact", EXACT):
-        return EXACT
-    if method in ("mc", MONTE_CARLO):
-        return MONTE_CARLO
-    raise DomainError(f"unknown method {method!r}; use 'auto', 'exact', or 'mc'")
+    if method not in METHODS:
+        raise DomainError(f"unknown method {method!r}; use one of {METHODS}")
+    return MONTE_CARLO if method == "mc" else EXACT
 
 
 def _check_delta(delta) -> None:
@@ -298,7 +302,6 @@ def bias_against_e(
     disc: Optional[Discretization] = None,
     mc: Optional[McConfig] = None,
     method: str = "auto",
-    quad_nodes: int = 64,
 ) -> Tuple[BiasComponent, BiasComponent]:
     """Average and worst-case prior probability that the plausible region
     misses the true value.  Returns (average, supremum).
@@ -309,7 +312,6 @@ def bias_against_e(
     and Monte Carlo under a discretization or ``method='mc'``.
     """
     how = _resolve_method(method)
-    quad_nodes = max(64, int(quad_nodes))
     mc = mc or McConfig()
 
     if isinstance(bundle, FiniteBundle):
@@ -332,17 +334,20 @@ def bias_against_e(
             cases = [(("bias-against-e-sup", j), float(mu)) for j, mu in enumerate(grid)]
             sup = _worst_case(bundle, grid, cases, disc, mc, MONTE_CARLO, against=True)
             return _average_against_mc(bundle, disc, mc), sup
-        v1 = _gauss_hermite_mean(inner, spec.mu_star, tau, quad_nodes)
-        v2 = _gauss_hermite_mean(inner, spec.mu_star, tau, 2 * quad_nodes)
-        if abs(v2 - v1) > QUAD_DOUBLING_RTOL * max(abs(v2), 1e-12):
+        prev = _gauss_hermite_mean(inner, spec.mu_star, tau, _QUAD_NODES[0])
+        for nodes in _QUAD_NODES[1:]:
+            value = _gauss_hermite_mean(inner, spec.mu_star, tau, nodes)
+            if abs(value - prev) <= QUAD_DOUBLING_RTOL * max(abs(value), 1e-12):
+                avg = BiasComponent(value=value, se=0.0, method=EXACT)
+                break
+            prev = value
+        else:
             warnings.warn(
                 "quadrature for the average bias against did not converge on node "
                 "doubling; falling back to Monte Carlo",
                 RuntimeWarning,
             )
             avg = _average_against_mc(bundle, disc, mc, fallback=True)
-        else:
-            avg = BiasComponent(value=v2, se=0.0, method=EXACT)
         _, sup_val = _grid_supremum(lambda m: float(inner(m)), spec.mu_star, 6.0 * tau)
         return avg, BiasComponent(value=sup_val, se=0.0, method=EXACT)
 
@@ -431,10 +436,9 @@ def estimation_bias(
     disc: Optional[Discretization] = None,
     mc: Optional[McConfig] = None,
     method: str = "auto",
-    quad_nodes: int = 64,
     boundary_only: bool = True,
 ) -> BiasEReport:
-    avg, sup = bias_against_e(bundle, disc=disc, mc=mc, method=method, quad_nodes=quad_nodes)
+    avg, sup = bias_against_e(bundle, disc=disc, mc=mc, method=method)
     favor = bias_in_favor_e(
         bundle, delta, disc=disc, mc=mc, method=method, boundary_only=boundary_only
     )

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bias import McConfig
+from .bias import MONTE_CARLO, McConfig, _resolve_method
 from .errors import DomainError
 from .models import (
     BetaBinomialBundle,
@@ -75,12 +75,11 @@ def conflict_check(
     """
     if not (0.0 < threshold < 1.0):
         raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
-    if method not in ("auto", "exact", "mc"):
-        raise DomainError(f"unknown method {method!r}; use 'auto', 'exact', or 'mc'")
+    sampled = _resolve_method(method) == MONTE_CARLO
 
     if isinstance(bundle, LocationNormalBundle):
         t_obs = bundle.reduce_data(data)
-        if method == "mc":
+        if sampled:
             mc = mc or McConfig()
             rng = substream(mc.seed, "conflict-check")
             mean, var = bundle.prior_predictive_params()
@@ -94,7 +93,7 @@ def conflict_check(
     if isinstance(bundle, BetaBinomialBundle):
         t_obs = bundle.reduce_data(data)
         log_pred = bundle.log_predictive()
-        if method == "mc":
+        if sampled:
             mc = mc or McConfig()
             rng = substream(mc.seed, "conflict-check")
             theta = bundle.sample_prior(rng, mc.n_sim)
@@ -108,7 +107,7 @@ def conflict_check(
     if isinstance(bundle, FiniteBundle):
         x_idx = bundle.reduce_data(data)
         pred = bundle.predictive
-        if method == "mc":
+        if sampled:
             mc = mc or McConfig()
             rng = substream(mc.seed, "conflict-check")
             _, draws = bundle.sample_joint(rng, mc.n_sim)

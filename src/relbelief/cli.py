@@ -10,9 +10,11 @@ Subcommands::
     relbelief reproduce TARGET --out DIR               built-in reference tables
 
 Configs are JSON with a fixed schema (see README); unknown keys are errors,
-not warnings, so a typo cannot silently change a study.  Exit codes: 0 on
+not warnings, so a typo cannot silently change a study.  Every config value
+is checked and cast here, once, before the library sees it.  Exit codes: 0 on
 success, 2 for config errors, 3 for domain errors, 4 when a numerical
-fallback was engaged (outputs are still written).
+fallback was engaged (outputs are still written); an internal error
+propagates with its traceback (exit 1).
 
 Outputs are CSV files plus a ``run_manifest.json`` recording the config
 digest, seed, and library versions.  Identical config and seed produce
@@ -34,8 +36,10 @@ import scipy
 
 from . import __version__
 from .bias import (
+    METHODS,
     McConfig,
     bias_against_e,
+    bias_against_h,
     bias_in_favor_e,
     bias_in_favor_h,
     design_sample_size,
@@ -61,15 +65,49 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_FALLBACK = 4
 
-REPRODUCE_TARGETS = ("table1", "table2", "table3", "table5", "fig1", "fig3")
-
 # Fixed settings for the reference tables: hypothesis mean 0, unit data
 # variance, sample sizes 5..100, and the priors named in the column headers.
 _TABLE_NS = (5, 10, 20, 50, 100)
-_TABLE12_PRIORS = ((1.0, 1.0), (0.0, 1.0))  # (prior mean, prior variance)
-_TABLE3_TAU_SQS = (1.0, 0.25)
-_TABLE5_DELTAS = (1.0, 0.5)
 _FIG_POINTS = 201
+
+
+def _locnormal(n, mu_star=0.0, tau_star_sq=1.0):
+    return make_location_normal(LocationNormalSpec(n=n, sigma0_sq=1.0, mu_star=mu_star, tau_star_sq=tau_star_sq))
+
+
+# target -> (header, one library call per column, each a function of n)
+_TABLES = {
+    "table1": (
+        ["n", "bias_against_prior_mu1_tausq1", "bias_against_prior_mu0_tausq1"],
+        (lambda n: bias_against_h(_locnormal(n, 1.0), 0.0).value,
+         lambda n: bias_against_h(_locnormal(n), 0.0).value),
+    ),
+    "table2": (
+        ["n", "bias_in_favor_prior_mu1_tausq1", "bias_in_favor_prior_mu0_tausq1"],
+        (lambda n: bias_in_favor_h(_locnormal(n, 1.0), 0.0, 0.5).value,
+         lambda n: bias_in_favor_h(_locnormal(n), 0.0, 0.5).value),
+    ),
+    "table3": (
+        ["n", "avg_bias_against_tausq1", "avg_bias_against_tausq0_25"],
+        (lambda n: bias_against_e(_locnormal(n))[0].value,
+         lambda n: bias_against_e(_locnormal(n, 0.0, 0.25))[0].value),
+    ),
+    "table5": (
+        ["n", "avg_bias_in_favor_delta1_0", "avg_bias_in_favor_delta0_5"],
+        (lambda n: bias_in_favor_e(_locnormal(n), 1.0).value,
+         lambda n: bias_in_favor_e(_locnormal(n), 0.5).value),
+    ),
+}
+REPRODUCE_TARGETS = (*_TABLES, "fig1", "fig3")
+
+# The columns of each one-row CSV, named as the fields of the report written.
+_BIAS_H_COLUMNS = ("psi0", "delta", "bias_against", "se_against", "bias_in_favor", "se_in_favor", "method")
+_BIAS_E_COLUMNS = (
+    "delta", "avg_bias_against", "se_avg_against", "sup_bias_against", "se_sup_against",
+    "avg_bias_in_favor", "se_avg_in_favor", "implied_coverage", "method",
+)
+_DESIGN_COLUMNS = ("bias_against", "se_against", "bias_in_favor", "se_in_favor", "method")
+_CHECK_COLUMNS = ("tail_prob", "t_obs", "threshold", "verdict")
 
 
 class ConfigError(Exception):
@@ -104,23 +142,75 @@ def _load_config(path: str) -> tuple[dict, str]:
     return config, hashlib.sha256(raw).hexdigest()
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{where}' must be an object")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"'{where}' must be a list, got {value!r}")
+    return value
+
+
+def _number(value, where: str, kind=float):
+    """A JSON number as ``kind`` (float or int).  Booleans, strings and, for
+    an int, fractional values are refused rather than cast."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"'{where}' must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"'{where}' must be an integer, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ConfigError(f"'{where}' is out of range, got {value!r}") from None
+
+
+def _numbers(value, where: str, kind=float) -> list:
+    """A JSON list of numbers, each checked and cast as by :func:`_number`.
+    A list already of type ``kind`` passes with one type test per entry:
+    finite tables run to tens of thousands of entries."""
+    values = _list(value, where)
+    if set(map(type, values)) <= {kind}:
+        return values
+    return [_number(v, f"{where}[{i}]", kind) for i, v in enumerate(values)]
+
+
+def _label(value, where: str):
+    """A finite-model label or index: a string or an integer."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"'{where}' must be a string or an integer, got {value!r}")
+
+
+def _labels(value, where: str) -> list:
+    values = _list(value, where)
+    if set(map(type, values)) <= {str}:
+        return values
+    return [_label(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
 def _build_bundle(section) -> object:
-    if not isinstance(section, dict):
-        raise ConfigError("'bundle' must be an object")
+    section = _object(section, "bundle")
     kind = section.get("kind")
     if kind == "location_normal":
         _require_keys(section, {"kind", "n", "sigma0_sq", "mu_star", "tau_star_sq"}, set(), "bundle")
         return make_location_normal(
             LocationNormalSpec(
-                n=int(section["n"]),
-                sigma0_sq=float(section["sigma0_sq"]),
-                mu_star=float(section["mu_star"]),
-                tau_star_sq=float(section["tau_star_sq"]),
+                n=_number(section["n"], "bundle.n", int),
+                sigma0_sq=_number(section["sigma0_sq"], "bundle.sigma0_sq"),
+                mu_star=_number(section["mu_star"], "bundle.mu_star"),
+                tau_star_sq=_number(section["tau_star_sq"], "bundle.tau_star_sq"),
             )
         )
     if kind == "beta_binomial":
         _require_keys(section, {"kind", "n", "alpha", "beta"}, set(), "bundle")
-        return make_beta_binomial(int(section["n"]), float(section["alpha"]), float(section["beta"]))
+        return make_beta_binomial(
+            _number(section["n"], "bundle.n", int),
+            _number(section["alpha"], "bundle.alpha"),
+            _number(section["beta"], "bundle.beta"),
+        )
     if kind == "finite":
         _require_keys(
             section,
@@ -128,73 +218,78 @@ def _build_bundle(section) -> object:
             {"psi_of_theta"},
             "bundle",
         )
+        likelihood = _list(section["likelihood"], "bundle.likelihood")
+        psi_of_theta = section.get("psi_of_theta")
         return make_finite(
             FiniteModelSpec(
-                theta_labels=section["theta_labels"],
-                prior=section["prior"],
-                likelihood=section["likelihood"],
-                x_labels=section["x_labels"],
-                psi_of_theta=section.get("psi_of_theta"),
+                theta_labels=_labels(section["theta_labels"], "bundle.theta_labels"),
+                prior=_numbers(section["prior"], "bundle.prior"),
+                likelihood=[_numbers(row, f"bundle.likelihood[{i}]") for i, row in enumerate(likelihood)],
+                x_labels=_labels(section["x_labels"], "bundle.x_labels"),
+                psi_of_theta=None if psi_of_theta is None else _labels(psi_of_theta, "bundle.psi_of_theta"),
             )
         )
     raise ConfigError(f"unknown bundle kind {kind!r}")
 
 
 def _parse_data(section, bundle) -> object:
-    if not isinstance(section, dict):
-        raise ConfigError("'data' must be an object")
+    section = _object(section, "data")
     kind = bundle.kind
     if kind == "location_normal":
         _require_keys(section, set(), {"xbar", "sample"}, "data")
         keys = set(section)
         if keys == {"xbar"}:
-            return float(section["xbar"])
+            return _number(section["xbar"], "data.xbar")
         if keys == {"sample"}:
-            return [float(v) for v in section["sample"]]
+            return _numbers(section["sample"], "data.sample")
     elif kind == "beta_binomial":
         _require_keys(section, set(), {"successes", "sample"}, "data")
         keys = set(section)
         if keys == {"successes"}:
-            return int(section["successes"])
+            return _number(section["successes"], "data.successes", int)
         if keys == {"sample"}:
-            return [int(v) for v in section["sample"]]
+            return _numbers(section["sample"], "data.sample", int)
     else:
         _require_keys(section, set(), {"outcome"}, "data")
         if set(section) == {"outcome"}:
-            return section["outcome"]
+            return _label(section["outcome"], "data.outcome")
     raise ConfigError(f"'data' must carry exactly one entry appropriate for a {kind} bundle")
 
 
+def _parse_psi0(value, bundle):
+    return _label(value, "psi0") if bundle.kind == "finite" else _number(value, "psi0")
+
+
 def _parse_disc(section) -> Discretization:
-    if not isinstance(section, dict):
-        raise ConfigError("'discretization' must be an object")
+    section = _object(section, "discretization")
     _require_keys(section, {"delta"}, {"range", "anchor"}, "discretization")
     rng = section.get("range")
     if rng is not None:
-        if not (isinstance(rng, (list, tuple)) and len(rng) == 2):
+        rng = _numbers(rng, "discretization.range")
+        if len(rng) != 2:
             raise ConfigError("'discretization.range' must be a [lo, hi] pair")
-        rng = (float(rng[0]), float(rng[1]))
+    anchor = section.get("anchor")
     try:
         return Discretization(
-            delta=float(section["delta"]),
-            range=rng,
-            anchor=None if section.get("anchor") is None else float(section["anchor"]),
+            delta=_number(section["delta"], "discretization.delta"),
+            range=None if rng is None else tuple(rng),
+            anchor=None if anchor is None else _number(anchor, "discretization.anchor"),
         )
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_mc(section, seed_override, sims_override) -> McConfig:
-    section = dict(section or {})
+def _parse_mc(config, args) -> McConfig:
+    section = {} if config.get("mc") is None else dict(_object(config["mc"], "mc"))
     _require_keys(section, set(), {"n_sim", "seed"}, "mc")
-    if sims_override is not None:
-        section["n_sim"] = sims_override
-    if seed_override is not None:
-        section["seed"] = seed_override
+    if args.sims is not None:
+        section["n_sim"] = args.sims
+    if args.seed is not None:
+        section["seed"] = args.seed
     try:
         return McConfig(
-            n_sim=int(section.get("n_sim", McConfig.n_sim)),
-            seed=int(section.get("seed", McConfig.seed)),
+            n_sim=_number(section.get("n_sim", McConfig.n_sim), "mc.n_sim", int),
+            seed=_number(section.get("seed", McConfig.seed), "mc.seed", int),
         )
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
@@ -209,9 +304,19 @@ def _parse_boundary_only(config) -> bool:
 
 def _parse_method(config) -> str:
     method = config.get("method", "auto")
-    if method not in ("auto", "exact", "mc"):
-        raise ConfigError(f"unknown method {method!r}; use 'auto', 'exact', or 'mc'")
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; use one of {METHODS}")
     return method
+
+
+def _bias_options(config, mc: McConfig) -> dict:
+    """The options ``bias`` and ``design`` pass to every bias, as keywords."""
+    return dict(
+        disc=_parse_disc(config["discretization"]) if "discretization" in config else None,
+        mc=mc,
+        method=_parse_method(config),
+        boundary_only=_parse_boundary_only(config),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +349,15 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return obj
+
+
+def _fields(report, names) -> list:
+    """The named fields of ``report``, enums as their values."""
+    return [_jsonable(getattr(report, name)) for name in names]
+
+
+def _write_report(path: Path, columns, report) -> None:
+    _write_csv(path, columns, [_fields(report, columns)])
 
 
 def _write_json(path: Path, payload) -> None:
@@ -289,22 +403,29 @@ def _profile_rows(profile):
 # commands
 
 
-def cmd_analyze(config, args, out: Path) -> int:
-    allowed = {"bundle", "data", "discretization", "gamma", "mc"}
-    _require_keys(config, {"bundle", "data"}, allowed - {"bundle", "data"}, "config")
+def _observed_profile(config, required: set, optional: set):
+    """Check the keys of a post-data config and build the profile of its
+    data; returns (profile, psi0 or None).  A grid is required for a
+    continuous bundle; a hypothesis sits on a cell center unless the grid
+    names another anchor."""
+    _require_keys(config, {"bundle", "data"} | required, {"discretization", "mc"} | optional, "config")
     bundle = _build_bundle(config["bundle"])
     data = _parse_data(config["data"], bundle)
+    psi0 = _parse_psi0(config["psi0"], bundle) if "psi0" in config else None
     disc = None
-    if bundle.kind != "finite":
-        if "discretization" not in config:
-            raise ConfigError(f"a 'discretization' section is required for {bundle.kind} bundles")
-        disc = _parse_disc(config["discretization"])
-    elif "discretization" in config:
-        disc = _parse_disc(config["discretization"])  # validated, then unused
+    if "discretization" in config:
+        disc = _parse_disc(config["discretization"])  # a finite bundle ignores it
+    elif bundle.kind != "finite":
+        raise ConfigError(f"a 'discretization' section is required for {bundle.kind} bundles")
+    if psi0 is not None and bundle.kind != "finite" and disc.anchor is None:
+        disc = dataclasses.replace(disc, anchor=psi0)
+    return rb_profile(bundle, data, disc), psi0
 
-    profile = rb_profile(bundle, data, disc)
-    report = estimate(profile, gamma=config.get("gamma"))
 
+def cmd_analyze(config, mc: McConfig, args, out: Path) -> int:
+    profile, _ = _observed_profile(config, set(), {"gamma"})
+    gamma = config.get("gamma")
+    report = estimate(profile, gamma=None if gamma is None else _number(gamma, "gamma"))
     header, rows = _profile_rows(profile)
     _write_csv(out / "profile.csv", header, rows)
     _write_json(
@@ -325,22 +446,9 @@ def cmd_analyze(config, args, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_assess(config, args, out: Path) -> int:
-    allowed = {"bundle", "data", "discretization", "psi0", "mc"}
-    _require_keys(config, {"bundle", "data", "psi0"}, allowed - {"bundle", "data", "psi0"}, "config")
-    bundle = _build_bundle(config["bundle"])
-    data = _parse_data(config["data"], bundle)
-    psi0 = config["psi0"]
-    disc = None
-    if bundle.kind != "finite":
-        if "discretization" not in config:
-            raise ConfigError(f"a 'discretization' section is required for {bundle.kind} bundles")
-        disc = _parse_disc(config["discretization"])
-        if disc.anchor is None:
-            disc = dataclasses.replace(disc, anchor=float(psi0))
-
-    profile = rb_profile(bundle, data, disc)
-    result = assess(profile, psi0 if bundle.kind == "finite" else float(psi0))
+def cmd_assess(config, mc: McConfig, args, out: Path) -> int:
+    profile, psi0 = _observed_profile(config, {"psi0"}, set())
+    result = assess(profile, psi0)
     _write_json(
         out / "assess.json",
         {
@@ -357,130 +465,50 @@ def cmd_assess(config, args, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_bias(config, args, out: Path) -> int:
-    allowed = {"bundle", "psi0", "delta", "mode", "discretization", "mc", "method", "boundary_only"}
-    _require_keys(config, {"bundle", "delta"}, allowed - {"bundle", "delta"}, "config")
+def cmd_bias(config, mc: McConfig, args, out: Path) -> int:
+    optional = {"psi0", "mode", "discretization", "mc", "method", "boundary_only"}
+    _require_keys(config, {"bundle", "delta"}, optional, "config")
     mode = config.get("mode", "hypothesis")
     if mode not in ("hypothesis", "estimation"):
         raise ConfigError(f"bias mode must be 'hypothesis' or 'estimation', got {mode!r}")
     bundle = _build_bundle(config["bundle"])
-    delta = float(config["delta"])
-    disc = _parse_disc(config["discretization"]) if "discretization" in config else None
-    mc = _parse_mc(config.get("mc"), args.seed, args.sims)
-    method = _parse_method(config)
-    boundary_only = _parse_boundary_only(config)
+    delta = _number(config["delta"], "delta")
+    options = _bias_options(config, mc)
 
     if mode == "hypothesis":
         if "psi0" not in config:
             raise ConfigError("hypothesis bias requires 'psi0'")
-        psi0 = config["psi0"] if bundle.kind == "finite" else float(config["psi0"])
-        report = hypothesis_bias(
-            bundle, psi0, delta, disc=disc, mc=mc, method=method, boundary_only=boundary_only
-        )
-        _write_csv(
-            out / "bias.csv",
-            ["psi0", "delta", "bias_against", "se_against", "bias_in_favor", "se_in_favor", "method"],
-            [
-                (
-                    report.psi0,
-                    report.delta,
-                    report.bias_against,
-                    report.se_against,
-                    report.bias_in_favor,
-                    report.se_in_favor,
-                    report.method,
-                )
-            ],
-        )
+        report = hypothesis_bias(bundle, _parse_psi0(config["psi0"], bundle), delta, **options)
+        _write_report(out / "bias.csv", _BIAS_H_COLUMNS, report)
         return EXIT_OK
 
-    report = estimation_bias(bundle, delta, disc=disc, mc=mc, method=method, boundary_only=boundary_only)
-    _write_csv(
-        out / "bias_estimation.csv",
-        [
-            "delta",
-            "avg_bias_against",
-            "se_avg_against",
-            "sup_bias_against",
-            "se_sup_against",
-            "avg_bias_in_favor",
-            "se_avg_in_favor",
-            "implied_coverage",
-            "method",
-        ],
-        [
-            (
-                report.delta,
-                report.avg_bias_against,
-                report.se_avg_against,
-                report.sup_bias_against,
-                report.se_sup_against,
-                report.avg_bias_in_favor,
-                report.se_avg_in_favor,
-                report.implied_coverage,
-                report.method,
-            )
-        ],
-    )
+    report = estimation_bias(bundle, delta, **options)
+    _write_report(out / "bias_estimation.csv", _BIAS_E_COLUMNS, report)
     return EXIT_FALLBACK if report.fallback else EXIT_OK
 
 
-def cmd_design(config, args, out: Path) -> int:
-    allowed = {"bundle", "psi0", "delta", "targets", "n_grid", "discretization", "mc", "method", "boundary_only"}
-    _require_keys(
-        config, {"bundle", "psi0", "delta", "targets", "n_grid"}, allowed - {"bundle", "psi0", "delta", "targets", "n_grid"}, "config"
-    )
-    section = config["bundle"]
-    if not isinstance(section, dict) or "kind" not in section:
-        raise ConfigError("'bundle' must be an object with a 'kind'")
-    kind = section["kind"]
-    if kind == "location_normal":
-        _require_keys(section, {"kind", "sigma0_sq", "mu_star", "tau_star_sq"}, {"n"}, "bundle")
-        family = lambda n: make_location_normal(
-            LocationNormalSpec(
-                n=n,
-                sigma0_sq=float(section["sigma0_sq"]),
-                mu_star=float(section["mu_star"]),
-                tau_star_sq=float(section["tau_star_sq"]),
-            )
-        )
-    elif kind == "beta_binomial":
-        _require_keys(section, {"kind", "alpha", "beta"}, {"n"}, "bundle")
-        family = lambda n: make_beta_binomial(n, float(section["alpha"]), float(section["beta"]))
-    else:
+def cmd_design(config, mc: McConfig, args, out: Path) -> int:
+    required = {"bundle", "psi0", "delta", "targets", "n_grid"}
+    _require_keys(config, required, {"discretization", "mc", "method", "boundary_only"}, "config")
+    section = _object(config["bundle"], "bundle")
+    if section.get("kind") not in ("location_normal", "beta_binomial"):
         raise ConfigError("design requires a bundle family parameterized by sample size")
-
-    targets = config["targets"]
-    if not isinstance(targets, dict):
-        raise ConfigError("'targets' must be an object")
+    if "n" in section:
+        raise ConfigError("a design bundle omits 'n'; 'n_grid' supplies the sample sizes")
+    targets = _object(config["targets"], "targets")
     _require_keys(targets, set(), {"max_bias_against", "max_bias_in_favor"}, "targets")
-    targets = {k: float(v) for k, v in targets.items()}
-    mc = _parse_mc(config.get("mc"), args.seed, args.sims)
-    method = _parse_method(config)
-    boundary_only = _parse_boundary_only(config)
-    disc = _parse_disc(config["discretization"]) if "discretization" in config else None
-
-    header = ["n", "bias_against", "se_against", "bias_in_favor", "se_in_favor", "method", "admissible"]
+    targets = {k: _number(v, f"targets.{k}") for k, v in targets.items()}
+    psi0, delta = _number(config["psi0"], "psi0"), _number(config["delta"], "delta")
+    n_grid = _numbers(config["n_grid"], "n_grid", int)
+    options = _bias_options(config, mc)
+    candidates = {n: _build_bundle({**section, "n": n}) for n in n_grid}
+    header = ["n", *_DESIGN_COLUMNS, "admissible"]
 
     def rows_of(evaluated):
-        return [
-            (n, r.bias_against, r.se_against, r.bias_in_favor, r.se_in_favor, r.method,
-             int(meets_targets(r, targets)))
-            for n, r in evaluated
-        ]
+        return [(n, *_fields(r, _DESIGN_COLUMNS), int(meets_targets(r, targets))) for n, r in evaluated]
 
     try:
-        result = design_sample_size(
-            family,
-            float(config["psi0"]),
-            float(config["delta"]),
-            targets,
-            config["n_grid"],
-            disc=disc,
-            mc=mc,
-            method=method,
-            boundary_only=boundary_only,
-        )
+        result = design_sample_size(candidates.__getitem__, psi0, delta, targets, n_grid, **options)
     except DesignSearchError as exc:
         _write_csv(out / "design.csv", header, rows_of(exc.reports))
         raise
@@ -489,19 +517,13 @@ def cmd_design(config, args, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_check(config, args, out: Path) -> int:
-    allowed = {"bundle", "data", "threshold", "mc", "method"}
-    _require_keys(config, {"bundle", "data"}, allowed - {"bundle", "data"}, "config")
+def cmd_check(config, mc: McConfig, args, out: Path) -> int:
+    _require_keys(config, {"bundle", "data"}, {"threshold", "mc", "method"}, "config")
     bundle = _build_bundle(config["bundle"])
     data = _parse_data(config["data"], bundle)
-    threshold = args.threshold if args.threshold is not None else float(config.get("threshold", 0.05))
-    mc = _parse_mc(config.get("mc"), args.seed, args.sims)
+    threshold = args.threshold if args.threshold is not None else _number(config.get("threshold", 0.05), "threshold")
     report = conflict_check(bundle, data, threshold=threshold, mc=mc, method=_parse_method(config))
-    _write_csv(
-        out / "check.csv",
-        ["tail_prob", "t_obs", "threshold", "verdict"],
-        [(report.tail_prob, report.t_obs, report.threshold, report.verdict.value)],
-    )
+    _write_report(out / "check.csv", _CHECK_COLUMNS, report)
     return EXIT_OK
 
 
@@ -510,64 +532,18 @@ def cmd_check(config, args, out: Path) -> int:
 
 
 def _reproduce_rows(target: str):
-    mu0 = 0.0
-    if target == "table1":
-        header = ["n", "bias_against_prior_mu1_tausq1", "bias_against_prior_mu0_tausq1"]
-        rows = []
-        for n in _TABLE_NS:
-            vals = []
-            for mu_star, tau_sq in _TABLE12_PRIORS:
-                spec = LocationNormalSpec(n=n, sigma0_sq=1.0, mu_star=mu_star, tau_star_sq=tau_sq)
-                vals.append(1.0 - favor_prob_locnormal(spec, mu0, mu0))
-            rows.append((n, *vals))
-        return header, rows
-    if target == "table2":
-        header = ["n", "bias_in_favor_prior_mu1_tausq1", "bias_in_favor_prior_mu0_tausq1"]
-        rows = []
-        for n in _TABLE_NS:
-            vals = []
-            for mu_star, tau_sq in _TABLE12_PRIORS:
-                spec = LocationNormalSpec(n=n, sigma0_sq=1.0, mu_star=mu_star, tau_star_sq=tau_sq)
-                bundle = make_location_normal(spec)
-                vals.append(bias_in_favor_h(bundle, mu0, 0.5).value)
-            rows.append((n, *vals))
-        return header, rows
-    if target == "table3":
-        header = ["n", "avg_bias_against_tausq1", "avg_bias_against_tausq0_25"]
-        rows = []
-        for n in _TABLE_NS:
-            vals = []
-            for tau_sq in _TABLE3_TAU_SQS:
-                bundle = make_location_normal(
-                    LocationNormalSpec(n=n, sigma0_sq=1.0, mu_star=0.0, tau_star_sq=tau_sq)
-                )
-                avg, _ = bias_against_e(bundle)
-                vals.append(avg.value)
-            rows.append((n, *vals))
-        return header, rows
-    if target == "table5":
-        header = ["n", "avg_bias_in_favor_delta1_0", "avg_bias_in_favor_delta0_5"]
-        rows = []
-        for n in _TABLE_NS:
-            bundle = make_location_normal(
-                LocationNormalSpec(n=n, sigma0_sq=1.0, mu_star=0.0, tau_star_sq=1.0)
-            )
-            rows.append((n, *(bias_in_favor_e(bundle, d).value for d in _TABLE5_DELTAS)))
-        return header, rows
+    if target in _TABLES:
+        header, columns = _TABLES[target]
+        return header, [(n, *(column(n) for column in columns)) for n in _TABLE_NS]
     if target == "fig1":
         spec = LocationNormalSpec(n=20, sigma0_sq=1.0, mu_star=1.0, tau_star_sq=1.0)
-        lo = spec.mu_star - 4.0
-        hi = spec.mu_star + 4.0
-        grid = np.linspace(lo, hi, _FIG_POINTS)
-        probs = favor_prob_locnormal(spec, mu0, grid)
+        grid = np.linspace(spec.mu_star - 4.0, spec.mu_star + 4.0, _FIG_POINTS)
+        probs = favor_prob_locnormal(spec, 0.0, grid)
         return ["mu", "prob_evidence_in_favor_of_0"], list(zip(grid.tolist(), probs.tolist()))
-    if target == "fig3":
-        spec = LocationNormalSpec(n=20, sigma0_sq=1.0, mu_star=0.0, tau_star_sq=1.0)
-        bundle = make_location_normal(spec)
-        grid = np.linspace(-4.0, 4.0, _FIG_POINTS)
-        vals = [bias_in_favor_h(bundle, float(m), 0.5).value for m in grid]
-        return ["mu", "bias_in_favor"], list(zip(grid.tolist(), vals))
-    raise ConfigError(f"unknown reproduce target {target!r}; choose from {REPRODUCE_TARGETS}")
+    bundle = _locnormal(20)
+    grid = np.linspace(-4.0, 4.0, _FIG_POINTS)
+    vals = [bias_in_favor_h(bundle, float(m), 0.5).value for m in grid]
+    return ["mu", "bias_in_favor"], list(zip(grid.tolist(), vals))
 
 
 def cmd_reproduce(args, out: Path) -> int:
@@ -590,15 +566,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sims", type=int, default=None, help="override the replication count")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads (results are identical for any value)")
-        p.add_argument("--threshold", type=float, default=None,
-                       help="conflict threshold override (check only)")
 
     for name in ("analyze", "assess", "bias", "design", "check"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
         add_common(p)
+        if name == "check":
+            p.add_argument("--threshold", type=float, default=None, help="conflict threshold override")
     p = sub.add_parser("reproduce")
-    p.add_argument("target", help=f"one of {', '.join(REPRODUCE_TARGETS)}")
+    p.add_argument("target", choices=REPRODUCE_TARGETS)
     add_common(p)
     return parser
 
@@ -614,10 +590,6 @@ def main(argv=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "reproduce":
-            if args.target not in REPRODUCE_TARGETS:
-                raise ConfigError(
-                    f"unknown reproduce target {args.target!r}; choose from {REPRODUCE_TARGETS}"
-                )
             code = cmd_reproduce(args, out)
             digest = hashlib.sha256(args.target.encode()).hexdigest()
             _write_manifest(out, "reproduce", digest, args.seed if args.seed is not None else 0,
@@ -625,6 +597,7 @@ def main(argv=None) -> int:
             return code
 
         config, digest = _load_config(args.config)
+        mc = _parse_mc(config, args)
         handler = {
             "analyze": cmd_analyze,
             "assess": cmd_assess,
@@ -632,15 +605,10 @@ def main(argv=None) -> int:
             "design": cmd_design,
             "check": cmd_check,
         }[args.command]
-        code = handler(config, args, out)
-        mc = _parse_mc(config.get("mc"), args.seed, args.sims)
+        code = handler(config, mc, args, out)
         _write_manifest(out, args.command, digest, mc.seed, mc.n_sim)
         return code
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (TypeError, ValueError) as exc:
-        # wrong value types in the config surface here via the casts
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DomainError as exc:

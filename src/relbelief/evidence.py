@@ -299,17 +299,13 @@ class HypothesisAssessment:
 
 def assess(profile: EvidenceProfile, psi0) -> HypothesisAssessment:
     """Assess a hypothesized value: ratio, verdict, strength, and bounds."""
+    calibrated = strength(profile, psi0)  # refuses a cell below the prior floor
     i0 = profile.cell_index_of(psi0)
-    if not profile.usable[i0]:
-        raise DomainError(
-            f"the cell containing {psi0!r} has prior content below "
-            f"{PRIOR_CONTENT_FLOOR}; it cannot support a hypothesis assessment"
-        )
     rb0 = float(profile.rb[i0])
     return HypothesisAssessment(
         psi0=psi0,
         rb0=rb0,
-        strength=strength(profile, psi0),
+        strength=calibrated,
         verdict=EvidenceVerdict.from_rb(rb0),
         markov_lower=float(profile.posterior_content[i0]),
         markov_upper=rb0,

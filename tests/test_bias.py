@@ -530,3 +530,29 @@ def test_estimation_report_invariants_hold_for_every_builtin():
     bundle = make_finite(FiniteModelSpec(**random_finite_spec(np.random.default_rng(55))))
     report = estimation_bias(bundle, delta=1.0)
     assert report.avg_bias_against <= report.sup_bias_against + 1e-9
+
+
+def test_weak_data_average_bias_against_converges_on_the_node_ladder():
+    # 64 vs 128 nodes differ by 1.5e-5 relative; 128 vs 256 by 1e-7
+    import warnings
+
+    from scipy import integrate, stats
+
+    spec = LocationNormalSpec(n=2, sigma0_sq=4.0, mu_star=0.0, tau_star_sq=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        avg, _ = bias_against_e(make_location_normal(spec), method="auto")
+    assert (avg.method, avg.fallback, avg.se) == ("Exact", False, 0.0)
+
+    def integrand(m):
+        return (1.0 - favor_prob_locnormal(spec, m, m)) * stats.norm.pdf(m)
+
+    left, _ = integrate.quad(integrand, -9.0, 0.0, limit=200)
+    right, _ = integrate.quad(integrand, 0.0, 9.0, limit=200)
+    assert avg.value == pytest.approx(left + right, rel=1e-6)
+
+
+@pytest.mark.parametrize("method", ["Exact", "MonteCarlo", "EXACT", None])
+def test_only_the_documented_method_names_are_accepted(method):
+    with pytest.raises(DomainError, match="unknown method"):
+        bias_against_h(locnormal(5, 0.0, 1.0), 0.0, method=method)

@@ -100,3 +100,9 @@ def test_check_converges_to_prior_surprise_with_data():
         bundle = locnormal(n=n, mu_star=mu_star, tau_sq=tau**2)
         report = conflict_check(bundle, mu_true)
         assert report.tail_prob == pytest.approx(limit, abs=0.01)
+
+
+@pytest.mark.parametrize("method", ["Exact", "MonteCarlo"])
+def test_conflict_check_shares_the_bias_method_names(method):
+    with pytest.raises(DomainError, match="unknown method"):
+        conflict_check(locnormal(), 0.3, method=method)

@@ -1,7 +1,9 @@
 """Command line front end: configs, outputs, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -379,3 +381,147 @@ def test_wrong_value_types_are_config_errors(tmp_path):
     }
     code, _ = run(tmp_path, config, "assess")
     assert code == 2
+
+
+REPRODUCE_DIGESTS = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "reproduce_digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("target", sorted(REPRODUCE_DIGESTS))
+def test_reproduce_csv_matches_recorded_digest(tmp_path, target):
+    assert main(["reproduce", target, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / f"{target}.csv").read_bytes()).hexdigest()
+    assert digest == REPRODUCE_DIGESTS[target]
+
+
+# -- config fuzzing: every field of every command, each wrong JSON type --------
+
+LOCNORMAL_4 = {"kind": "location_normal", "n": 4, "sigma0_sq": 1.0, "mu_star": 0.0, "tau_star_sq": 1.0}
+BETABINOMIAL_4 = {"kind": "beta_binomial", "n": 4, "alpha": 2.0, "beta": 3.0}
+FINITE_2 = {
+    "kind": "finite",
+    "theta_labels": ["a", "b"],
+    "prior": [0.5, 0.5],
+    "likelihood": [[0.7, 0.3], [0.2, 0.8]],
+    "x_labels": ["x0", "x1"],
+    "psi_of_theta": ["a", "b"],
+}
+GRID = {"delta": 0.25, "range": [-3.0, 3.0], "anchor": 0.0}
+MC_SMALL = {"n_sim": 200, "seed": 1}
+
+# (command, valid config, fields as dotted paths by type); a field marked
+# "?" may be null, which means absent
+FUZZ = [
+    ("analyze", {"bundle": LOCNORMAL_4, "data": {"xbar": 0.3}, "discretization": GRID, "gamma": 0.3, "mc": MC_SMALL},
+     {"float": ["bundle.sigma0_sq", "bundle.mu_star", "bundle.tau_star_sq", "data.xbar", "discretization.delta",
+                "discretization.range.0", "discretization.anchor?", "gamma?"],
+      "int": ["bundle.n", "mc.n_sim", "mc.seed"],
+      "other": ["bundle", "bundle.kind", "data", "discretization", "discretization.range", "mc"]}),
+    ("analyze", {"bundle": LOCNORMAL_4, "data": {"sample": [0.1, 0.2, 0.3, 0.4]}, "discretization": {"delta": 0.25}},
+     {"float": ["data.sample.1"], "other": ["data.sample"]}),
+    ("analyze", {"bundle": BETABINOMIAL_4, "data": {"successes": 2}, "discretization": {"delta": 0.05}},
+     {"float": ["bundle.alpha", "bundle.beta"], "int": ["bundle.n", "data.successes"]}),
+    ("analyze", {"bundle": BETABINOMIAL_4, "data": {"sample": [0, 1, 1, 0]}, "discretization": {"delta": 0.05}},
+     {"int": ["data.sample.2"], "other": ["data.sample"]}),
+    ("analyze", {"bundle": FINITE_2, "data": {"outcome": "x0"}},
+     {"float": ["bundle.prior.0", "bundle.likelihood.1.0"],
+      "other": ["bundle.theta_labels", "bundle.theta_labels.0", "bundle.prior", "bundle.likelihood",
+                "bundle.likelihood.0", "bundle.x_labels.1", "bundle.psi_of_theta", "bundle.psi_of_theta.0",
+                "data.outcome"]}),
+    ("assess", {"bundle": LOCNORMAL_4, "data": {"xbar": 0.3}, "discretization": {"delta": 0.25}, "psi0": 0.0},
+     {"float": ["psi0"]}),
+    ("assess", {"bundle": FINITE_2, "data": {"outcome": "x1"}, "psi0": "a"}, {"other": ["psi0"]}),
+    ("bias", {"bundle": LOCNORMAL_4, "psi0": 0.0, "delta": 0.5, "mode": "hypothesis", "method": "exact",
+              "boundary_only": True, "discretization": {"delta": 0.1}, "mc": MC_SMALL},
+     {"float": ["psi0", "delta", "discretization.delta"], "int": ["mc.n_sim"],
+      "other": ["mode", "method", "boundary_only"]}),
+    ("bias", {"bundle": FINITE_2, "delta": 1.0, "mode": "estimation", "psi0": "a"},
+     {"float": ["delta"], "other": ["psi0"]}),
+    ("design", {"bundle": {"kind": "location_normal", "sigma0_sq": 1.0, "mu_star": 0.0, "tau_star_sq": 1.0},
+                "psi0": 0.0, "delta": 0.5, "targets": {"max_bias_in_favor": 0.9}, "n_grid": [5, 10]},
+     {"float": ["bundle.sigma0_sq", "psi0", "delta", "targets.max_bias_in_favor"], "int": ["n_grid.1"],
+      "other": ["bundle", "bundle.kind", "targets", "n_grid"]}),
+    ("check", {"bundle": BETABINOMIAL_4, "data": {"successes": 2}, "threshold": 0.1, "method": "mc", "mc": MC_SMALL},
+     {"float": ["threshold", "bundle.alpha"], "int": ["data.successes", "mc.seed"], "other": ["method"]}),
+]
+NOT_NUMBERS = ("0.5", "x", [1], {"a": 1}, True, None)
+
+
+def _fuzz_cases():
+    for i, (command, config, fields) in enumerate(FUZZ):
+        for kind, paths in fields.items():
+            for path in paths:
+                yield pytest.param(command, config, kind, path, id=f"{i}-{command}-{path}")
+
+
+def _replaced(config, path, value):
+    config = json.loads(json.dumps(config))
+    *parents, last = [int(p) if p.isdigit() else p for p in path.split(".")]
+    node = config
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return config
+
+
+@pytest.mark.parametrize("command, config, kind, path", list(_fuzz_cases()))
+def test_wrong_json_types_never_escape_main(tmp_path, command, config, kind, path):
+    assert run(tmp_path, config, command)[0] == 0
+    nullable = path.endswith("?")
+    path = path.rstrip("?")
+    if kind == "other":
+        for value in ("x", 3, 2.5, [1], {"a": 1}, True, None):
+            assert run(tmp_path, _replaced(config, path, value), command)[0] in (0, 2, 3)
+        return
+    wrong = NOT_NUMBERS + ((2.5,) if kind == "int" else ())
+    for value in wrong:
+        if value is None and nullable:
+            continue
+        code, _ = run(tmp_path, _replaced(config, path, value), command)
+        assert code == 2, (path, value)
+
+
+def test_internal_error_is_not_reported_as_a_config_error(tmp_path, monkeypatch):
+    import relbelief.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "hypothesis_bias", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        run(tmp_path, {"bundle": LOCNORMAL_20, "psi0": 0.0, "delta": 0.5}, "bias")
+
+
+# -- options that would do nothing are refused ---------------------------------
+
+DESIGN_FAMILY = {
+    "bundle": {"kind": "location_normal", "sigma0_sq": 1.0, "mu_star": 0.0, "tau_star_sq": 1.0},
+    "psi0": 0.0,
+    "delta": 0.5,
+    "targets": {"max_bias_in_favor": 0.9},
+    "n_grid": [5, 10],
+}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("analyze", {"bundle": LOCNORMAL_20, "data": {"xbar": 0.3}, "discretization": {"delta": 0.05}}),
+    ("assess", {"bundle": PROSECUTOR, "data": {"outcome": "trait"}, "psi0": "guilty"}),
+    ("bias", {"bundle": LOCNORMAL_20, "psi0": 0.0, "delta": 0.5}),
+    ("design", DESIGN_FAMILY),
+])
+def test_threshold_flag_belongs_to_check_only(tmp_path, command, config):
+    assert run(tmp_path, config, command)[0] == 0
+    assert run(tmp_path, config, command, ("--threshold", "0.1"))[0] == 2
+    assert main(["reproduce", "table1", "--out", str(tmp_path), "--threshold", "0.1"]) == 2
+
+
+@pytest.mark.parametrize("kind, family", [
+    ("location_normal", {"sigma0_sq": 1.0, "mu_star": 0.0, "tau_star_sq": 1.0}),
+    ("beta_binomial", {"alpha": 2.0, "beta": 3.0}),
+])
+def test_design_bundle_must_omit_n(tmp_path, kind, family):
+    config = dict(DESIGN_FAMILY, bundle={"kind": kind, **family}, psi0=0.4, delta=0.2)
+    assert run(tmp_path, config, "design")[0] == 0
+    config["bundle"]["n"] = 5
+    assert run(tmp_path, config, "design")[0] == 2

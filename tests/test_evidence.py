@@ -410,3 +410,19 @@ def test_reparam_random_monotone_maps_preserve_verdicts():
         assert image.pl_posterior_content == pytest.approx(base.pl_posterior_content)
         assert image.psi_hat == pytest.approx(lam(base.psi_hat), rel=1e-9, abs=1e-9)
         assert np.nanmax(mapped.rb) == pytest.approx(np.nanmax(profile.rb))
+
+
+def test_assess_refuses_a_cell_below_the_prior_floor_like_strength():
+    spec = FiniteModelSpec(
+        theta_labels=["t0", "t1", "t2"],
+        prior=[0.0, 0.5, 0.5],
+        likelihood=[[0.5, 0.5], [0.2, 0.8], [0.7, 0.3]],
+        x_labels=["x0", "x1"],
+    )
+    profile = rb_profile(make_finite(spec), "x0")
+    with pytest.raises(DomainError) as from_strength:
+        strength(profile, "t0")
+    with pytest.raises(DomainError) as from_assess:
+        assess(profile, "t0")
+    assert str(from_assess.value) == str(from_strength.value)
+    assert "cannot support a hypothesis assessment" in str(from_assess.value)
