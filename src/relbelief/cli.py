@@ -28,6 +28,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -155,10 +156,13 @@ def _list(value, where: str) -> list:
 
 
 def _number(value, where: str, kind=float):
-    """A JSON number as ``kind`` (float or int).  Booleans, strings and, for
-    an int, fractional values are refused rather than cast."""
+    """A JSON number as ``kind`` (float or int).  Booleans, strings, the
+    non-finite ``NaN``/``Infinity``/``-Infinity`` and, for an int,
+    fractional values are refused rather than cast."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{where}' must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"'{where}' must be a finite number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"'{where}' must be an integer, got {value!r}")
     try:
@@ -169,10 +173,11 @@ def _number(value, where: str, kind=float):
 
 def _numbers(value, where: str, kind=float) -> list:
     """A JSON list of numbers, each checked and cast as by :func:`_number`.
-    A list already of type ``kind`` passes with one type test per entry:
-    finite tables run to tens of thousands of entries."""
+    A list already of type ``kind`` passes with one type test per entry and,
+    for floats, one C-level ``sum`` (NaN or an infinity anywhere makes it
+    non-finite): finite tables run to tens of thousands of entries."""
     values = _list(value, where)
-    if set(map(type, values)) <= {kind}:
+    if set(map(type, values)) <= {kind} and (kind is int or math.isfinite(sum(values))):
         return values
     return [_number(v, f"{where}[{i}]", kind) for i, v in enumerate(values)]
 
@@ -257,7 +262,14 @@ def _parse_data(section, bundle) -> object:
 
 
 def _parse_psi0(value, bundle):
-    return _label(value, "psi0") if bundle.kind == "finite" else _number(value, "psi0")
+    """A hypothesized value: a number, or one of a finite bundle's interest
+    labels (a label, never an index, as ``assess`` reads it)."""
+    if bundle.kind != "finite":
+        return _number(value, "psi0")
+    label = _label(value, "psi0")
+    if label not in bundle.psi_labels:
+        raise DomainError(f"unknown interest value {label!r}")
+    return label
 
 
 def _parse_disc(section) -> Discretization:
@@ -411,12 +423,12 @@ def _observed_profile(config, required: set, optional: set):
     _require_keys(config, {"bundle", "data"} | required, {"discretization", "mc"} | optional, "config")
     bundle = _build_bundle(config["bundle"])
     data = _parse_data(config["data"], bundle)
-    psi0 = _parse_psi0(config["psi0"], bundle) if "psi0" in config else None
     disc = None
     if "discretization" in config:
         disc = _parse_disc(config["discretization"])  # a finite bundle ignores it
     elif bundle.kind != "finite":
         raise ConfigError(f"a 'discretization' section is required for {bundle.kind} bundles")
+    psi0 = _parse_psi0(config["psi0"], bundle) if "psi0" in config else None
     if psi0 is not None and bundle.kind != "finite" and disc.anchor is None:
         disc = dataclasses.replace(disc, anchor=psi0)
     return rb_profile(bundle, data, disc), psi0

@@ -76,7 +76,7 @@ class FiniteProbSpace:
             raise DomainError("outcomes and weights must have equal length")
         if len(set(outcomes)) != len(outcomes):
             raise DomainError("outcome labels must be unique")
-        if any(w < 0.0 or w > 1.0 for w in weights):
+        if not all(0.0 <= w <= 1.0 for w in weights):  # also refuses NaN
             raise DomainError("atom weights must lie in [0, 1]")
         total = math.fsum(weights)
         if abs(total - 1.0) > WEIGHT_TOL:

@@ -114,12 +114,14 @@ class Discretization:
     anchor: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.delta > 0.0):
-            raise DomainError(f"delta must be positive, got {self.delta}")
+        if not (0.0 < self.delta < math.inf):
+            raise DomainError(f"delta must be positive and finite, got {self.delta}")
         if self.range is not None:
             lo, hi = self.range
-            if not (lo < hi):
-                raise DomainError(f"range must satisfy lo < hi, got {self.range}")
+            if not (-math.inf < lo < hi < math.inf):
+                raise DomainError(f"range must satisfy lo < hi and be finite, got {self.range}")
+        if self.anchor is not None and not math.isfinite(self.anchor):
+            raise DomainError(f"anchor must be finite, got {self.anchor}")
 
 
 def build_cells(disc: Discretization, default_range: Tuple[float, float]):
@@ -183,10 +185,12 @@ class LocationNormalSpec:
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise DomainError(f"sample size n must be an integer >= 1, got {self.n!r}")
-        if not (self.sigma0_sq > 0.0):
-            raise DomainError(f"sigma0_sq must be positive, got {self.sigma0_sq}")
-        if not (self.tau_star_sq > 0.0):
-            raise DomainError(f"tau_star_sq must be positive, got {self.tau_star_sq}")
+        if not (0.0 < self.sigma0_sq < math.inf):
+            raise DomainError(f"sigma0_sq must be positive and finite, got {self.sigma0_sq}")
+        if not math.isfinite(self.mu_star):
+            raise DomainError(f"mu_star must be finite, got {self.mu_star}")
+        if not (0.0 < self.tau_star_sq < math.inf):
+            raise DomainError(f"tau_star_sq must be positive and finite, got {self.tau_star_sq}")
 
 
 def locnormal_log_rb(spec: LocationNormalSpec, xbar, mu0):
@@ -372,8 +376,8 @@ class BetaBinomialBundle:
     def __init__(self, n: int, alpha: float, beta: float):
         if not (isinstance(n, (int, np.integer)) and n >= 1):
             raise DomainError(f"number of trials must be an integer >= 1, got {n!r}")
-        if not (alpha > 0.0 and beta > 0.0):
-            raise DomainError(f"beta prior shapes must be positive, got ({alpha}, {beta})")
+        if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+            raise DomainError(f"beta prior shapes must be positive and finite, got ({alpha}, {beta})")
         self.n = int(n)
         self.alpha = float(alpha)
         self.beta = float(beta)
@@ -512,7 +516,7 @@ class BetaBinomialBundle:
     def sample_stat(self, rng: np.random.Generator, theta, size: Optional[int] = None) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if size is not None and theta.ndim == 0:
-            theta = np.full(size, float(theta))
+            return rng.binomial(self.n, float(theta), size)
         return rng.binomial(self.n, theta)
 
     def sample_joint(self, rng: np.random.Generator, size: int):
@@ -536,6 +540,18 @@ def make_beta_binomial(n: int, alpha: float, beta: float) -> BetaBinomialBundle:
 # finite model
 
 
+def _check_weights(values, what: str) -> None:
+    """Refuse weights that are negative, not finite, or do not sum to 1
+    within 1e-12.  ``min`` and ``sum`` run in C: a NaN anywhere makes the
+    plain sum NaN, so no per-entry Python pass is needed."""
+    if min(values, default=0.0) < 0.0:
+        raise DomainError(f"{what} must be nonnegative")
+    if not math.isfinite(sum(values)):
+        raise DomainError(f"{what} must be finite and sum to 1 within 1e-12")
+    if abs(math.fsum(values) - 1.0) > 1e-12:
+        raise DomainError(f"{what} must sum to 1 within 1e-12")
+
+
 @dataclass(frozen=True)
 class FiniteModelSpec:
     """A fully tabulated model: prior over theta labels, row-stochastic
@@ -550,8 +566,8 @@ class FiniteModelSpec:
 
     def __init__(self, theta_labels, prior, likelihood, x_labels, psi_of_theta=None):
         theta_labels = tuple(theta_labels)
-        prior = tuple(float(p) for p in prior)
-        likelihood = tuple(tuple(float(v) for v in row) for row in likelihood)
+        prior = tuple(map(float, prior))
+        likelihood = tuple(tuple(map(float, row)) for row in likelihood)
         x_labels = tuple(x_labels)
         if psi_of_theta is None:
             psi_of_theta = theta_labels  # interest parameter is theta itself
@@ -565,19 +581,13 @@ class FiniteModelSpec:
             raise DomainError("prior length must match theta labels")
         if len(psi_of_theta) != len(theta_labels):
             raise DomainError("psi_of_theta length must match theta labels")
-        if any(p < 0.0 for p in prior):
-            raise DomainError("prior weights must be nonnegative")
-        if abs(math.fsum(prior) - 1.0) > 1e-12:
-            raise DomainError("prior weights must sum to 1 within 1e-12")
+        _check_weights(prior, "prior weights")
         if len(likelihood) != len(theta_labels):
             raise DomainError("likelihood table must have one row per theta")
         for label, row in zip(theta_labels, likelihood):
             if len(row) != len(x_labels):
                 raise DomainError(f"likelihood row for {label!r} has wrong length")
-            if any(v < 0.0 for v in row):
-                raise DomainError(f"likelihood row for {label!r} has negative entries")
-            if abs(math.fsum(row) - 1.0) > 1e-12:
-                raise DomainError(f"likelihood row for {label!r} must sum to 1 within 1e-12")
+            _check_weights(row, f"likelihood row for {label!r}")
 
         object.__setattr__(self, "theta_labels", theta_labels)
         object.__setattr__(self, "prior", prior)
@@ -623,8 +633,10 @@ class FiniteBundle:
                 np.nan,
             )
         self._x_index = {lab: i for i, lab in enumerate(self.x_labels)}
+        self._cum_like = np.cumsum(self.like, axis=1)  # inverse-CDF rows of the outcome draw
         for arr in (self.prior, self.like, self.joint, self.predictive, self.prior_psi,
-                    self.predictive_psi, self._rb_psi, self.psi_index_of_theta, self._group):
+                    self.predictive_psi, self._rb_psi, self.psi_index_of_theta, self._group,
+                    self._cum_like):
             arr.setflags(write=False)
 
     @property
@@ -652,15 +664,19 @@ class FiniteBundle:
         return idx
 
     def psi_index(self, psi) -> int:
+        """Index of the interest value ``psi``: a label, else an integer
+        index.  A label always wins, so with integer labels ``[1, 0]`` the
+        value 0 is the label 0 (index 1)."""
+        try:
+            return self.psi_labels.index(psi)
+        except ValueError:
+            pass
         if isinstance(psi, (int, np.integer)):
             idx = int(psi)
             if not (0 <= idx < len(self.psi_labels)):
                 raise DomainError(f"interest index {idx} out of range")
             return idx
-        try:
-            return self.psi_labels.index(psi)
-        except ValueError:
-            raise DomainError(f"unknown interest value {psi!r}") from None
+        raise DomainError(f"unknown interest value {psi!r}")
 
     def interest(self, psi0) -> int:
         """Index of the interest value ``psi0``, which must clear the prior floor."""
@@ -730,17 +746,25 @@ class FiniteBundle:
 
     def sample_joint(self, rng: np.random.Generator, size: int, cond_prior=None):
         """Draw (interest index, x index) pairs; inverse-CDF on two uniform
-        blocks so the layout is replication-indexed and schedule independent."""
+        blocks so the layout is replication-indexed and schedule independent.
+
+        The outcome of a draw from row theta is the number of cumulative
+        likelihood entries of that row below ``u * row total``: one left
+        ``searchsorted`` per drawn row, with no ``size x |X|`` array."""
         weights = self.prior if cond_prior is None else cond_prior
         cum_theta = np.cumsum(weights)
         u_theta = rng.random(size)
         theta_idx = np.searchsorted(cum_theta, u_theta * cum_theta[-1], side="right")
         theta_idx = np.clip(theta_idx, 0, len(weights) - 1)
-        cum_rows = np.cumsum(self.like, axis=1)
         u_x = rng.random(size)
-        row_cum = cum_rows[theta_idx]
-        x_idx = (u_x[:, None] * row_cum[:, -1:] > row_cum).sum(axis=1)
-        x_idx = np.clip(x_idx, 0, len(self.x_labels) - 1)
+        x_idx = np.empty(size, dtype=np.intp)
+        order = np.argsort(theta_idx, kind="stable")
+        counts = np.bincount(theta_idx, minlength=len(weights))
+        starts = np.cumsum(counts) - counts
+        for theta in np.flatnonzero(counts):
+            draws = order[starts[theta]:starts[theta] + counts[theta]]
+            row = self._cum_like[theta]
+            x_idx[draws] = np.searchsorted(row, u_x[draws] * row[-1], side="left")
         return self.psi_index_of_theta[theta_idx], x_idx
 
 

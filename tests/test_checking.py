@@ -106,3 +106,24 @@ def test_check_converges_to_prior_surprise_with_data():
 def test_conflict_check_shares_the_bias_method_names(method):
     with pytest.raises(DomainError, match="unknown method"):
         conflict_check(locnormal(), 0.3, method=method)
+
+
+def test_finite_mc_check_matches_recorded_values():
+    # recorded before the finite outcome draw became a per-row search: zero
+    # prior theta, zero likelihood entries and grouped interest labels
+    bundle = make_finite(FiniteModelSpec(
+        theta_labels=["t0", "t1", "t2", "t3"],
+        prior=[0.4, 0.0, 0.35, 0.25],
+        likelihood=[[0.5, 0.0, 0.3, 0.2, 0.0],
+                    [0.2, 0.2, 0.2, 0.2, 0.2],
+                    [0.0, 0.1, 0.1, 0.0, 0.8],
+                    [0.25, 0.25, 0.0, 0.45, 0.05]],
+        x_labels=["x0", "x1", "x2", "x3", "x4"],
+        psi_of_theta=["a", "b", "a", "c"],
+    ))
+    recorded = {"x0": 0.716, "x1": 0.09475, "x2": 0.2595, "x3": 0.45075, "x4": 1.0}
+    for x, tail in recorded.items():
+        report = conflict_check(bundle, x, mc=McConfig(n_sim=4000, seed=11), method="mc")
+        assert report.tail_prob == tail
+        exact = conflict_check(bundle, x).tail_prob
+        assert abs(tail - exact) <= 3 * math.sqrt(max(exact * (1 - exact), 1e-12) / 4000)

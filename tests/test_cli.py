@@ -482,6 +482,21 @@ def test_wrong_json_types_never_escape_main(tmp_path, command, config, kind, pat
         assert code == 2, (path, value)
 
 
+def _float_fields():
+    for case in _fuzz_cases():
+        command, config, kind, path = case.values
+        if kind == "float":
+            yield pytest.param(command, config, path.rstrip("?"), id=case.id)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command, config, path", list(_float_fields()))
+def test_non_finite_numbers_are_config_errors(tmp_path, command, config, path, value):
+    # json.dumps writes these floats as the JSON extensions NaN, Infinity and
+    # -Infinity, which json.loads reads back
+    assert run(tmp_path, _replaced(config, path, float(value)), command)[0] == 2
+
+
 def test_internal_error_is_not_reported_as_a_config_error(tmp_path, monkeypatch):
     import relbelief.cli as cli
 
@@ -525,3 +540,33 @@ def test_design_bundle_must_omit_n(tmp_path, kind, family):
     assert run(tmp_path, config, "design")[0] == 0
     config["bundle"]["n"] = 5
     assert run(tmp_path, config, "design")[0] == 2
+
+
+# -- a finite psi0 is an interest label ------------------------------------------
+
+
+def _finite_bias(labels, psi0):
+    bundle = {"kind": "finite", "theta_labels": labels, "prior": [0.3, 0.7],
+              "likelihood": [[0.9, 0.1], [0.2, 0.8]], "x_labels": ["x0", "x1"]}
+    return {"bundle": bundle, "psi0": psi0, "delta": 1.0, "method": "exact"}
+
+
+def test_finite_bias_psi0_that_is_no_label_is_refused_like_assess(tmp_path, capsys):
+    code, _ = run(tmp_path, _finite_bias(["a", "b"], 0), "bias")
+    assert code == 3
+    assess = dict(_finite_bias(["a", "b"], 0), data={"outcome": "x0"})
+    del assess["delta"], assess["method"]
+    assert run(tmp_path, assess, "assess")[0] == 3
+    errors = capsys.readouterr().err.splitlines()
+    assert errors == ["domain error: unknown interest value 0"] * 2
+
+
+def test_finite_bias_integer_psi0_is_a_label(tmp_path):
+    code, out = run(tmp_path, _finite_bias([1, 0], 0), "bias")
+    assert code == 0
+    numbered = read_csv(out / "bias.csv")[0]
+    code, out = run(tmp_path, _finite_bias(["one", "zero"], "zero"), "bias")
+    assert code == 0
+    named = read_csv(out / "bias.csv")[0]
+    assert numbered.pop("psi0") == "0" and named.pop("psi0") == "zero"
+    assert numbered == named

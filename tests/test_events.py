@@ -1,5 +1,7 @@
 """Event-level evidence calculus."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,12 @@ def test_zero_probability_events_are_rejected():
         rb_event(space, space.event(["c"]), space.event(["a"]))
     with pytest.raises(DomainError, match="degenerate"):
         bayes_factor_event(space, space.event(["a", "b", "c"]), space.event(["a"]))
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_space_refuses_non_finite_weights(weight):
+    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        FiniteProbSpace(["a", "b", "c"], [weight, 0.5, 0.5])
 
 
 def test_space_validation():

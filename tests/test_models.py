@@ -1,9 +1,12 @@
 """Bundle construction, validation, and sampler/density consistency."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from relbelief import (
@@ -161,6 +164,145 @@ def test_finite_predictive_given_psi_is_a_row_of_the_cached_table():
     for j in range(1, len(bundle.psi_labels)):
         direct = bundle.cond_prior_given_psi(j) @ bundle.like
         np.testing.assert_allclose(bundle.predictive_given_psi(j), direct, rtol=0, atol=1e-15)
+
+
+# -- finite draws ------------------------------------------------------------
+
+
+def _dense_draws(bundle, rng, size, cond_prior=None):
+    """The outcome draw as a ``size x |X|`` comparison matrix: the x index is
+    the count of cumulative row entries below ``u * row total``."""
+    weights = bundle.prior if cond_prior is None else cond_prior
+    cum_theta = np.cumsum(weights)
+    u_theta = rng.random(size)
+    theta_idx = np.searchsorted(cum_theta, u_theta * cum_theta[-1], side="right")
+    theta_idx = np.clip(theta_idx, 0, len(weights) - 1)
+    cum_rows = np.cumsum(bundle.like, axis=1)
+    u_x = rng.random(size)
+    row_cum = cum_rows[theta_idx]
+    x_idx = (u_x[:, None] * row_cum[:, -1:] > row_cum).sum(axis=1)
+    x_idx = np.clip(x_idx, 0, len(bundle.x_labels) - 1)
+    return bundle.psi_index_of_theta[theta_idx], x_idx
+
+
+@st.composite
+def finite_tables(draw):
+    """Small tables with zero-prior theta, zero likelihood entries, a single
+    theta or outcome, and grouped interest labels."""
+    k, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    weights = st.lists(weight, min_size=m, max_size=m).filter(any)
+    prior = draw(st.lists(weight, min_size=k, max_size=k).filter(any))
+    rows = draw(st.lists(weights, min_size=k, max_size=k))
+    groups = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    return {
+        "theta_labels": [f"t{i}" for i in range(k)],
+        "prior": [p / sum(prior) for p in prior],
+        "likelihood": [[v / sum(row) for v in row] for row in rows],
+        "x_labels": [f"x{j}" for j in range(m)],
+        "psi_of_theta": [f"p{g}" for g in groups],
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=finite_tables(), size=st.sampled_from([1, 2, 17, 600]), seed=st.integers(0, 2**32 - 1))
+def test_finite_draws_equal_the_dense_inverse_cdf(table, size, seed):
+    bundle = make_finite(FiniteModelSpec(**table))
+    draws = bundle.sample_joint(np.random.default_rng(seed), size)
+    for got, want in zip(draws, _dense_draws(bundle, np.random.default_rng(seed), size)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    for j in np.flatnonzero(bundle.prior_psi > 0.0):
+        cond = bundle.cond_prior_given_psi(j)
+        got = bundle.sample_stat(np.random.default_rng(seed), j, size)
+        np.testing.assert_array_equal(got, _dense_draws(bundle, np.random.default_rng(seed), size, cond)[1])
+
+
+def test_finite_joint_draw_allocates_no_size_by_outcomes_array():
+    rows = np.random.default_rng(1).uniform(size=(200, 400))
+    rows /= rows.sum(axis=1, keepdims=True)
+    bundle = make_finite(FiniteModelSpec(
+        [f"t{i}" for i in range(200)], [1 / 200] * 200, rows.tolist(), [f"x{j}" for j in range(400)],
+    ))
+    size = 20_000
+    bundle.sample_joint(np.random.default_rng(2), size)
+    tracemalloc.start()
+    try:
+        bundle.sample_joint(np.random.default_rng(2), size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size * 400 * 8 / 10
+
+
+@pytest.mark.parametrize("n, theta", [(20, 0.2), (40, 0.5), (7, 0.93)])
+def test_beta_binomial_scalar_draw_matches_an_array_of_rates(n, theta):
+    bundle = make_beta_binomial(n, 2.0, 3.0)
+    got = bundle.sample_stat(np.random.default_rng(5), theta, 5000)
+    np.testing.assert_array_equal(got, np.random.default_rng(5).binomial(n, np.full(5000, theta)))
+
+
+# -- non-finite numbers --------------------------------------------------------
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+LOCNORMAL_FIELDS = dict(n=5, sigma0_sq=1.0, mu_star=0.0, tau_star_sq=1.0)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["sigma0_sq", "mu_star", "tau_star_sq"])
+def test_location_normal_spec_refuses_non_finite_numbers(field, value):
+    with pytest.raises(DomainError, match=field):
+        LocationNormalSpec(**{**LOCNORMAL_FIELDS, field: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_beta_binomial_refuses_non_finite_shapes(value):
+    for shapes in ((value, 2.0), (2.0, value)):
+        with pytest.raises(DomainError, match="shapes"):
+            make_beta_binomial(10, *shapes)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_finite_spec_refuses_non_finite_entries(value):
+    def spec(prior=(0.5, 0.5), row=(0.2, 0.8)):
+        return FiniteModelSpec(["t0", "t1"], prior, [[0.7, 0.3], row], ["x0", "x1"])
+
+    spec()
+    with pytest.raises(DomainError, match="prior"):
+        spec(prior=(0.5, value))
+    for row in ((value, 0.8), (0.2, value)):
+        with pytest.raises(DomainError, match="'t1'"):
+            spec(row=row)
+
+
+def test_finite_spec_refuses_weights_whose_sum_overflows():
+    with pytest.raises(DomainError, match="prior"):
+        FiniteModelSpec(["t0", "t1"], [1e308, 1e308], [[1.0], [1.0]], ["x0"])
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_discretization_refuses_non_finite_numbers(value):
+    for kwargs in (dict(delta=value), dict(delta=0.1, anchor=value), dict(delta=0.1, range=(value, 1.0)),
+                   dict(delta=0.1, range=(0.0, value))):
+        with pytest.raises(DomainError):
+            Discretization(**kwargs)
+
+
+# -- finite interest values ------------------------------------------------------
+
+
+def test_finite_interest_value_is_a_label_before_an_index():
+    def bundle(labels):
+        return make_finite(FiniteModelSpec(labels, [0.3, 0.7], [[0.9, 0.1], [0.2, 0.8]], ["x0", "x1"]))
+
+    named = bundle(["a", "b"])
+    assert (named.psi_index("b"), named.psi_index(1)) == (1, 1)
+    with pytest.raises(DomainError, match="unknown interest value 'c'"):
+        named.psi_index("c")
+    numbered = bundle([1, 0])
+    assert (numbered.psi_index(0), numbered.psi_index(1)) == (1, 0)
+    with pytest.raises(DomainError, match="out of range"):
+        numbered.psi_index(2)
 
 
 # -- discretization -------------------------------------------------------------
