@@ -262,14 +262,7 @@ def _parse_data(section, bundle) -> object:
 
 
 def _parse_psi0(value, bundle):
-    """A hypothesized value: a number, or one of a finite bundle's interest
-    labels (a label, never an index, as ``assess`` reads it)."""
-    if bundle.kind != "finite":
-        return _number(value, "psi0")
-    label = _label(value, "psi0")
-    if label not in bundle.psi_labels:
-        raise DomainError(f"unknown interest value {label!r}")
-    return label
+    return _label(value, "psi0") if bundle.kind == "finite" else _number(value, "psi0")
 
 
 def _parse_disc(section) -> Discretization:
@@ -423,12 +416,12 @@ def _observed_profile(config, required: set, optional: set):
     _require_keys(config, {"bundle", "data"} | required, {"discretization", "mc"} | optional, "config")
     bundle = _build_bundle(config["bundle"])
     data = _parse_data(config["data"], bundle)
+    psi0 = _parse_psi0(config["psi0"], bundle) if "psi0" in config else None
     disc = None
     if "discretization" in config:
         disc = _parse_disc(config["discretization"])  # a finite bundle ignores it
     elif bundle.kind != "finite":
         raise ConfigError(f"a 'discretization' section is required for {bundle.kind} bundles")
-    psi0 = _parse_psi0(config["psi0"], bundle) if "psi0" in config else None
     if psi0 is not None and bundle.kind != "finite" and disc.anchor is None:
         disc = dataclasses.replace(disc, anchor=psi0)
     return rb_profile(bundle, data, disc), psi0

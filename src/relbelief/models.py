@@ -647,16 +647,18 @@ class FiniteBundle:
         )
 
     def reduce_data(self, data) -> int:
-        if isinstance(data, (int, np.integer)):
+        """Index of the observed outcome ``data``: a label, else an integer
+        index.  A label always wins, so with integer labels ``[1, 0]`` the
+        outcome 0 is the label 0 (index 1)."""
+        idx = self._x_index.get(data) if isinstance(data, (str, int, np.integer)) else None
+        if idx is None:
+            if isinstance(data, str):
+                raise DomainError(f"unknown data label {data!r}")
+            if not isinstance(data, (int, np.integer)):
+                raise DomainError("finite-model data must be a label or an index")
             idx = int(data)
             if not (0 <= idx < len(self.x_labels)):
                 raise DomainError(f"data index {idx} out of range")
-        elif isinstance(data, str):
-            if data not in self._x_index:
-                raise DomainError(f"unknown data label {data!r}")
-            idx = self._x_index[data]
-        else:
-            raise DomainError("finite-model data must be a label or an index")
         if self.predictive[idx] <= 0.0:
             raise DomainError(
                 f"observed outcome {self.x_labels[idx]!r} has zero prior predictive probability"
@@ -664,19 +666,11 @@ class FiniteBundle:
         return idx
 
     def psi_index(self, psi) -> int:
-        """Index of the interest value ``psi``: a label, else an integer
-        index.  A label always wins, so with integer labels ``[1, 0]`` the
-        value 0 is the label 0 (index 1)."""
+        """Index of the interest label ``psi`` (a label, never an index)."""
         try:
             return self.psi_labels.index(psi)
         except ValueError:
-            pass
-        if isinstance(psi, (int, np.integer)):
-            idx = int(psi)
-            if not (0 <= idx < len(self.psi_labels)):
-                raise DomainError(f"interest index {idx} out of range")
-            return idx
-        raise DomainError(f"unknown interest value {psi!r}")
+            raise DomainError(f"unknown interest value {psi!r}") from None
 
     def interest(self, psi0) -> int:
         """Index of the interest value ``psi0``, which must clear the prior floor."""

@@ -570,3 +570,17 @@ def test_finite_bias_integer_psi0_is_a_label(tmp_path):
     named = read_csv(out / "bias.csv")[0]
     assert numbered.pop("psi0") == "0" and named.pop("psi0") == "zero"
     assert numbered == named
+
+
+def test_finite_integer_outcome_is_a_label(tmp_path):
+    def analyze(x_labels, outcome):
+        bundle = dict(PROSECUTOR, x_labels=x_labels)
+        code, out = run(tmp_path, {"bundle": bundle, "data": {"outcome": outcome}}, "analyze")
+        assert code == 0
+        report = json.loads((out / "estimate.json").read_text())
+        return read_csv(out / "profile.csv"), report.pop("data_digest"), report
+
+    profile, digest, report = analyze([1, 0], 0)
+    assert digest == [1, 0]  # the outcome labelled 0, at index 1
+    assert (profile, report) == analyze(["trait", "no_trait"], "no_trait")[::2]
+    assert profile != analyze(["trait", "no_trait"], "trait")[0]

@@ -291,18 +291,28 @@ def test_discretization_refuses_non_finite_numbers(value):
 # -- finite interest values ------------------------------------------------------
 
 
-def test_finite_interest_value_is_a_label_before_an_index():
-    def bundle(labels):
-        return make_finite(FiniteModelSpec(labels, [0.3, 0.7], [[0.9, 0.1], [0.2, 0.8]], ["x0", "x1"]))
+def _two_by_two(labels, x_labels=("x0", "x1")):
+    return make_finite(FiniteModelSpec(labels, [0.3, 0.7], [[0.9, 0.1], [0.2, 0.8]], x_labels))
 
-    named = bundle(["a", "b"])
-    assert (named.psi_index("b"), named.psi_index(1)) == (1, 1)
-    with pytest.raises(DomainError, match="unknown interest value 'c'"):
-        named.psi_index("c")
-    numbered = bundle([1, 0])
+
+def test_finite_interest_value_is_a_label_never_an_index():
+    named = _two_by_two(["a", "b"])
+    assert named.psi_index("b") == 1
+    for value in ("c", 1):
+        with pytest.raises(DomainError, match=f"unknown interest value {value!r}"):
+            named.psi_index(value)
+    numbered = _two_by_two([1, 0])
     assert (numbered.psi_index(0), numbered.psi_index(1)) == (1, 0)
-    with pytest.raises(DomainError, match="out of range"):
+    with pytest.raises(DomainError, match="unknown interest value 2"):
         numbered.psi_index(2)
+
+
+def test_finite_outcome_is_a_label_before_an_index():
+    assert _two_by_two(["a", "b"]).reduce_data(1) == 1
+    numbered = _two_by_two(["a", "b"], x_labels=[1, 0])
+    assert (numbered.reduce_data(0), numbered.reduce_data(1)) == (1, 0)
+    with pytest.raises(DomainError, match="out of range"):
+        numbered.reduce_data(2)
 
 
 # -- discretization -------------------------------------------------------------
