@@ -38,6 +38,7 @@ from .models import (
     FiniteBundle,
     LocationNormalBundle,
     favor_prob_locnormal,
+    refuse_grid,
 )
 from .rng import substream
 
@@ -306,7 +307,7 @@ def bias_against_e(
     """Average and worst-case prior probability that the plausible region
     misses the true value.  Returns (average, supremum).
 
-    Finite models are exact (labels have no cells, so ``disc`` is ignored);
+    Finite models are exact (labels have no cells, so ``disc`` is refused);
     the beta-binomial average is Monte Carlo and its supremum an exact grid
     search; the location-normal model is exact where the point ratio applies
     and Monte Carlo under a discretization or ``method='mc'``.
@@ -316,7 +317,7 @@ def bias_against_e(
 
     if isinstance(bundle, FiniteBundle):
         usable = np.flatnonzero(bundle.prior_psi >= PRIOR_CONTENT_FLOOR)
-        per_psi = bundle.region_prob(usable, usable, against=True)
+        per_psi = bundle.region_prob(usable, usable, disc, against=True)
         sup = BiasComponent(value=float(per_psi.max()), se=0.0, method=EXACT)
         if how == EXACT:
             avg_val = float(np.dot(bundle.prior_psi[usable], per_psi))
@@ -369,7 +370,8 @@ def bias_in_favor_e(
     Finite models are exact; the location-normal model is exact by
     quadrature unless ``method='mc'``; otherwise the exact inner supremum is
     averaged over seeded prior draws.  A discretization is refused where the
-    inner probability has no exact form (location-normal cells).
+    inner probability has no exact form (location-normal cells) and on a
+    finite model, whose labels have no cells.
     """
     _check_delta(delta)
     how = _resolve_method(method)
@@ -388,6 +390,7 @@ def bias_in_favor_e(
         return np.fmax.reduce(probs, axis=0, initial=0.0)
 
     if isinstance(bundle, FiniteBundle):
+        refuse_grid(disc)
         usable = np.flatnonzero(bundle.prior_psi >= PRIOR_CONTENT_FLOOR)
         if not bundle.alternatives(usable[0], delta):
             return BiasComponent(value=0.0, se=0.0, method=EXACT)

@@ -265,9 +265,16 @@ def _parse_psi0(value, bundle):
     return _label(value, "psi0") if bundle.kind == "finite" else _number(value, "psi0")
 
 
-def _parse_disc(section) -> Discretization:
-    section = _object(section, "discretization")
-    _require_keys(section, {"delta"}, {"range", "anchor"}, "discretization")
+def _parse_disc(config, kind: str, optional: frozenset = frozenset()):
+    """The config's grid, or ``None`` without one.  Its ``delta`` is required
+    and the keys in ``optional`` are allowed.  A finite bundle refuses a grid:
+    its interest labels have no cells."""
+    if "discretization" not in config:
+        return None
+    if kind == "finite":
+        raise ConfigError("a finite bundle takes no 'discretization': its interest labels have no cells")
+    section = _object(config["discretization"], "discretization")
+    _require_keys(section, {"delta"}, optional, "discretization")
     rng = section.get("range")
     if rng is not None:
         rng = _numbers(rng, "discretization.range")
@@ -314,10 +321,12 @@ def _parse_method(config) -> str:
     return method
 
 
-def _bias_options(config, mc: McConfig) -> dict:
-    """The options ``bias`` and ``design`` pass to every bias, as keywords."""
+def _bias_options(config, kind: str, mc: McConfig) -> dict:
+    """The options ``bias`` and ``design`` pass to every bias, as keywords.
+    The grid is one cell of half-width ``delta`` anchored at the hypothesized
+    value, so it takes no range or anchor."""
     return dict(
-        disc=_parse_disc(config["discretization"]) if "discretization" in config else None,
+        disc=_parse_disc(config, kind),
         mc=mc,
         method=_parse_method(config),
         boundary_only=_parse_boundary_only(config),
@@ -387,21 +396,14 @@ def _write_manifest(out: Path, command: str, digest: str, seed, n_sim) -> None:
 
 
 def _profile_rows(profile):
+    """The label or the two cell edges of each cell, then its contents and
+    its ratio (NaN off the usable cells)."""
     if profile.is_labeled:
-        header = ["label", "prior", "posterior", "rb"]
-        rows = [
-            (profile.labels[i], profile.prior_content[i], profile.posterior_content[i],
-             profile.rb[i] if profile.usable[i] else float("nan"))
-            for i in range(profile.n_cells)
-        ]
-        return header, rows
-    header = ["cell_lo", "cell_hi", "prior", "posterior", "rb"]
-    rows = [
-        (profile.edges[i], profile.edges[i + 1], profile.prior_content[i],
-         profile.posterior_content[i], profile.rb[i] if profile.usable[i] else float("nan"))
-        for i in range(profile.n_cells)
-    ]
-    return header, rows
+        header, cells = ["label"], [profile.labels]
+    else:
+        header, cells = ["cell_lo", "cell_hi"], [profile.edges[:-1], profile.edges[1:]]
+    columns = (*cells, profile.prior_content, profile.posterior_content, profile.rb)
+    return header + ["prior", "posterior", "rb"], zip(*columns)
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +413,14 @@ def _profile_rows(profile):
 def _observed_profile(config, required: set, optional: set):
     """Check the keys of a post-data config and build the profile of its
     data; returns (profile, psi0 or None).  A grid is required for a
-    continuous bundle; a hypothesis sits on a cell center unless the grid
-    names another anchor."""
-    _require_keys(config, {"bundle", "data"} | required, {"discretization", "mc"} | optional, "config")
+    continuous bundle and refused for a finite one; a hypothesis sits on a
+    cell center unless the grid names another anchor."""
+    _require_keys(config, {"bundle", "data"} | required, {"discretization"} | optional, "config")
     bundle = _build_bundle(config["bundle"])
     data = _parse_data(config["data"], bundle)
     psi0 = _parse_psi0(config["psi0"], bundle) if "psi0" in config else None
-    disc = None
-    if "discretization" in config:
-        disc = _parse_disc(config["discretization"])  # a finite bundle ignores it
-    elif bundle.kind != "finite":
+    disc = _parse_disc(config, bundle.kind, frozenset({"range", "anchor"}))
+    if disc is None and bundle.kind != "finite":
         raise ConfigError(f"a 'discretization' section is required for {bundle.kind} bundles")
     if psi0 is not None and bundle.kind != "finite" and disc.anchor is None:
         disc = dataclasses.replace(disc, anchor=psi0)
@@ -478,7 +478,7 @@ def cmd_bias(config, mc: McConfig, args, out: Path) -> int:
         raise ConfigError(f"bias mode must be 'hypothesis' or 'estimation', got {mode!r}")
     bundle = _build_bundle(config["bundle"])
     delta = _number(config["delta"], "delta")
-    options = _bias_options(config, mc)
+    options = _bias_options(config, bundle.kind, mc)
 
     if mode == "hypothesis":
         if "psi0" not in config:
@@ -487,6 +487,8 @@ def cmd_bias(config, mc: McConfig, args, out: Path) -> int:
         _write_report(out / "bias.csv", _BIAS_H_COLUMNS, report)
         return EXIT_OK
 
+    if "psi0" in config:
+        raise ConfigError("estimation bias takes no 'psi0': it averages over the prior")
     report = estimation_bias(bundle, delta, **options)
     _write_report(out / "bias_estimation.csv", _BIAS_E_COLUMNS, report)
     return EXIT_FALLBACK if report.fallback else EXIT_OK
@@ -505,7 +507,7 @@ def cmd_design(config, mc: McConfig, args, out: Path) -> int:
     targets = {k: _number(v, f"targets.{k}") for k, v in targets.items()}
     psi0, delta = _number(config["psi0"], "psi0"), _number(config["delta"], "delta")
     n_grid = _numbers(config["n_grid"], "n_grid", int)
-    options = _bias_options(config, mc)
+    options = _bias_options(config, section["kind"], mc)
     candidates = {n: _build_bundle({**section, "n": n}) for n in n_grid}
     header = ["n", *_DESIGN_COLUMNS, "admissible"]
 
@@ -526,7 +528,7 @@ def cmd_check(config, mc: McConfig, args, out: Path) -> int:
     _require_keys(config, {"bundle", "data"}, {"threshold", "mc", "method"}, "config")
     bundle = _build_bundle(config["bundle"])
     data = _parse_data(config["data"], bundle)
-    threshold = args.threshold if args.threshold is not None else _number(config.get("threshold", 0.05), "threshold")
+    threshold = _number(config.get("threshold", 0.05) if args.threshold is None else args.threshold, "threshold")
     report = conflict_check(bundle, data, threshold=threshold, mc=mc, method=_parse_method(config))
     _write_report(out / "check.csv", _CHECK_COLUMNS, report)
     return EXIT_OK

@@ -23,11 +23,11 @@ from .models import (
     PRIOR_CONTENT_FLOOR,
     Discretization,
     FiniteBundle,
-    LocationNormalBundle,
     LocationNormalSpec,
     build_cells,
     locnormal_log_rb,
     norm_cdf,
+    refuse_grid,
 )
 
 __all__ = [
@@ -136,9 +136,11 @@ def rb_profile(bundle, data, disc: Optional[Discretization] = None) -> EvidenceP
 
     Conjugate bundles compute each cell content as a difference of two CDF
     evaluations; finite bundles enumerate exactly.  ``disc`` is required for
-    bundles with a continuous interest parameter and ignored for finite ones.
+    bundles with a continuous interest parameter and refused for finite ones,
+    whose interest labels have no cells.
     """
     if isinstance(bundle, FiniteBundle):
+        refuse_grid(disc)
         x_idx = bundle.reduce_data(data)
         prior = bundle.prior_psi.copy()
         posterior = bundle.posterior_psi(x_idx)
@@ -159,14 +161,10 @@ def rb_profile(bundle, data, disc: Optional[Discretization] = None) -> EvidenceP
     centers = 0.5 * (edges[:-1] + edges[1:])
     edges.setflags(write=False)
     centers.setflags(write=False)
-    if isinstance(bundle, LocationNormalBundle):
-        n = bundle.spec.n
-    else:
-        n = bundle.n
     return _finish_profile(
         prior,
         posterior,
-        data_digest=(n, t),
+        data_digest=(bundle.n, t),
         bundle_digest=bundle.digest,
         edges=edges,
         centers=centers,

@@ -20,20 +20,24 @@ Every bundle also offers the small primitive the bias engine is built on:
 statistic values), ``region_prob`` (the exact probability that this ratio is
 at most or at least 1 under each true value, ``None`` where no closed form
 exists), ``alternatives`` (the true values a bias in favor ranges over, with
-their Monte Carlo stream keys), ``sample_stat`` and ``sample_joint``.
+their Monte Carlo stream keys), ``sample_stat`` and ``sample_joint``.  The
+conflict check needs three more: ``sample_predictive`` (statistic draws from
+the prior predictive), ``predictive_tail`` (the prior-predictive probability
+of a statistic no more probable than the observed one, exact or from draws,
+each bundle comparing statistics on its own ordering) and ``stat_label`` (the
+observed statistic as reported).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import special
 
 from .errors import DomainError
-from .rng import substream
 
 # Cells whose prior content falls below this are excluded from inference.
 PRIOR_CONTENT_FLOOR = 1e-12
@@ -159,6 +163,21 @@ def _log_cell_rb(bundle, lo, hi, t):
         return np.log(bundle.posterior_interval(lo, hi, t)) - np.log(prior)
 
 
+def refuse_grid(disc: Optional[Discretization]) -> None:
+    """A finite model's interest values are labels, which have no cells:
+    refuse a discretization rather than ignore it."""
+    if disc is not None:
+        raise DomainError("a finite bundle takes no discretization: its interest labels have no cells")
+
+
+def _enumerated_tail(order, t, draws, pmf) -> float:
+    """Probability of a statistic whose ``order`` value is at most that of
+    ``t`` (ties included): summed over ``pmf``, or the share of ``draws``."""
+    if draws is None:
+        return float(pmf[order <= order[t]].sum())
+    return float(np.mean(order[draws] <= order[t]))
+
+
 def _numbered(truths):
     """Number candidate true values as (stream key, value) pairs.
 
@@ -252,6 +271,7 @@ class LocationNormalBundle:
 
     def __init__(self, spec: LocationNormalSpec):
         self.spec = spec
+        self.n = spec.n
         self._tau_star = math.sqrt(spec.tau_star_sq)
         self._stat_sd = math.sqrt(spec.sigma0_sq / spec.n)
 
@@ -351,13 +371,27 @@ class LocationNormalBundle:
         mu = self.sample_prior(rng, size)
         return mu, self.sample_stat(rng, mu)
 
-    def prior_cdf(self, x):
-        return norm_cdf((np.asarray(x, dtype=float) - self.spec.mu_star) / self._tau_star)
+    def sample_predictive(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw data means directly from their normal prior predictive."""
+        mean, var = self.prior_predictive_params()
+        return mean + math.sqrt(var) * rng.standard_normal(size)
 
-    def consistency_check(self, seed: int = 0, n_draws: int = 100_000) -> float:
-        """Kolmogorov-Smirnov distance between prior draws and the prior CDF."""
-        draws = np.sort(self.sample_prior(substream(seed, "prior-consistency"), n_draws))
-        return _ks_distance(self.prior_cdf(draws))
+    def predictive_tail(self, t: float, draws: Optional[np.ndarray] = None) -> float:
+        """Prior-predictive probability of a data mean at least as far from
+        the predictive mean as ``t`` (the predictive density orders data
+        means by this distance): the two-sided normal tail in closed form,
+        or the share of ``draws``."""
+        mean, var = self.prior_predictive_params()
+        if draws is None:
+            return 2.0 * (1.0 - float(norm_cdf(abs(t - mean) / math.sqrt(var))))
+        return float(np.mean(np.abs(draws - mean) >= abs(t - mean)))
+
+    def stat_label(self, t: float) -> float:
+        return t
+
+
+# The closed-form conflict tail of a data mean, kept under its own name.
+locnormal_tail_prob = LocationNormalBundle.predictive_tail
 
 
 def make_location_normal(spec: LocationNormalSpec) -> LocationNormalBundle:
@@ -524,12 +558,17 @@ class BetaBinomialBundle:
         theta = self.sample_prior(rng, size)
         return theta, self.sample_stat(rng, theta)
 
-    def prior_cdf(self, x):
-        return special.betainc(self.alpha, self.beta, np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
+    def sample_predictive(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.sample_joint(rng, size)[1]
 
-    def consistency_check(self, seed: int = 0, n_draws: int = 100_000) -> float:
-        draws = np.sort(self.sample_prior(substream(seed, "prior-consistency"), n_draws))
-        return _ks_distance(self.prior_cdf(draws))
+    def predictive_tail(self, t: int, draws: Optional[np.ndarray] = None) -> float:
+        """Prior-predictive probability of a count no more probable than
+        ``t``, ordered by the log predictive pmf."""
+        log_pred = self.log_predictive()
+        return _enumerated_tail(log_pred, t, draws, np.exp(log_pred))
+
+    def stat_label(self, t: int) -> int:
+        return t
 
 
 def make_beta_binomial(n: int, alpha: float, beta: float) -> BetaBinomialBundle:
@@ -681,13 +720,15 @@ class FiniteBundle:
 
     def log_rb(self, psi0, t, disc: Optional[Discretization] = None):
         """log ratio at interest index ``psi0`` for outcome indices ``t``
-        (broadcast).  Labels have no cells, so ``disc`` is ignored."""
+        (broadcast).  Labels have no cells, so ``disc`` is refused."""
+        refuse_grid(disc)
         with np.errstate(divide="ignore"):
             return np.log(self._rb_psi[psi0, t])
 
     def region_prob(self, psi0, truths, disc: Optional[Discretization] = None, against: bool = True):
         """Exact probability that the ratio at ``psi0`` is <= 1 (``against``)
         or >= 1 under M(x | psi) for each true index (broadcast)."""
+        refuse_grid(disc)
         rb = self._rb_psi[psi0]
         region = rb <= 1.0 if against else rb >= 1.0
         return np.where(region, self.predictive_psi[truths], 0.0).sum(axis=-1)
@@ -761,21 +802,18 @@ class FiniteBundle:
             x_idx[draws] = np.searchsorted(row, u_x[draws] * row[-1], side="left")
         return self.psi_index_of_theta[theta_idx], x_idx
 
+    def sample_predictive(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.sample_joint(rng, size)[1]
+
+    def predictive_tail(self, t: int, draws: Optional[np.ndarray] = None) -> float:
+        """Prior-predictive probability of an outcome no more probable than
+        outcome ``t``, ordered by the predictive pmf itself (a log could
+        merge values one ulp apart)."""
+        return _enumerated_tail(self.predictive, t, draws, self.predictive)
+
+    def stat_label(self, t: int):
+        return self.x_labels[t]
+
 
 def make_finite(spec: FiniteModelSpec) -> FiniteBundle:
     return FiniteBundle(spec)
-
-
-Bundle = Union[LocationNormalBundle, BetaBinomialBundle, FiniteBundle]
-
-
-def _ks_distance(cdf_at_sorted_draws: np.ndarray) -> float:
-    n = cdf_at_sorted_draws.size
-    grid_hi = np.arange(1, n + 1) / n
-    grid_lo = np.arange(0, n) / n
-    return float(
-        max(
-            np.max(grid_hi - cdf_at_sorted_draws),
-            np.max(cdf_at_sorted_draws - grid_lo),
-        )
-    )

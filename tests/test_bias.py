@@ -395,8 +395,9 @@ OPTION_BUNDLES = {
 @pytest.mark.parametrize("kind", list(OPTION_BUNDLES))
 def test_estimation_options_are_honoured_or_refused(kind, functional, method):
     """A discretization or a full exterior search either changes an
-    estimation bias or is refused by name; only finite models, whose labels
-    have no cells and sit at distance 1 from each other, are unaffected."""
+    estimation bias or is refused by name.  A finite model refuses the
+    discretization (its labels have no cells); its labels all sit at distance
+    1 from each other, so the exterior search leaves it unaffected."""
     from relbelief import Discretization
 
     build, delta = OPTION_BUNDLES[kind]
@@ -415,8 +416,10 @@ def test_estimation_options_are_honoured_or_refused(kind, functional, method):
         try:
             got = values(**opts)
         except DomainError as exc:
-            assert kind != "finite" and name in str(exc)
+            assert name in str(exc)
+            assert not (kind == "finite" and name == "boundary_only")
             continue
+        assert not (kind == "finite" and name == "discretization")
         if kind == "finite":
             assert got == base
         else:

@@ -108,22 +108,44 @@ def test_conflict_check_shares_the_bias_method_names(method):
         conflict_check(locnormal(), 0.3, method=method)
 
 
-def test_finite_mc_check_matches_recorded_values():
-    # recorded before the finite outcome draw became a per-row search: zero
-    # prior theta, zero likelihood entries and grouped interest labels
-    bundle = make_finite(FiniteModelSpec(
-        theta_labels=["t0", "t1", "t2", "t3"],
-        prior=[0.4, 0.0, 0.35, 0.25],
-        likelihood=[[0.5, 0.0, 0.3, 0.2, 0.0],
-                    [0.2, 0.2, 0.2, 0.2, 0.2],
-                    [0.0, 0.1, 0.1, 0.0, 0.8],
-                    [0.25, 0.25, 0.0, 0.45, 0.05]],
-        x_labels=["x0", "x1", "x2", "x3", "x4"],
-        psi_of_theta=["a", "b", "a", "c"],
-    ))
-    recorded = {"x0": 0.716, "x1": 0.09475, "x2": 0.2595, "x3": 0.45075, "x4": 1.0}
-    for x, tail in recorded.items():
+# data -> (exact tail, Monte Carlo tail at n_sim 4000, seed 11), recorded
+# before the conflict check became one path over the bundles; the finite
+# model has zero prior theta, zero likelihood entries and grouped labels
+RECORDED_TAILS = {
+    "location_normal": (
+        lambda: locnormal(n=10, mu_star=1.0, tau_sq=2.0),
+        {-2.5: (0.01572529975450543, 0.0155), 0.0: (0.490152960415825, 0.502), 1.0: (1.0, 1.0),
+         3.1: (0.14729913862267607, 0.145), 4.2: (0.02722965227097962, 0.0255)},
+    ),
+    "beta_binomial": (
+        lambda: make_beta_binomial(12, 2.0, 5.0),
+        {0: (0.29713423831070856, 0.2955), 1: (0.6841736694677862, 0.68575), 3: (0.8382352941176461, 0.839),
+         6: (0.19909502262443404, 0.19975), 9: (0.03167420814479636, 0.034),
+         12: (0.0007002801120448187, 0.00125)},
+    ),
+    "finite": (
+        lambda: make_finite(FiniteModelSpec(
+            theta_labels=["t0", "t1", "t2", "t3"],
+            prior=[0.4, 0.0, 0.35, 0.25],
+            likelihood=[[0.5, 0.0, 0.3, 0.2, 0.0],
+                        [0.2, 0.2, 0.2, 0.2, 0.2],
+                        [0.0, 0.1, 0.1, 0.0, 0.8],
+                        [0.25, 0.25, 0.0, 0.45, 0.05]],
+            x_labels=["x0", "x1", "x2", "x3", "x4"],
+            psi_of_theta=["a", "b", "a", "c"],
+        )),
+        {"x0": (0.7075, 0.716), "x1": (0.0975, 0.09475), "x2": (0.2525, 0.2595), "x3": (0.445, 0.45075),
+         "x4": (1.0, 1.0)},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(RECORDED_TAILS))
+def test_mc_check_matches_recorded_values(kind):
+    build, recorded = RECORDED_TAILS[kind]
+    bundle = build()
+    for x, (exact, tail) in recorded.items():
         report = conflict_check(bundle, x, mc=McConfig(n_sim=4000, seed=11), method="mc")
-        assert report.tail_prob == tail
-        exact = conflict_check(bundle, x).tail_prob
+        assert (report.tail_prob, report.t_obs) == (tail, x)
+        assert conflict_check(bundle, x).tail_prob == exact
         assert abs(tail - exact) <= 3 * math.sqrt(max(exact * (1 - exact), 1e-12) / 4000)

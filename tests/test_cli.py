@@ -413,11 +413,11 @@ MC_SMALL = {"n_sim": 200, "seed": 1}
 # (command, valid config, fields as dotted paths by type); a field marked
 # "?" may be null, which means absent
 FUZZ = [
-    ("analyze", {"bundle": LOCNORMAL_4, "data": {"xbar": 0.3}, "discretization": GRID, "gamma": 0.3, "mc": MC_SMALL},
+    ("analyze", {"bundle": LOCNORMAL_4, "data": {"xbar": 0.3}, "discretization": GRID, "gamma": 0.3},
      {"float": ["bundle.sigma0_sq", "bundle.mu_star", "bundle.tau_star_sq", "data.xbar", "discretization.delta",
                 "discretization.range.0", "discretization.anchor?", "gamma?"],
-      "int": ["bundle.n", "mc.n_sim", "mc.seed"],
-      "other": ["bundle", "bundle.kind", "data", "discretization", "discretization.range", "mc"]}),
+      "int": ["bundle.n"],
+      "other": ["bundle", "bundle.kind", "data", "discretization", "discretization.range"]}),
     ("analyze", {"bundle": LOCNORMAL_4, "data": {"sample": [0.1, 0.2, 0.3, 0.4]}, "discretization": {"delta": 0.25}},
      {"float": ["data.sample.1"], "other": ["data.sample"]}),
     ("analyze", {"bundle": BETABINOMIAL_4, "data": {"successes": 2}, "discretization": {"delta": 0.05}},
@@ -434,16 +434,16 @@ FUZZ = [
     ("assess", {"bundle": FINITE_2, "data": {"outcome": "x1"}, "psi0": "a"}, {"other": ["psi0"]}),
     ("bias", {"bundle": LOCNORMAL_4, "psi0": 0.0, "delta": 0.5, "mode": "hypothesis", "method": "exact",
               "boundary_only": True, "discretization": {"delta": 0.1}, "mc": MC_SMALL},
-     {"float": ["psi0", "delta", "discretization.delta"], "int": ["mc.n_sim"],
-      "other": ["mode", "method", "boundary_only"]}),
-    ("bias", {"bundle": FINITE_2, "delta": 1.0, "mode": "estimation", "psi0": "a"},
-     {"float": ["delta"], "other": ["psi0"]}),
+     {"float": ["psi0", "delta", "discretization.delta"], "int": ["mc.n_sim", "mc.seed"],
+      "other": ["mode", "method", "boundary_only", "mc"]}),
+    ("bias", {"bundle": FINITE_2, "delta": 1.0, "mode": "estimation"},
+     {"float": ["delta"]}),
     ("design", {"bundle": {"kind": "location_normal", "sigma0_sq": 1.0, "mu_star": 0.0, "tau_star_sq": 1.0},
                 "psi0": 0.0, "delta": 0.5, "targets": {"max_bias_in_favor": 0.9}, "n_grid": [5, 10]},
      {"float": ["bundle.sigma0_sq", "psi0", "delta", "targets.max_bias_in_favor"], "int": ["n_grid.1"],
       "other": ["bundle", "bundle.kind", "targets", "n_grid"]}),
     ("check", {"bundle": BETABINOMIAL_4, "data": {"successes": 2}, "threshold": 0.1, "method": "mc", "mc": MC_SMALL},
-     {"float": ["threshold", "bundle.alpha"], "int": ["data.successes", "mc.seed"], "other": ["method"]}),
+     {"float": ["threshold", "bundle.alpha"], "int": ["data.successes", "mc.n_sim", "mc.seed"], "other": ["method"]}),
 ]
 NOT_NUMBERS = ("0.5", "x", [1], {"a": 1}, True, None)
 
@@ -529,6 +529,54 @@ def test_threshold_flag_belongs_to_check_only(tmp_path, command, config):
     assert run(tmp_path, config, command)[0] == 0
     assert run(tmp_path, config, command, ("--threshold", "0.1"))[0] == 2
     assert main(["reproduce", "table1", "--out", str(tmp_path), "--threshold", "0.1"]) == 2
+
+
+@pytest.mark.parametrize("command, config", [
+    ("analyze", {"bundle": PROSECUTOR, "data": {"outcome": "trait"}}),
+    ("assess", {"bundle": PROSECUTOR, "data": {"outcome": "trait"}, "psi0": "guilty"}),
+    ("bias", {"bundle": PROSECUTOR, "psi0": "guilty", "delta": 1.0}),
+    ("bias", {"bundle": PROSECUTOR, "delta": 1.0, "mode": "estimation"}),
+])
+def test_finite_bundle_refuses_a_discretization(tmp_path, capsys, command, config):
+    assert run(tmp_path, config, command)[0] == 0
+    assert run(tmp_path, dict(config, discretization={"delta": 0.1}), command)[0] == 2
+    assert "discretization" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "assess"])
+def test_post_data_commands_refuse_an_mc_section(tmp_path, command):
+    config = {"bundle": LOCNORMAL_20, "data": {"xbar": 0.3}, "discretization": {"delta": 0.05}, "psi0": 0.0}
+    if command == "analyze":
+        del config["psi0"]
+    assert run(tmp_path, config, command)[0] == 0
+    assert run(tmp_path, dict(config, mc=MC_SMALL), command)[0] == 2
+
+
+def test_estimation_bias_refuses_psi0(tmp_path):
+    config = {"bundle": LOCNORMAL_20, "delta": 0.5, "mode": "estimation"}
+    assert run(tmp_path, config, "bias")[0] == 0
+    assert run(tmp_path, dict(config, psi0=0.0), "bias")[0] == 2
+
+
+@pytest.mark.parametrize("key, value", [("range", [5.0, 9.0]), ("anchor", 0.037)])
+@pytest.mark.parametrize("command, config", [
+    ("bias", {"bundle": LOCNORMAL_20, "psi0": 0.0, "delta": 0.5}),
+    ("design", DESIGN_FAMILY),
+])
+def test_bias_grid_is_one_anchored_cell(tmp_path, command, config, key, value):
+    """The cell of a bias is always anchored at psi0, so a range or an anchor
+    would change nothing."""
+    config = dict(config, discretization={"delta": 0.1})
+    assert run(tmp_path, config, command)[0] == 0
+    config["discretization"][key] = value
+    assert run(tmp_path, config, command)[0] == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_threshold_flag_is_checked_like_the_config_key(tmp_path, value):
+    config = {"bundle": LOCNORMAL_20, "data": {"xbar": 0.3}}
+    assert run(tmp_path, config, "check", ("--threshold", "0.1"))[0] == 0
+    assert run(tmp_path, config, "check", ("--threshold", value))[0] == 2
 
 
 @pytest.mark.parametrize("kind, family", [

@@ -17,8 +17,10 @@ from relbelief import (
     make_beta_binomial,
     make_finite,
     make_location_normal,
+    rb_profile,
 )
 from relbelief.models import build_cells, normal_interval_prob
+from relbelief.rng import substream
 
 from oracle import random_finite_spec
 
@@ -100,6 +102,16 @@ def test_reduce_data_accepts_statistic_and_sample():
         bb.reduce_data([1, 2, 0, 0])
 
 
+def test_finite_bundle_refuses_a_discretization():
+    bundle = make_finite(FiniteModelSpec(**random_finite_spec(np.random.default_rng(0))))
+    disc = Discretization(delta=0.1)
+    calls = (lambda: rb_profile(bundle, 0, disc), lambda: bundle.log_rb(0, 0, disc),
+             lambda: bundle.region_prob(0, 0, disc))
+    for call in calls:
+        with pytest.raises(DomainError, match="discretization"):
+            call()
+
+
 def test_finite_reduce_data():
     spec = random_finite_spec(np.random.default_rng(0))
     bundle = make_finite(FiniteModelSpec(**spec))
@@ -112,14 +124,19 @@ def test_finite_reduce_data():
 # -- sampler vs density consistency -------------------------------------------
 
 
+def _prior_draws(bundle):
+    return bundle.sample_prior(substream(11, "prior-consistency"), 100_000)
+
+
 def test_prior_sampler_matches_prior_cdf_location_normal():
-    bundle = make_location_normal(LocationNormalSpec(n=5, sigma0_sq=2.0, mu_star=1.5, tau_star_sq=0.7))
-    assert bundle.consistency_check(seed=11, n_draws=100_000) < 0.01
+    spec = LocationNormalSpec(n=5, sigma0_sq=2.0, mu_star=1.5, tau_star_sq=0.7)
+    prior = stats.norm(spec.mu_star, math.sqrt(spec.tau_star_sq))
+    assert stats.kstest(_prior_draws(make_location_normal(spec)), prior.cdf).statistic < 0.01
 
 
 def test_prior_sampler_matches_prior_cdf_beta():
-    bundle = make_beta_binomial(10, 2.5, 1.5)
-    assert bundle.consistency_check(seed=11, n_draws=100_000) < 0.01
+    draws = _prior_draws(make_beta_binomial(10, 2.5, 1.5))
+    assert stats.kstest(draws, stats.beta(2.5, 1.5).cdf).statistic < 0.01
 
 
 def test_prior_predictive_of_mean_matches_quadrature():
