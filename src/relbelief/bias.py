@@ -13,33 +13,29 @@ when the truth lies at least ``delta`` away (bias in favor).
   the plausible region.
 
 One engine computes them all over the per-bundle primitive of
-:mod:`relbelief.models`.  Where the bundle has a closed-form region
-probability (the normal-CDF window of the location-normal model, enumeration
-over counts and finite tables) the answer is exact; otherwise, and on
-request, it is seeded Monte Carlo.  Replications are laid out by index in a
-dedicated substream, so estimates do not depend on evaluation order or
-thread count.
+:mod:`relbelief.models`.  A hypothesis bias is exact where the bundle has a
+closed-form region probability (the normal-CDF window of the location-normal
+model, enumeration over counts and finite tables), else seeded Monte Carlo.
+An estimation bias is one path over three bundle methods: ``supremum`` for
+the worst case, ``prior_mean`` for the averages and ``favor_sup`` for the
+function the average bias in favor integrates.  Under ``auto`` and ``exact``
+an average is exact wherever the bundle has a prior rule (the beta-binomial
+model has none yet, so its averages are drawn); under ``mc`` every average
+is drawn from the prior predictive and every supremum is still exact.
+Replications are laid out by index in a dedicated substream, so estimates do
+not depend on evaluation order or thread count.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import DesignSearchError, DomainError
-from .models import (
-    PRIOR_CONTENT_FLOOR,
-    Discretization,
-    FiniteBundle,
-    LocationNormalBundle,
-    favor_prob_locnormal,
-    refuse_grid,
-)
+from .models import Discretization, exact_region_prob, favor_prob_locnormal
 from .rng import substream
 
 __all__ = [
@@ -65,17 +61,6 @@ MONTE_CARLO = "MonteCarlo"
 # The values of every ``method`` argument.
 METHODS = ("auto", "exact", "mc")
 
-# Relative change allowed when doubling quadrature nodes before the
-# computation is declared nonconvergent and falls back to Monte Carlo.
-QUAD_DOUBLING_RTOL = 1e-6
-# Gauss-Hermite node counts tried in turn: the first doubling within
-# QUAD_DOUBLING_RTOL is accepted.  hermegauss(512) returns NaN weights.
-_QUAD_NODES = (64, 128, 256)
-
-# Cells per intermediate array in the blocked table computations, so memory
-# stays bounded whatever n_sim or the number of interest values.
-_BLOCK_CELLS = 1 << 18
-
 
 @dataclass(frozen=True)
 class McConfig:
@@ -89,8 +74,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.n_sim, (int, np.integer)) and self.n_sim >= 1):
-            raise DomainError(f"n_sim must be an integer >= 1, got {self.n_sim!r}")
+        if not (isinstance(self.n_sim, (int, np.integer)) and self.n_sim >= 2):
+            raise DomainError(f"n_sim must be an integer >= 2 (a standard error needs two draws), got {self.n_sim!r}")
 
 
 @dataclass(frozen=True)
@@ -198,12 +183,13 @@ def _worst_case(bundle, psi0, cases, disc, mc, how, against: bool) -> BiasCompon
     return BiasComponent(value=best, se=best_se, method=MONTE_CARLO)
 
 
-def _average_against_mc(bundle, disc, mc: McConfig, fallback: bool = False) -> BiasComponent:
-    """Monte Carlo average bias against: (true value, statistic) pairs drawn
-    from the prior predictive, each scored by the ratio at its own value."""
-    psi, t = bundle.sample_joint(substream(mc.seed, "bias-against-e-avg"), mc.n_sim)
-    p, se = _mc_probability(bundle.log_rb(psi, t, disc) <= 0.0)
-    return BiasComponent(value=p, se=se, method=MONTE_CARLO, fallback=fallback)
+def _average(bundle, g, how: str, drawn: Callable[[], Tuple[float, float]], smooth: bool) -> BiasComponent:
+    """The exact prior mean of ``g``, or the (estimate, standard error) of
+    ``drawn()`` when ``mc`` was asked for or the bundle has no prior rule."""
+    value = None if how == MONTE_CARLO else bundle.prior_mean(g, smooth)
+    if value is None:
+        return BiasComponent(*drawn(), method=MONTE_CARLO)
+    return BiasComponent(value=min(value, 1.0), se=0.0, method=EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -279,25 +265,6 @@ def hypothesis_bias(
 # estimation biases
 
 
-def _gauss_hermite_mean(g: Callable[[np.ndarray], np.ndarray], mean: float, sd: float, nodes: int) -> float:
-    t, w = np.polynomial.hermite_e.hermegauss(nodes)
-    return float(np.dot(w, g(mean + sd * t)) / math.sqrt(2.0 * math.pi))
-
-
-def _grid_supremum(g: Callable[[float], float], center: float, halfwidth: float, points: int = 121) -> Tuple[float, float]:
-    """Maximize g over [center - halfwidth, center + halfwidth]: coarse grid
-    warm-started at the center, then a bounded local refinement."""
-    grid = np.linspace(center - halfwidth, center + halfwidth, points)
-    vals = np.array([g(m) for m in grid])
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, points - 1)]
-    res = optimize.minimize_scalar(lambda m: -g(m), bounds=(lo, hi), method="bounded")
-    if -res.fun >= vals[k]:
-        return float(res.x), float(-res.fun)
-    return float(grid[k]), float(vals[k])
-
-
 def bias_against_e(
     bundle,
     disc: Optional[Discretization] = None,
@@ -307,53 +274,24 @@ def bias_against_e(
     """Average and worst-case prior probability that the plausible region
     misses the true value.  Returns (average, supremum).
 
-    Finite models are exact (labels have no cells, so ``disc`` is refused);
-    the beta-binomial average is Monte Carlo and its supremum an exact grid
-    search; the location-normal model is exact where the point ratio applies
-    and Monte Carlo under a discretization or ``method='mc'``.
+    The supremum is always exact, so a discretization is refused where the
+    bundle has no exact cell probability (location-normal cells) and on a
+    finite model, whose labels have no cells.  The average is exact under
+    ``auto``/``exact`` where the bundle has a prior rule; otherwise it is the
+    share of (true value, statistic) pairs drawn from the prior predictive
+    whose ratio at the true value is at most 1.
     """
     how = _resolve_method(method)
     mc = mc or McConfig()
 
-    if isinstance(bundle, FiniteBundle):
-        usable = np.flatnonzero(bundle.prior_psi >= PRIOR_CONTENT_FLOOR)
-        per_psi = bundle.region_prob(usable, usable, disc, against=True)
-        sup = BiasComponent(value=float(per_psi.max()), se=0.0, method=EXACT)
-        if how == EXACT:
-            avg_val = float(np.dot(bundle.prior_psi[usable], per_psi))
-            return BiasComponent(value=avg_val, se=0.0, method=EXACT), sup
-        return _average_against_mc(bundle, disc, mc), sup
+    g = lambda psi: exact_region_prob(bundle, psi, psi, disc, against=True)
+    sup = BiasComponent(value=bundle.supremum(g), se=0.0, method=EXACT)
 
-    def inner(m):
-        return bundle.region_prob(m, m, disc, against=True)
+    def drawn():
+        psi, t = bundle.sample_joint(substream(mc.seed, "bias-against-e-avg"), mc.n_sim)
+        return _mc_probability(bundle.log_rb(psi, t, disc) <= 0.0)
 
-    if isinstance(bundle, LocationNormalBundle):
-        spec = bundle.spec
-        tau = math.sqrt(spec.tau_star_sq)
-        if how == MONTE_CARLO or inner(spec.mu_star) is None:
-            grid = spec.mu_star + tau * np.linspace(-4.0, 4.0, 17)
-            cases = [(("bias-against-e-sup", j), float(mu)) for j, mu in enumerate(grid)]
-            sup = _worst_case(bundle, grid, cases, disc, mc, MONTE_CARLO, against=True)
-            return _average_against_mc(bundle, disc, mc), sup
-        prev = _gauss_hermite_mean(inner, spec.mu_star, tau, _QUAD_NODES[0])
-        for nodes in _QUAD_NODES[1:]:
-            value = _gauss_hermite_mean(inner, spec.mu_star, tau, nodes)
-            if abs(value - prev) <= QUAD_DOUBLING_RTOL * max(abs(value), 1e-12):
-                avg = BiasComponent(value=value, se=0.0, method=EXACT)
-                break
-            prev = value
-        else:
-            warnings.warn(
-                "quadrature for the average bias against did not converge on node "
-                "doubling; falling back to Monte Carlo",
-                RuntimeWarning,
-            )
-            avg = _average_against_mc(bundle, disc, mc, fallback=True)
-        _, sup_val = _grid_supremum(lambda m: float(inner(m)), spec.mu_star, 6.0 * tau)
-        return avg, BiasComponent(value=sup_val, se=0.0, method=EXACT)
-
-    _, sup_val = _grid_supremum(lambda m: float(inner(m)), 0.5, 0.5 - 1e-6, points=201)
-    return _average_against_mc(bundle, disc, mc), BiasComponent(value=sup_val, se=0.0, method=EXACT)
+    return _average(bundle, g, how, drawn, smooth=True), sup
 
 
 def bias_in_favor_e(
@@ -367,70 +305,22 @@ def bias_in_favor_e(
     """Prior-averaged worst-case probability of obtaining evidence in favor
     of a value that is meaningfully false (at least ``delta`` away).
 
-    Finite models are exact; the location-normal model is exact by
-    quadrature unless ``method='mc'``; otherwise the exact inner supremum is
-    averaged over seeded prior draws.  A discretization is refused where the
-    inner probability has no exact form (location-normal cells) and on a
-    finite model, whose labels have no cells.
+    The worst case at each value is exact; its prior average is exact under
+    ``auto``/``exact`` where the bundle has a prior rule, else the mean over
+    seeded prior draws.  A discretization is refused where the inner
+    probability has no exact form (location-normal cells) and on a finite
+    model, whose labels have no cells.
     """
     _check_delta(delta)
     how = _resolve_method(method)
     mc = mc or McConfig()
+    g = bundle.favor_sup(delta, disc, boundary_only)
 
-    def favor_sup(p0):
-        """Exact largest probability of evidence in favor of ``p0`` (a value
-        or an array of prior draws) over its alternatives; 0 if none."""
-        truths = np.array([truth for _, truth in bundle.alternatives(p0, delta, boundary_only)])
-        probs = bundle.region_prob(p0, truths, disc, against=False)
-        if probs is None:
-            raise DomainError(
-                f"the average bias in favor needs exact cell probabilities, which a "
-                f"{bundle.kind} bundle lacks under a discretization"
-            )
-        return np.fmax.reduce(probs, axis=0, initial=0.0)
+    def drawn():
+        vals = g(bundle.sample_prior(substream(mc.seed, "bias-favor-e"), mc.n_sim))
+        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc.n_sim))
 
-    if isinstance(bundle, FiniteBundle):
-        refuse_grid(disc)
-        usable = np.flatnonzero(bundle.prior_psi >= PRIOR_CONTENT_FLOOR)
-        if not bundle.alternatives(usable[0], delta):
-            return BiasComponent(value=0.0, se=0.0, method=EXACT)
-        # favor[j, i]: probability under M(. | psi_j) of evidence in favor of psi_i
-        pred = bundle.predictive_psi[usable]
-        in_favor = bundle.rb_psi_table()[usable] >= 1.0
-        worst = np.empty(usable.size)
-        cols = max(1, _BLOCK_CELLS // max(usable.size, len(bundle.x_labels)))
-        for start in range(0, usable.size, cols):
-            favor = pred @ in_favor[start:start + cols].T
-            block = np.arange(favor.shape[1])
-            favor[start + block, block] = -np.inf  # the truth is not an alternative
-            worst[start:start + cols] = favor.max(axis=0)
-        total = float(np.dot(bundle.prior_psi[usable], worst))
-        return BiasComponent(value=min(total, 1.0), se=0.0, method=EXACT)
-
-    if isinstance(bundle, LocationNormalBundle):
-        spec = bundle.spec
-        if how == EXACT:
-            tau = math.sqrt(spec.tau_star_sq)
-            pdf = lambda m: math.exp(-((m - spec.mu_star) ** 2) / (2.0 * spec.tau_star_sq)) / (
-                tau * math.sqrt(2.0 * math.pi)
-            )
-            integrand = lambda m: float(favor_sup(m)) * pdf(m)
-            # The integrand has a kink where the two boundary sides swap, at
-            # the prior mean; integrate the smooth halves adaptively.
-            span = 9.0 * tau
-            left, _ = integrate.quad(integrand, spec.mu_star - span, spec.mu_star, limit=200)
-            right, _ = integrate.quad(integrand, spec.mu_star, spec.mu_star + span, limit=200)
-            return BiasComponent(value=min(left + right, 1.0), se=0.0, method=EXACT)
-        rows = mc.n_sim  # a draw is one cell
-    else:
-        rows = max(1, _BLOCK_CELLS // (bundle.n + 1))  # a draw spans the counts 0..n
-    draws = bundle.sample_prior(substream(mc.seed, "bias-favor-e"), mc.n_sim)
-    vals = np.concatenate([favor_sup(draws[start:start + rows]) for start in range(0, draws.size, rows)])
-    return BiasComponent(
-        value=float(vals.mean()),
-        se=float(vals.std(ddof=1) / math.sqrt(mc.n_sim)),
-        method=MONTE_CARLO,
-    )
+    return _average(bundle, g, how, drawn, smooth=False)
 
 
 def estimation_bias(

@@ -22,12 +22,9 @@ from .events import EvidenceVerdict
 from .models import (
     PRIOR_CONTENT_FLOOR,
     Discretization,
-    FiniteBundle,
     LocationNormalSpec,
-    build_cells,
     locnormal_log_rb,
     norm_cdf,
-    refuse_grid,
 )
 
 __all__ = [
@@ -139,38 +136,8 @@ def rb_profile(bundle, data, disc: Optional[Discretization] = None) -> EvidenceP
     bundles with a continuous interest parameter and refused for finite ones,
     whose interest labels have no cells.
     """
-    if isinstance(bundle, FiniteBundle):
-        refuse_grid(disc)
-        x_idx = bundle.reduce_data(data)
-        prior = bundle.prior_psi.copy()
-        posterior = bundle.posterior_psi(x_idx)
-        return _finish_profile(
-            prior,
-            posterior,
-            data_digest=(1, bundle.x_labels[x_idx]),
-            bundle_digest=bundle.digest,
-            labels=bundle.psi_labels,
-        )
-
-    if disc is None:
-        raise DomainError("a Discretization is required for continuous interest parameters")
-    t = bundle.reduce_data(data)
-    edges, anchor_index = build_cells(disc, bundle.default_psi_range())
-    prior = np.asarray(bundle.prior_interval(edges[:-1], edges[1:]), dtype=float)
-    posterior = np.asarray(bundle.posterior_interval(edges[:-1], edges[1:], t), dtype=float)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    edges.setflags(write=False)
-    centers.setflags(write=False)
-    return _finish_profile(
-        prior,
-        posterior,
-        data_digest=(bundle.n, t),
-        bundle_digest=bundle.digest,
-        edges=edges,
-        centers=centers,
-        anchor_index=anchor_index,
-        delta=disc.delta,
-    )
+    prior, posterior, data_digest, layout = bundle.profile_cells(data, disc)
+    return _finish_profile(prior, posterior, data_digest, bundle.digest, **layout)
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,16 @@ Every bundle also offers the small primitive the bias engine is built on:
 statistic values), ``region_prob`` (the exact probability that this ratio is
 at most or at least 1 under each true value, ``None`` where no closed form
 exists), ``alternatives`` (the true values a bias in favor ranges over, with
-their Monte Carlo stream keys), ``sample_stat`` and ``sample_joint``.  The
-conflict check needs three more: ``sample_predictive`` (statistic draws from
-the prior predictive), ``predictive_tail`` (the prior-predictive probability
-of a statistic no more probable than the observed one, exact or from draws,
-each bundle comparing statistics on its own ordering) and ``stat_label`` (the
-observed statistic as reported).
+their Monte Carlo stream keys), the samplers, and three estimation methods:
+``supremum(g)``, ``prior_mean(g, smooth)`` (``None`` where the bundle has no
+exact rule yet) and ``favor_sup(delta, disc, boundary_only)`` (the function
+whose prior mean is the average bias in favor).  ``profile_cells`` gives a
+profile its label or grid cells.  The conflict check needs three more:
+``sample_predictive`` (statistic draws from the prior predictive),
+``predictive_tail`` (the prior-predictive probability of a statistic no more
+probable than the observed one, exact or from draws, each bundle comparing
+statistics on its own ordering) and ``stat_label`` (the observed statistic
+as reported).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import special
+from scipy import integrate, optimize, special
 
 from .errors import DomainError
 
@@ -43,6 +47,15 @@ from .errors import DomainError
 PRIOR_CONTENT_FLOOR = 1e-12
 # Central prior probability covered by a default grid range.
 DEFAULT_RANGE_MASS = 0.9999
+# Relative change allowed when doubling Gauss-Hermite nodes; a ladder that
+# never settles within it hands the prior mean to adaptive quadrature.
+QUAD_DOUBLING_RTOL = 1e-6
+# Gauss-Hermite node counts tried in turn: the first doubling within
+# QUAD_DOUBLING_RTOL is accepted.  hermegauss(512) returns NaN weights.
+_QUAD_NODES = (64, 128, 256)
+# Cells per intermediate array in the blocked bias-in-favor tables, so memory
+# stays bounded whatever n_sim or the number of interest values.
+_BLOCK_CELLS = 1 << 18
 
 __all__ = [
     "Discretization",
@@ -91,9 +104,11 @@ def beta_interval_prob(lo, hi, a, b):
     """P(lo < X <= hi) for X ~ Beta(a, b), accurate in both tails."""
     lo = np.clip(np.asarray(lo, dtype=float), 0.0, 1.0)
     hi = np.clip(np.asarray(hi, dtype=float), 0.0, 1.0)
-    direct = special.betainc(a, b, hi) - special.betainc(a, b, lo)
+    cdf_lo = special.betainc(a, b, lo)
+    direct = special.betainc(a, b, hi) - cdf_lo
+    # Past the median the CDF saturates at 1; use survival values there.
     flipped = special.betainc(b, a, 1.0 - lo) - special.betainc(b, a, 1.0 - hi)
-    return np.where(lo >= 0.5, flipped, direct)
+    return np.where(cdf_lo >= 0.5, flipped, direct)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +185,24 @@ def refuse_grid(disc: Optional[Discretization]) -> None:
         raise DomainError("a finite bundle takes no discretization: its interest labels have no cells")
 
 
+def exact_region_prob(bundle, psi0, truths, disc: Optional[Discretization], against: bool):
+    """``bundle.region_prob``, refusing a discretization it has no closed
+    form for: an estimation bias is never silently drawn instead."""
+    probs = bundle.region_prob(psi0, truths, disc, against)
+    if probs is None:
+        raise DomainError(
+            f"an estimation bias needs exact cell probabilities, which a {bundle.kind} "
+            f"bundle lacks under a discretization"
+        )
+    return probs
+
+
+def _inverse_cdf(weights, u) -> np.ndarray:
+    """The index each uniform in ``u`` selects under ``weights``."""
+    cum = np.cumsum(weights)
+    return np.clip(np.searchsorted(cum, u * cum[-1], side="right"), 0, len(weights) - 1)
+
+
 def _enumerated_tail(order, t, draws, pmf) -> float:
     """Probability of a statistic whose ``order`` value is at most that of
     ``t`` (ties included): summed over ``pmf``, or the share of ``draws``."""
@@ -186,6 +219,71 @@ def _numbered(truths):
     candidate is an array, NaN where it is no alternative."""
     kept = [t if np.ndim(t) else float(t) for t in truths if np.ndim(t) or not np.isnan(t)]
     return list(enumerate(kept))
+
+
+class _ContinuousBundle:
+    """What the two bundles with a real interest parameter share.  A subclass
+    sets ``_sup_grid``, the (center, half-width, points) of the grid its
+    supremum search starts from, and may set ``_draw_cells``, the cells one
+    value's region probability spans."""
+
+    _draw_cells = 1
+
+    def interest(self, psi0) -> float:
+        return float(psi0)
+
+    def stat_label(self, t):
+        return t
+
+    def sample_joint(self, rng: np.random.Generator, size: int):
+        """Draw (true value, statistic) pairs from the prior predictive."""
+        psi = self.sample_prior(rng, size)
+        return psi, self.sample_stat(rng, psi)
+
+    def supremum(self, g) -> float:
+        """Largest value of the vectorized ``g`` on the interest range: the
+        best point of a grid, then a bounded refinement between its
+        neighbours."""
+        center, halfwidth, points = self._sup_grid
+        grid = np.linspace(center - halfwidth, center + halfwidth, points)
+        vals = g(grid)
+        k = int(np.argmax(vals))
+        res = optimize.minimize_scalar(
+            lambda m: -float(g(m)), bounds=(grid[max(k - 1, 0)], grid[min(k + 1, points - 1)]), method="bounded"
+        )
+        return max(float(-res.fun), float(vals[k]))
+
+    def favor_sup(self, delta: float, disc: Optional[Discretization] = None, boundary_only: bool = True):
+        """``g(psi0)``: the exact largest probability of evidence in favor of
+        ``psi0`` (a value or an array) over its alternatives, 0 where there
+        is none.  Arrays go in blocks of at most ``_BLOCK_CELLS`` cells."""
+
+        def one(p0):
+            truths = np.array([truth for _, truth in self.alternatives(p0, delta, boundary_only)])
+            return np.fmax.reduce(exact_region_prob(self, p0, truths, disc, False), axis=0, initial=0.0)
+
+        def g(p0):
+            if np.ndim(p0) == 0:
+                return one(p0)
+            rows = max(1, _BLOCK_CELLS // self._draw_cells)
+            return np.concatenate([one(p0[start:start + rows]) for start in range(0, len(p0), rows)])
+
+        return g
+
+    def profile_cells(self, data, disc: Optional[Discretization]):
+        """(prior contents, posterior contents, data digest, layout) of the
+        profile over the grid cells of ``disc``, which is required."""
+        if disc is None:
+            raise DomainError("a Discretization is required for continuous interest parameters")
+        t = self.reduce_data(data)
+        edges, anchor_index = build_cells(disc, self.default_psi_range())
+        prior = np.asarray(self.prior_interval(edges[:-1], edges[1:]), dtype=float)
+        posterior = np.asarray(self.posterior_interval(edges[:-1], edges[1:], t), dtype=float)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        edges.setflags(write=False)
+        centers.setflags(write=False)
+        layout = dict(edges=edges, centers=centers, anchor_index=anchor_index, delta=disc.delta)
+        return prior, posterior, (self.n, t), layout
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +362,7 @@ def favor_prob_locnormal(spec: LocationNormalSpec, mu0, mu_true):
     return prob
 
 
-class LocationNormalBundle:
+class LocationNormalBundle(_ContinuousBundle):
     """Normal data with known variance, conjugate normal prior on the mean."""
 
     kind = "location_normal"
@@ -274,6 +372,7 @@ class LocationNormalBundle:
         self.n = spec.n
         self._tau_star = math.sqrt(spec.tau_star_sq)
         self._stat_sd = math.sqrt(spec.sigma0_sq / spec.n)
+        self._sup_grid = (spec.mu_star, 6.0 * self._tau_star, 121)
 
     @property
     def digest(self) -> str:
@@ -321,9 +420,6 @@ class LocationNormalBundle:
     def log_rb_point(self, psi0, t):
         return locnormal_log_rb(self.spec, t, psi0)
 
-    def interest(self, psi0) -> float:
-        return float(psi0)
-
     def log_rb(self, psi0, t, disc: Optional[Discretization] = None):
         """log ratio at ``psi0`` for data means ``t``: of the point, or of the
         cell of half-width ``disc.delta`` anchored there (broadcast)."""
@@ -352,6 +448,28 @@ class LocationNormalBundle:
             truths.append(np.where(np.abs(center - psi0) >= delta, center, np.nan))
         return _numbered(truths)
 
+    def prior_mean(self, g, smooth: bool) -> float:
+        """Prior expectation of ``g``.  A smooth ``g`` goes up the
+        Gauss-Hermite ladder until one doubling moves it by at most
+        QUAD_DOUBLING_RTOL relative; any other ``g``, or one the ladder does
+        not settle, goes to adaptive quadrature split at the prior mean, where
+        the bias in favor has a kink (its two boundary sides swap there)."""
+        mean, sd = self.spec.mu_star, self._tau_star
+        if smooth:
+            prev = None
+            for nodes in _QUAD_NODES:
+                t, w = np.polynomial.hermite_e.hermegauss(nodes)
+                value = float(np.dot(w, g(mean + sd * t)) / math.sqrt(2.0 * math.pi))
+                if prev is not None and abs(value - prev) <= QUAD_DOUBLING_RTOL * max(abs(value), 1e-12):
+                    return value
+                prev = value
+        pdf = lambda m: math.exp(-((m - mean) ** 2) / (2.0 * self.spec.tau_star_sq)) / (sd * math.sqrt(2.0 * math.pi))
+        integrand = lambda m: float(g(m)) * pdf(m)
+        span = 9.0 * sd
+        left, _ = integrate.quad(integrand, mean - span, mean, limit=200)
+        right, _ = integrate.quad(integrand, mean, mean + span, limit=200)
+        return left + right
+
     def prior_predictive_params(self) -> Tuple[float, float]:
         """Mean and variance of the sample mean under the prior predictive."""
         s = self.spec
@@ -365,11 +483,6 @@ class LocationNormalBundle:
         mu = np.asarray(mu, dtype=float)
         shape = mu.shape if size is None else (size,)
         return mu + self._stat_sd * rng.standard_normal(shape)
-
-    def sample_joint(self, rng: np.random.Generator, size: int):
-        """Draw (true mean, data mean) pairs from the prior predictive."""
-        mu = self.sample_prior(rng, size)
-        return mu, self.sample_stat(rng, mu)
 
     def sample_predictive(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw data means directly from their normal prior predictive."""
@@ -386,9 +499,6 @@ class LocationNormalBundle:
             return 2.0 * (1.0 - float(norm_cdf(abs(t - mean) / math.sqrt(var))))
         return float(np.mean(np.abs(draws - mean) >= abs(t - mean)))
 
-    def stat_label(self, t: float) -> float:
-        return t
-
 
 # The closed-form conflict tail of a data mean, kept under its own name.
 locnormal_tail_prob = LocationNormalBundle.predictive_tail
@@ -402,10 +512,11 @@ def make_location_normal(spec: LocationNormalSpec) -> LocationNormalBundle:
 # beta binomial
 
 
-class BetaBinomialBundle:
+class BetaBinomialBundle(_ContinuousBundle):
     """Binomial counts with a conjugate beta prior on the success rate."""
 
     kind = "beta_binomial"
+    _sup_grid = (0.5, 0.5 - 1e-6, 201)
 
     def __init__(self, n: int, alpha: float, beta: float):
         if not (isinstance(n, (int, np.integer)) and n >= 1):
@@ -416,6 +527,7 @@ class BetaBinomialBundle:
         self.alpha = float(alpha)
         self.beta = float(beta)
         self._counts = np.arange(self.n + 1)
+        self._draw_cells = self.n + 1
         # the count-only term of the point ratio, so no draw evaluates it
         self._log_beta_post = special.betaln(self.alpha + self._counts, self.beta + self.n - self._counts)
 
@@ -477,9 +589,6 @@ class BetaBinomialBundle:
             - self._log_beta_post[s]
         )
 
-    def interest(self, psi0) -> float:
-        return float(psi0)
-
     def log_rb(self, psi0, t, disc: Optional[Discretization] = None):
         """log ratio at ``psi0`` for counts ``t``: of the point, or of the
         cell of half-width ``disc.delta`` anchored there and cut to [0, 1].
@@ -520,6 +629,10 @@ class BetaBinomialBundle:
             truths.extend(grid[np.abs(grid - psi0) >= delta])
         return _numbered([np.where((t > 0.0) & (t < 1.0), t, np.nan) for t in truths])
 
+    def prior_mean(self, g, smooth: bool) -> None:
+        """No exact prior rule yet: averages over the beta prior are drawn."""
+        return None
+
     def log_predictive(self) -> np.ndarray:
         """log prior predictive pmf of the success count, s = 0..n."""
         s = self._counts
@@ -553,11 +666,6 @@ class BetaBinomialBundle:
             return rng.binomial(self.n, float(theta), size)
         return rng.binomial(self.n, theta)
 
-    def sample_joint(self, rng: np.random.Generator, size: int):
-        """Draw (true rate, count) pairs from the prior predictive."""
-        theta = self.sample_prior(rng, size)
-        return theta, self.sample_stat(rng, theta)
-
     def sample_predictive(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.sample_joint(rng, size)[1]
 
@@ -566,9 +674,6 @@ class BetaBinomialBundle:
         ``t``, ordered by the log predictive pmf."""
         log_pred = self.log_predictive()
         return _enumerated_tail(log_pred, t, draws, np.exp(log_pred))
-
-    def stat_label(self, t: int) -> int:
-        return t
 
 
 def make_beta_binomial(n: int, alpha: float, beta: float) -> BetaBinomialBundle:
@@ -673,9 +778,10 @@ class FiniteBundle:
             )
         self._x_index = {lab: i for i, lab in enumerate(self.x_labels)}
         self._cum_like = np.cumsum(self.like, axis=1)  # inverse-CDF rows of the outcome draw
+        self._usable = np.flatnonzero(self.prior_psi >= PRIOR_CONTENT_FLOOR)
         for arr in (self.prior, self.like, self.joint, self.predictive, self.prior_psi,
                     self.predictive_psi, self._rb_psi, self.psi_index_of_theta, self._group,
-                    self._cum_like):
+                    self._cum_like, self._usable):
             arr.setflags(write=False)
 
     @property
@@ -740,8 +846,44 @@ class FiniteBundle:
         changes nothing."""
         if delta > 1.0:
             raise DomainError(f"no interest value lies at distance >= {delta} under the discrete metric")
-        usable = np.flatnonzero(self.prior_psi >= PRIOR_CONTENT_FLOOR)
-        return [(int(j), int(j)) for j in usable if j != psi0]
+        return [(int(j), int(j)) for j in self._usable if j != psi0]
+
+    def supremum(self, g) -> float:
+        """Largest value of ``g`` over the usable interest labels."""
+        return float(g(self._usable).max())
+
+    def prior_mean(self, g, smooth: bool) -> float:
+        """Prior-weighted sum of ``g`` over the usable interest labels."""
+        return float(np.dot(self.prior_psi[self._usable], g(self._usable)))
+
+    def favor_sup(self, delta: float, disc: Optional[Discretization] = None, boundary_only: bool = True):
+        """``g(psi)``: for interest indices ``psi``, the largest probability
+        under M(. | psi_j) of evidence in favor of psi over the other usable
+        labels psi_j (0 with none).  Tabulated once, in column blocks of at
+        most ``_BLOCK_CELLS`` cells; ``boundary_only`` changes nothing, as
+        every other label lies at distance 1."""
+        refuse_grid(disc)
+        usable = self._usable
+        worst = np.zeros(len(self.psi_labels))
+        if self.alternatives(usable[0], delta):  # refuses delta > 1
+            # favor[j, i]: probability under M(. | psi_j) of evidence in favor of psi_i
+            pred = self.predictive_psi[usable]
+            in_favor = self.rb_psi_table()[usable] >= 1.0
+            cols = max(1, _BLOCK_CELLS // max(usable.size, len(self.x_labels)))
+            for start in range(0, usable.size, cols):
+                favor = pred @ in_favor[start:start + cols].T
+                block = np.arange(favor.shape[1])
+                favor[start + block, block] = -np.inf  # the truth is not an alternative
+                worst[usable[start:start + cols]] = favor.max(axis=0)
+        return lambda psi: worst[psi]
+
+    def profile_cells(self, data, disc: Optional[Discretization]):
+        """(prior contents, posterior contents, data digest, layout) of the
+        profile with one cell per interest label; ``disc`` is refused."""
+        refuse_grid(disc)
+        x_idx = self.reduce_data(data)
+        layout = dict(labels=self.psi_labels)
+        return self.prior_psi.copy(), self.posterior_psi(x_idx), (1, self.x_labels[x_idx]), layout
 
     def posterior_theta(self, x_idx: int) -> np.ndarray:
         return self.joint[:, x_idx] / self.predictive[x_idx]
@@ -787,10 +929,7 @@ class FiniteBundle:
         likelihood entries of that row below ``u * row total``: one left
         ``searchsorted`` per drawn row, with no ``size x |X|`` array."""
         weights = self.prior if cond_prior is None else cond_prior
-        cum_theta = np.cumsum(weights)
-        u_theta = rng.random(size)
-        theta_idx = np.searchsorted(cum_theta, u_theta * cum_theta[-1], side="right")
-        theta_idx = np.clip(theta_idx, 0, len(weights) - 1)
+        theta_idx = _inverse_cdf(weights, rng.random(size))
         u_x = rng.random(size)
         x_idx = np.empty(size, dtype=np.intp)
         order = np.argsort(theta_idx, kind="stable")
@@ -801,6 +940,10 @@ class FiniteBundle:
             row = self._cum_like[theta]
             x_idx[draws] = np.searchsorted(row, u_x[draws] * row[-1], side="left")
         return self.psi_index_of_theta[theta_idx], x_idx
+
+    def sample_prior(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw interest indices from the prior, by inverse CDF."""
+        return _inverse_cdf(self.prior_psi, rng.random(size))
 
     def sample_predictive(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.sample_joint(rng, size)[1]

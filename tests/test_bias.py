@@ -338,7 +338,7 @@ def _betabinomial_favor_reference(bundle, delta, mc):
 
 @pytest.mark.parametrize("n, alpha, beta, delta", [(20, 3.0, 6.0, 0.1), (12, 0.5, 0.5, 0.6)])
 def test_beta_binomial_favor_e_matches_per_draw_reference(monkeypatch, n, alpha, beta, delta):
-    import relbelief.bias as bias_module
+    import relbelief.models as models_module
 
     bundle = make_beta_binomial(n, alpha, beta)
     mc = McConfig(n_sim=1500, seed=31)
@@ -348,7 +348,7 @@ def test_beta_binomial_favor_e_matches_per_draw_reference(monkeypatch, n, alpha,
         assert np.any(draws < 1.0 - delta) and np.any(draws > delta)
         assert np.any((draws >= 1.0 - delta) & (draws <= delta))
     unblocked = bias_in_favor_e(bundle, delta, mc=mc, method="mc")
-    monkeypatch.setattr(bias_module, "_BLOCK_CELLS", 4 * (n + 1) + 3)  # 4 draws per block
+    monkeypatch.setattr(models_module, "_BLOCK_CELLS", 4 * (n + 1) + 3)  # 4 draws per block
     blocked = bias_in_favor_e(bundle, delta, mc=mc, method="mc")
     for comp in (unblocked, blocked):
         assert comp.method == "MonteCarlo"
@@ -357,11 +357,11 @@ def test_beta_binomial_favor_e_matches_per_draw_reference(monkeypatch, n, alpha,
 
 
 def test_finite_favor_e_blocks_give_the_same_value(monkeypatch):
-    import relbelief.bias as bias_module
+    import relbelief.models as models_module
 
     bundle = make_finite(FiniteModelSpec(**FINITE_EDGE_SPECS["zero_prior_label"]))
     whole = bias_in_favor_e(bundle, 1.0).value
-    monkeypatch.setattr(bias_module, "_BLOCK_CELLS", 1)  # one interest value per block
+    monkeypatch.setattr(models_module, "_BLOCK_CELLS", 1)  # one interest value per block
     assert bias_in_favor_e(bundle, 1.0).value == pytest.approx(whole, abs=1e-15)
 
 
@@ -553,6 +553,32 @@ def test_weak_data_average_bias_against_converges_on_the_node_ladder():
     left, _ = integrate.quad(integrand, -9.0, 0.0, limit=200)
     right, _ = integrate.quad(integrand, 0.0, 9.0, limit=200)
     assert avg.value == pytest.approx(left + right, rel=1e-6)
+
+
+@pytest.mark.parametrize("sigma0_sq", [30.0, 100.0, 1000.0])
+def test_weak_data_average_bias_against_is_exact_off_the_node_ladder(sigma0_sq):
+    # the Gauss-Hermite ladder does not settle here; adaptive quadrature takes over
+    import warnings
+
+    spec = LocationNormalSpec(n=1, sigma0_sq=sigma0_sq, mu_star=0.0, tau_star_sq=1.0)
+    bundle = make_location_normal(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        avg, _ = bias_against_e(bundle)
+    assert (avg.method, avg.fallback, avg.se) == ("Exact", False, 0.0)
+    m = np.linspace(-12.0, 12.0, 2_000_001)
+    dense = np.trapezoid((1.0 - favor_prob_locnormal(spec, m, m)) * np.exp(-m * m / 2.0) / np.sqrt(2.0 * np.pi), m)
+    assert avg.value == pytest.approx(dense, abs=1e-9)
+    est, _ = bias_against_e(bundle, mc=McConfig(n_sim=20_000, seed=3), method="mc")
+    assert _within_3se(est.value, est.se, avg.value)
+
+
+@pytest.mark.parametrize("n_sim", [1, 0, 2.0])
+def test_mc_config_needs_two_replications_for_a_standard_error(n_sim):
+    with pytest.raises(DomainError, match="n_sim"):
+        McConfig(n_sim=n_sim)
+    comp = bias_in_favor_e(locnormal(5, 0.0, 1.0), 0.5, mc=McConfig(n_sim=2, seed=1), method="mc")
+    assert np.isfinite(comp.se)
 
 
 @pytest.mark.parametrize("method", ["Exact", "MonteCarlo", "EXACT", None])

@@ -303,6 +303,19 @@ def test_reproduce_tables_match_reference_values(tmp_path):
                 assert abs(g - e) <= tol, (target, column, g, e)
 
 
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_one_replication_is_a_config_error(tmp_path, capsys, where):
+    # one draw has no standard error (the sample variance would be NaN)
+    config = {"bundle": PROSECUTOR, "delta": 1.0, "mode": "estimation", "method": "mc"}
+    extra = ("--sims", "1")
+    if where == "config":
+        config["mc"], extra = {"n_sim": 1}, ()
+    code, out = run(tmp_path, config, "bias", extra)
+    assert code == 2
+    assert "n_sim" in capsys.readouterr().err
+    assert not (out / "bias_estimation.csv").exists()
+
+
 def test_bias_estimation_fallback_exit_code(tmp_path, monkeypatch):
     # force the quadrature fallback path and confirm it surfaces as exit 4
     import relbelief.bias as bias_mod

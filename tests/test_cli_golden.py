@@ -8,6 +8,12 @@ Monte Carlo methods, plus ``design`` with and without an admissible size.
 The library versions in ``run_manifest.json`` depend on the installation and
 are compared with the installed ones instead.
 
+Three cases moved by design after they were recorded, each checked for
+moving only as intended (``ROUNDED``, ``DRAWN``): beta interval probabilities
+choose their survival branch by the CDF at the lower edge, which moves a few
+JSON floats by rounding, and under ``mc`` the finite average bias in favor
+is drawn from the prior instead of summed exactly.
+
 Record with ``python tests/test_cli_golden.py`` -- only from code whose
 outputs are known to be right, never to make this test pass.
 """
@@ -138,9 +144,45 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(CASES)
 
 
+# case -> (file, JSON floats that may move within 1e-12 relative)
+ROUNDED = {
+    "analyze/beta_binomial": ("estimate.json", {"pl_prior_content"}),
+    "assess/beta_binomial": ("assess.json", {"rb0", "strength", "markov_lower", "markov_upper"}),
+}
+# case -> file whose average bias in favor is now drawn
+DRAWN = {"bias/estimation/finite/mc": "bias_estimation.csv"}
+
+
+def _pop(result, filename):
+    """``result`` without ``filename``, and that file's text."""
+    files = dict(result["files"])
+    return {**result, "files": files}, files.pop(filename)
+
+
+def _csv_row(text):
+    header, row = text.splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_outputs_match_golden(golden, name, tmp_path):
-    assert _run(name, tmp_path) == golden[name]
+    got, want = _run(name, tmp_path), golden[name]
+    if name in ROUNDED:
+        filename, floats = ROUNDED[name]
+        (got, g), (want, w) = _pop(got, filename), _pop(want, filename)
+        g, w = json.loads(g), json.loads(w)
+        assert {k: v for k, v in g.items() if k not in floats} == {k: v for k, v in w.items() if k not in floats}
+        for key in floats:
+            assert g[key] == pytest.approx(w[key], rel=1e-12, abs=0.0)
+    if name in DRAWN:
+        (got, g), (want, w) = _pop(got, DRAWN[name]), _pop(want, DRAWN[name])
+        g, w = _csv_row(g), _csv_row(w)
+        drawn = ("avg_bias_in_favor", "se_avg_in_favor")
+        assert {k: v for k, v in g.items() if k not in drawn} == {k: v for k, v in w.items() if k not in drawn}
+        se = float(g["se_avg_in_favor"])
+        assert float(w["se_avg_in_favor"]) == 0.0 and se > 0.0
+        assert abs(float(g["avg_bias_in_favor"]) - float(w["avg_bias_in_favor"])) <= 3.0 * se
+    assert got == want
 
 
 if __name__ == "__main__":

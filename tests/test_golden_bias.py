@@ -12,6 +12,10 @@ option instead.  The finite ones among them, a grid on labels that have no
 cells, stay in the golden comparison and must be refused by an error that
 names the discretization.
 
+The ``MC_POLICY`` cases moved when the ``mc`` method came to mean "every
+average drawn, every supremum exact"; they stay in the golden comparison and
+are checked for moving as that policy says, and no further.
+
 Record with ``python tests/test_golden_bias.py`` -- only from code whose
 outputs are known to be right, never to make this test pass.
 """
@@ -113,6 +117,29 @@ def _changed(key):
 CASES = {key: (build, call) for key, build, call in _cases()}
 CHANGED = sorted(key for key in CASES if _changed(key))
 FINITE_REFUSED = [key for key in CHANGED if key.startswith("finite/")]
+MC_POLICY = [
+    # the supremum is searched exactly, and a grid has no exact cell probability
+    "location_normal/against_e/mc/point",
+    "location_normal/against_e/mc/disc",
+    # the average bias in favor is drawn
+    "finite/favor_e/mc/point/boundary",
+    "finite/favor_e/mc/point/exterior",
+]
+
+
+def _moved_by_mc_policy(key, want, got):
+    if key.endswith("/disc"):
+        assert isinstance(got, dict) and "discretization" in got["error"]
+        return
+    if key.startswith("finite/"):
+        [g], [w] = got, want
+        assert (g["method"], w["method"]) == ("MonteCarlo", "Exact") and g["se"] > 0.0
+        assert abs(g["value"] - w["value"]) <= 3.0 * g["se"]
+        return
+    (g_avg, g_sup), (w_avg, w_sup) = got, want
+    assert g_avg == w_avg  # the average is drawn as before, bit for bit
+    assert (g_sup["method"], g_sup["se"], w_sup["method"]) == ("Exact", 0.0, "MonteCarlo")
+    assert abs(g_sup["value"] - w_sup["value"]) <= 3.0 * w_sup["se"]
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +156,9 @@ def test_bias_matches_golden(golden, key):
     want, got = golden[key], _run(*CASES[key])
     if key in FINITE_REFUSED:
         assert isinstance(got, dict) and "discretization" in got["error"]
+        return
+    if key in MC_POLICY:
+        _moved_by_mc_policy(key, want, got)
         return
     if "error" in want:
         assert got == want

@@ -19,7 +19,7 @@ from relbelief import (
     make_location_normal,
     rb_profile,
 )
-from relbelief.models import build_cells, normal_interval_prob
+from relbelief.models import beta_interval_prob, build_cells, normal_interval_prob
 from relbelief.rng import substream
 
 from oracle import random_finite_spec
@@ -369,6 +369,22 @@ def test_build_cells_anchor_is_a_center():
     edges, idx = build_cells(Discretization(delta=0.25, anchor=3.0), (-1.0, 1.0))
     centers = 0.5 * (edges[:-1] + edges[1:])
     assert centers[idx] == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 200.0), (1.0, 3.0), (1.0, 0.5), (200.0, 1.0), (3.0, 1.0), (0.5, 1.0)])
+def test_beta_interval_prob_tail_accuracy(a, b):
+    # Beta(1, b) has CDF 1 - (1 - x)^b and Beta(a, 1) has CDF x^a; each
+    # difference is written as a product so the reference does not cancel.
+    # Beta(1, 200) on (0.30, 0.31) is 9.87e-32 and Beta(200, 1) on (0.60, 0.61)
+    # is 1.12e-43; a difference of CDFs reads 0 for both.
+    lo = np.arange(1, 98) / 100.0
+    hi = lo + 0.01
+    if a == 1.0:
+        want = (1.0 - lo) ** b * -np.expm1(b * np.log((1.0 - hi) / (1.0 - lo)))
+    else:
+        want = hi ** a * -np.expm1(a * np.log(lo / hi))
+    keep = want > 1e-300
+    np.testing.assert_allclose(beta_interval_prob(lo, hi, a, b)[keep], want[keep], rtol=1e-12, atol=0.0)
 
 
 def test_normal_interval_prob_tail_accuracy():
