@@ -13,12 +13,13 @@ when the truth lies at least ``delta`` away (bias in favor).
   the plausible region.
 
 One engine computes them all over the per-bundle primitive of
-:mod:`relbelief.models`.  A hypothesis bias is exact where the bundle has a
-closed-form region probability (the normal-CDF window of the location-normal
-model, enumeration over counts and finite tables), else seeded Monte Carlo.
-An estimation bias is one path over three bundle methods: ``supremum`` for
-the worst case, ``prior_mean`` for the averages and ``favor_sup`` for the
-function the average bias in favor integrates.  Under ``auto`` and ``exact``
+:mod:`relbelief.models`.  Under ``auto`` and ``exact`` a hypothesis bias is
+the bundle's exact region probability, of a point or of a cell (normal-CDF
+windows in the location-normal model, enumeration over counts and finite
+tables); under ``mc`` it is seeded Monte Carlo.  An estimation bias is one
+path over three bundle methods: ``supremum`` for the worst case,
+``prior_mean`` for the averages and ``favor_sup`` for the function the
+average bias in favor integrates.  Under ``auto`` and ``exact``
 an average is exact wherever the bundle has a prior rule (the beta-binomial
 model has none yet, so its averages are drawn); under ``mc`` every average
 is drawn from the prior predictive and every supremum is still exact.
@@ -35,7 +36,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DesignSearchError, DomainError
-from .models import Discretization, exact_region_prob, favor_prob_locnormal
+from .models import Discretization, favor_prob_locnormal
 from .rng import substream
 
 __all__ = [
@@ -166,12 +167,11 @@ def _check_delta(delta) -> None:
 def _worst_case(bundle, psi0, cases, disc, mc, how, against: bool) -> BiasComponent:
     """Largest probability of the ratio event at ``psi0`` (one value, or one
     per case) -- ratio <= 1 when ``against``, else >= 1 -- over ``cases``,
-    (stream key, true value) pairs.  Exact when asked and the bundle has a
-    region probability, else the largest per-case Monte Carlo estimate."""
+    (stream key, true value) pairs.  Exact unless Monte Carlo was asked for;
+    then the largest per-case Monte Carlo estimate."""
     if how == EXACT:
         probs = bundle.region_prob(psi0, np.array([truth for _, truth in cases]), disc, against)
-        if probs is not None:
-            return BiasComponent(value=min(float(np.max(probs)), 1.0), se=0.0, method=EXACT)
+        return BiasComponent(value=min(float(np.max(probs)), 1.0), se=0.0, method=EXACT)
     mc = mc or McConfig()
     best, best_se = -1.0, 0.0
     for (key, truth), p0 in zip(cases, np.broadcast_to(psi0, len(cases))):
@@ -206,7 +206,7 @@ def bias_against_h(
     """Prior probability of failing to obtain evidence in favor of ``psi0``
     when it is true (ties at a ratio of exactly 1 count as failures)."""
     how = _resolve_method(method)
-    psi0 = bundle.interest(psi0)
+    psi0 = bundle.interest(psi0, disc)
     return _worst_case(bundle, psi0, [(("bias-against-h",), psi0)], disc, mc, how, against=True)
 
 
@@ -229,7 +229,7 @@ def bias_in_favor_h(
     """
     _check_delta(delta)
     how = _resolve_method(method)
-    coord = bundle.interest(psi0)
+    coord = bundle.interest(psi0, disc)
     cases = [(("bias-favor-h", j), truth) for j, truth in bundle.alternatives(coord, delta, boundary_only)]
     if not cases:
         raise DomainError(f"no value with prior mass differs from {psi0!r} by at least {delta}")
@@ -274,17 +274,16 @@ def bias_against_e(
     """Average and worst-case prior probability that the plausible region
     misses the true value.  Returns (average, supremum).
 
-    The supremum is always exact, so a discretization is refused where the
-    bundle has no exact cell probability (location-normal cells) and on a
-    finite model, whose labels have no cells.  The average is exact under
-    ``auto``/``exact`` where the bundle has a prior rule; otherwise it is the
-    share of (true value, statistic) pairs drawn from the prior predictive
-    whose ratio at the true value is at most 1.
+    The supremum is always exact, of the point or of the anchored cell; a
+    finite model refuses a discretization, as its labels have no cells.  The
+    average is exact under ``auto``/``exact`` where the bundle has a prior
+    rule; otherwise it is the share of (true value, statistic) pairs drawn
+    from the prior predictive whose ratio at the true value is at most 1.
     """
     how = _resolve_method(method)
     mc = mc or McConfig()
 
-    g = lambda psi: exact_region_prob(bundle, psi, psi, disc, against=True)
+    g = lambda psi: bundle.region_prob(psi, psi, disc, against=True)
     sup = BiasComponent(value=bundle.supremum(g), se=0.0, method=EXACT)
 
     def drawn():
@@ -305,11 +304,10 @@ def bias_in_favor_e(
     """Prior-averaged worst-case probability of obtaining evidence in favor
     of a value that is meaningfully false (at least ``delta`` away).
 
-    The worst case at each value is exact; its prior average is exact under
-    ``auto``/``exact`` where the bundle has a prior rule, else the mean over
-    seeded prior draws.  A discretization is refused where the inner
-    probability has no exact form (location-normal cells) and on a finite
-    model, whose labels have no cells.
+    The worst case at each value is exact, of the point or of the anchored
+    cell; its prior average is exact under ``auto``/``exact`` where the
+    bundle has a prior rule, else the mean over seeded prior draws.  A finite
+    model refuses a discretization, as its labels have no cells.
     """
     _check_delta(delta)
     how = _resolve_method(method)

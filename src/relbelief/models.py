@@ -15,11 +15,12 @@ A bundle is immutable after construction and safe to share across threads;
 samplers take an explicit generator instead of hidden state.
 
 Every bundle also offers the small primitive the bias engine is built on:
-``interest`` (the internal coordinate of a hypothesized value), ``log_rb``
+``interest`` (the internal coordinate of a hypothesized value, refused when
+it or its anchored cell falls below the prior-content floor), ``log_rb``
 (the log ratio of the point, or of the cell anchored at a value, for
 statistic values), ``region_prob`` (the exact probability that this ratio is
-at most or at least 1 under each true value, ``None`` where no closed form
-exists), ``alternatives`` (the true values a bias in favor ranges over, with
+at most or at least 1 under each true value, for a point and for a cell
+alike), ``alternatives`` (the true values a bias in favor ranges over, with
 their Monte Carlo stream keys), the samplers, and three estimation methods:
 ``supremum(g)``, ``prior_mean(g, smooth)`` (``None`` where the bundle has no
 exact rule yet) and ``favor_sup(delta, disc, boundary_only)`` (the function
@@ -34,6 +35,7 @@ as reported).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -43,7 +45,10 @@ from scipy import integrate, optimize, special
 
 from .errors import DomainError
 
-# Cells whose prior content falls below this are excluded from inference.
+# Cells whose prior content falls below this are excluded from inference, and
+# a hypothesized value whose cell (or label) falls below it is refused.  Prior
+# averages and suprema evaluate every node and draw: their weight there is
+# negligible, and the region probabilities stay accurate in both tails.
 PRIOR_CONTENT_FLOOR = 1e-12
 # Central prior probability covered by a default grid range.
 DEFAULT_RANGE_MASS = 0.9999
@@ -53,6 +58,10 @@ QUAD_DOUBLING_RTOL = 1e-6
 # Gauss-Hermite node counts tried in turn: the first doubling within
 # QUAD_DOUBLING_RTOL is accepted.  hermegauss(512) returns NaN weights.
 _QUAD_NODES = (64, 128, 256)
+# Halvings of the bracket [0, delta + 40 posterior sds] that locate the edge of
+# a location-normal cell's favor window: the bracket shrinks to below one part
+# in 1e19, past double precision.
+_WINDOW_BISECTIONS = 64
 # Cells per intermediate array in the blocked bias-in-favor tables, so memory
 # stays bounded whatever n_sim or the number of interest values.
 _BLOCK_CELLS = 1 << 18
@@ -169,11 +178,18 @@ def build_cells(disc: Discretization, default_range: Tuple[float, float]):
     return edges, None
 
 
+def _prior_cell_content(bundle, lo, hi):
+    """Prior content of the cells (lo, hi], refused where it underflows to 0:
+    the cell ratio is then 0/0."""
+    prior = bundle.prior_interval(lo, hi)
+    if not np.all(prior > 0.0):
+        raise DomainError("a cell's prior content underflows to 0, so its ratio cannot be computed")
+    return prior
+
+
 def _log_cell_rb(bundle, lo, hi, t):
     """log ratio of the cell (lo, hi] for statistic values ``t``."""
-    prior = bundle.prior_interval(lo, hi)
-    if np.any(prior < PRIOR_CONTENT_FLOOR):
-        raise DomainError(f"a cell anchored at the hypothesized value has prior content below {PRIOR_CONTENT_FLOOR}")
+    prior = _prior_cell_content(bundle, lo, hi)
     with np.errstate(divide="ignore"):
         return np.log(bundle.posterior_interval(lo, hi, t)) - np.log(prior)
 
@@ -185,16 +201,14 @@ def refuse_grid(disc: Optional[Discretization]) -> None:
         raise DomainError("a finite bundle takes no discretization: its interest labels have no cells")
 
 
-def exact_region_prob(bundle, psi0, truths, disc: Optional[Discretization], against: bool):
-    """``bundle.region_prob``, refusing a discretization it has no closed
-    form for: an estimation bias is never silently drawn instead."""
-    probs = bundle.region_prob(psi0, truths, disc, against)
-    if probs is None:
-        raise DomainError(
-            f"an estimation bias needs exact cell probabilities, which a {bundle.kind} "
-            f"bundle lacks under a discretization"
-        )
-    return probs
+@functools.lru_cache(maxsize=len(_QUAD_NODES))
+def _hermite_rule(nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite nodes and weights for the weight exp(-t^2/2),
+    built once per node count."""
+    t, w = np.polynomial.hermite_e.hermegauss(nodes)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 def _inverse_cdf(weights, u) -> np.ndarray:
@@ -229,8 +243,19 @@ class _ContinuousBundle:
 
     _draw_cells = 1
 
-    def interest(self, psi0) -> float:
-        return float(psi0)
+    def interest(self, psi0, disc: Optional[Discretization] = None) -> float:
+        """The hypothesized value ``psi0``; with ``disc``, refused when its
+        anchored cell has prior content below PRIOR_CONTENT_FLOOR."""
+        psi0 = float(psi0)
+        if disc is not None and self.prior_interval(*self._cell(psi0, disc.delta)) < PRIOR_CONTENT_FLOOR:
+            raise DomainError(
+                f"a cell anchored at the hypothesized value has prior content below {PRIOR_CONTENT_FLOOR}"
+            )
+        return psi0
+
+    def _cell(self, psi0, delta: float):
+        """The cell of half-width ``delta`` anchored at ``psi0`` (broadcast)."""
+        return psi0 - delta, psi0 + delta
 
     def stat_label(self, t):
         return t
@@ -260,7 +285,7 @@ class _ContinuousBundle:
 
         def one(p0):
             truths = np.array([truth for _, truth in self.alternatives(p0, delta, boundary_only)])
-            return np.fmax.reduce(exact_region_prob(self, p0, truths, disc, False), axis=0, initial=0.0)
+            return np.fmax.reduce(self.region_prob(p0, truths, disc, False), axis=0, initial=0.0)
 
         def g(p0):
             if np.ndim(p0) == 0:
@@ -372,6 +397,8 @@ class LocationNormalBundle(_ContinuousBundle):
         self.n = spec.n
         self._tau_star = math.sqrt(spec.tau_star_sq)
         self._stat_sd = math.sqrt(spec.sigma0_sq / spec.n)
+        self._post_sd = math.sqrt(self.posterior_params(0.0)[1])
+        self._shrink = spec.n * spec.tau_star_sq / (spec.n * spec.tau_star_sq + spec.sigma0_sq)
         self._sup_grid = (spec.mu_star, 6.0 * self._tau_star, 121)
 
     @property
@@ -425,15 +452,40 @@ class LocationNormalBundle(_ContinuousBundle):
         cell of half-width ``disc.delta`` anchored there (broadcast)."""
         if disc is None:
             return self.log_rb_point(psi0, t)
-        return _log_cell_rb(self, psi0 - disc.delta, psi0 + disc.delta, t)
+        return _log_cell_rb(self, *self._cell(psi0, disc.delta), t)
+
+    def _cell_window(self, psi0, delta: float):
+        """Data means (lo, hi) between which the ratio of the cell of
+        half-width ``delta`` anchored at ``psi0`` is >= 1 (vectorized).
+
+        The posterior content of the cell is symmetric in the offset u of the
+        posterior mean from ``psi0`` and falls strictly in |u|; at u = 0 it
+        exceeds the prior content, the posterior being narrower.  So the
+        posterior means with a ratio >= 1 are [psi0 - u*, psi0 + u*], where u*
+        solves "posterior content = prior content"; it is found by a fixed
+        count of halvings of [0, delta + 40 posterior sds] for every ``psi0``
+        at once, and mapped back to data means."""
+        psi0 = np.asarray(psi0, dtype=float)
+        target = _prior_cell_content(self, *self._cell(psi0, delta))
+        lo = np.zeros_like(target)
+        hi = np.full_like(target, delta + 40.0 * self._post_sd)
+        for _ in range(_WINDOW_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            inside = normal_interval_prob(-delta, delta, mid, self._post_sd) >= target
+            lo = np.where(inside, mid, lo)
+            hi = np.where(inside, hi, mid)
+        # the posterior mean moves by ``_shrink`` per unit of data mean
+        m = self.spec.mu_star
+        return m + (psi0 - lo - m) / self._shrink, m + (psi0 + lo - m) / self._shrink
 
     def region_prob(self, psi0, truths, disc: Optional[Discretization] = None, against: bool = True):
-        """Exact probability that the ratio at ``psi0`` is <= 1 (``against``)
-        or >= 1 when the data mean comes from each true value (broadcast).
-        ``None`` for a cell ratio, which has no closed form here."""
-        if disc is not None:
-            return None
-        favor = favor_prob_locnormal(self.spec, psi0, truths)
+        """Exact probability that the ratio at ``psi0`` (of the point, or of
+        the cell anchored there) is <= 1 (``against``) or >= 1 when the data
+        mean comes from each true value (broadcast)."""
+        if disc is None:
+            favor = favor_prob_locnormal(self.spec, psi0, truths)
+        else:
+            favor = normal_interval_prob(*self._cell_window(psi0, disc.delta), truths, self._stat_sd)
         return 1.0 - favor if against else favor
 
     def alternatives(self, psi0, delta: float, boundary_only: bool = True):
@@ -458,7 +510,7 @@ class LocationNormalBundle(_ContinuousBundle):
         if smooth:
             prev = None
             for nodes in _QUAD_NODES:
-                t, w = np.polynomial.hermite_e.hermegauss(nodes)
+                t, w = _hermite_rule(nodes)
                 value = float(np.dot(w, g(mean + sd * t)) / math.sqrt(2.0 * math.pi))
                 if prev is not None and abs(value - prev) <= QUAD_DOUBLING_RTOL * max(abs(value), 1e-12):
                     return value
@@ -576,6 +628,10 @@ class BetaBinomialBundle(_ContinuousBundle):
         a_post, b_post = self.posterior_params(s)
         return beta_interval_prob(lo, hi, a_post, b_post)
 
+    def _cell(self, psi0, delta: float):
+        """The cell of half-width ``delta`` anchored at ``psi0``, cut to [0, 1]."""
+        return np.maximum(psi0 - delta, 0.0), np.minimum(psi0 + delta, 1.0)
+
     def log_rb_point(self, psi0, s):
         """log posterior-to-prior density ratio at psi0 given the count."""
         psi0 = np.asarray(psi0, dtype=float)
@@ -599,9 +655,7 @@ class BetaBinomialBundle(_ContinuousBundle):
         if disc is None:
             out = self.log_rb_point(psi0, s)
         else:
-            psi0 = np.asarray(psi0, dtype=float)
-            lo, hi = np.maximum(psi0 - disc.delta, 0.0), np.minimum(psi0 + disc.delta, 1.0)
-            out = _log_cell_rb(self, lo, hi, s)
+            out = _log_cell_rb(self, *self._cell(np.asarray(psi0, dtype=float), disc.delta), s)
         return out[t] if one else out
 
     def region_prob(self, psi0, truths, disc: Optional[Discretization] = None, against: bool = True):
@@ -817,8 +871,10 @@ class FiniteBundle:
         except ValueError:
             raise DomainError(f"unknown interest value {psi!r}") from None
 
-    def interest(self, psi0) -> int:
-        """Index of the interest value ``psi0``, which must clear the prior floor."""
+    def interest(self, psi0, disc: Optional[Discretization] = None) -> int:
+        """Index of the interest value ``psi0``, which must clear the prior
+        floor; labels have no cells, so ``disc`` is refused."""
+        refuse_grid(disc)
         idx = self.psi_index(psi0)
         if self.prior_psi[idx] < PRIOR_CONTENT_FLOOR:
             raise DomainError(f"interest value {psi0!r} has prior content below {PRIOR_CONTENT_FLOOR}")

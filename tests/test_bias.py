@@ -390,6 +390,10 @@ OPTION_BUNDLES = {
 }
 
 
+# the (bundle, option) pairs an estimation bias refuses by name
+REFUSED_OPTIONS = {("finite", "discretization"), ("beta_binomial", "boundary_only")}
+
+
 @pytest.mark.parametrize("method", ["auto", "exact", "mc"])
 @pytest.mark.parametrize("functional", ["against_e", "favor_e"])
 @pytest.mark.parametrize("kind", list(OPTION_BUNDLES))
@@ -397,33 +401,117 @@ def test_estimation_options_are_honoured_or_refused(kind, functional, method):
     """A discretization or a full exterior search either changes an
     estimation bias or is refused by name.  A finite model refuses the
     discretization (its labels have no cells); its labels all sit at distance
-    1 from each other, so the exterior search leaves it unaffected."""
+    1 from each other, so the exterior search leaves it unaffected.  The
+    beta-binomial exterior search runs for one rate only, so an average
+    refuses it.  A location-normal grid is honoured exactly wherever the point
+    is: exact cells under ``auto``/``exact``, exact suprema under ``mc``."""
     from relbelief import Discretization
 
     build, delta = OPTION_BUNDLES[kind]
     bundle, mc = build(), McConfig(n_sim=2000, seed=3)
 
-    def values(**opts):
+    def components(**opts):
         if functional == "against_e":
-            return [c.value for c in bias_against_e(bundle, mc=mc, method=method, **opts)]
-        return [bias_in_favor_e(bundle, delta, mc=mc, method=method, **opts).value]
+            return list(bias_against_e(bundle, mc=mc, method=method, **opts))
+        return [bias_in_favor_e(bundle, delta, mc=mc, method=method, **opts)]
 
-    base = values()
+    base = components()
     options = {"discretization": {"disc": Discretization(delta=0.2)}}
     if functional == "favor_e":
         options["boundary_only"] = {"boundary_only": False}
     for name, opts in options.items():
-        try:
-            got = values(**opts)
-        except DomainError as exc:
-            assert name in str(exc)
-            assert not (kind == "finite" and name == "boundary_only")
+        if (kind, name) in REFUSED_OPTIONS:
+            with pytest.raises(DomainError, match=name):
+                components(**opts)
             continue
-        assert not (kind == "finite" and name == "discretization")
+        got = components(**opts)
+        assert [g.method for g in got] == [b.method for b in base], name
         if kind == "finite":
-            assert got == base
+            assert [g.value for g in got] == [b.value for b in base]
         else:
-            assert all(g != b for g, b in zip(got, base)), (name, got, base)
+            assert all(g.value != b.value for g, b in zip(got, base)), (name, got, base)
+
+
+class _Drew(Exception):
+    """Raised by a sampler that must not run."""
+
+
+def test_no_exact_request_draws(monkeypatch):
+    """Under ``auto`` and ``exact`` every hypothesis bias, of a point or a
+    cell, and every location-normal and finite estimation bias is computed
+    without one draw.  The one listed exemption: the beta-binomial estimation
+    averages, which have no exact prior rule yet and are drawn."""
+    from relbelief import Discretization
+    from relbelief.models import BetaBinomialBundle, FiniteBundle, LocationNormalBundle
+
+    def refuse(*args, **kwargs):
+        raise _Drew
+
+    for cls in (LocationNormalBundle, BetaBinomialBundle, FiniteBundle):
+        for name in ("sample_stat", "sample_joint", "sample_prior"):
+            monkeypatch.setattr(cls, name, refuse)
+    setups = {
+        "location_normal": (locnormal(10, 0.3, 1.0), 0.2, 0.5, Discretization(delta=0.1)),
+        "beta_binomial": (make_beta_binomial(15, 2.0, 3.0), 0.4, 0.15, Discretization(delta=0.05)),
+        "finite": (make_finite(FiniteModelSpec(**FINITE_EDGE_SPECS["grouped"])), "b", 1.0, None),
+    }
+    for method in ("auto", "exact"):
+        for kind, (bundle, psi0, delta, cell) in setups.items():
+            for disc in (None,) if cell is None else (None, cell):
+                opts = dict(disc=disc, method=method)
+                comps = [bias_against_h(bundle, psi0, **opts)]
+                comps += [bias_in_favor_h(bundle, psi0, delta, boundary_only=bo, **opts) for bo in (True, False)]
+                if kind == "beta_binomial":
+                    with pytest.raises(_Drew):
+                        bias_against_e(bundle, **opts)
+                    with pytest.raises(_Drew):
+                        bias_in_favor_e(bundle, delta, **opts)
+                else:
+                    comps += bias_against_e(bundle, **opts)
+                    comps += [bias_in_favor_e(bundle, delta, boundary_only=bo, **opts) for bo in (True, False)]
+                assert all(c.method == "Exact" for c in comps), (kind, method, disc)
+
+
+def test_prior_content_floor_refuses_only_a_named_value():
+    """A hypothesized value whose anchored cell has prior content below the
+    floor is refused, under ``exact`` and ``mc`` alike.  The same value as a
+    Gauss-Hermite node of a prior average, beyond 9 prior sds, is evaluated:
+    exactly, and by drawn cell ratios that agree with it."""
+    from relbelief import Discretization
+    from relbelief.models import PRIOR_CONTENT_FLOOR
+
+    bundle, disc = locnormal(10, 0.0, 1.0), Discretization(delta=0.05)
+    node = float(np.polynomial.hermite_e.hermegauss(64)[0].max())
+    assert node > 9.0 and bundle.prior_interval(node - 0.05, node + 0.05) < PRIOR_CONTENT_FLOOR
+    mc = McConfig(n_sim=1000, seed=2)
+    for method in ("exact", "mc"):
+        with pytest.raises(DomainError, match="prior content below"):
+            bias_against_h(bundle, node, disc=disc, mc=mc, method=method)
+        with pytest.raises(DomainError, match="prior content below"):
+            bias_in_favor_h(bundle, node, 0.5, disc=disc, mc=mc, method=method)
+        avg, _ = bias_against_e(bundle, disc=disc, mc=mc, method=method)
+        assert avg.method == ("Exact" if method == "exact" else "MonteCarlo")
+    for truth in (node, node - 3.5, node + 6.5):  # the window is about (node - 3.5, node + 6.5)
+        exact = float(bundle.region_prob(node, truth, disc, against=False))
+        draws = bundle.sample_stat(np.random.default_rng(4), truth, size=20_000)
+        log_rb = bundle.log_rb(node, draws, disc)
+        assert np.all(np.isfinite(log_rb))
+        assert abs(np.mean(log_rb >= 0.0) - exact) <= 3.0 * np.sqrt(exact * (1.0 - exact) / draws.size) + 1e-4
+
+
+def test_beta_binomial_cells_below_the_floor_are_evaluated_and_empty_ones_refused():
+    """The floor refuses no cell of a supremum search or a prior average; a
+    cell whose prior content underflows to 0 has no computable ratio and is
+    refused by name."""
+    from relbelief import Discretization
+
+    disc, mc = Discretization(delta=0.05), McConfig(n_sim=2000, seed=1)
+    bundle = make_beta_binomial(10, 2.0, 20.0)  # the grid's cells near 1 hold about 1e-26
+    assert bundle.prior_interval(0.95, 1.0) < 1e-20
+    avg, sup = bias_against_e(bundle, disc=disc, mc=mc)
+    assert avg.value <= sup.value + 3.0 * avg.se
+    with pytest.raises(DomainError, match="underflows to 0"):
+        bias_against_e(make_beta_binomial(10, 500.0, 1.0), disc=disc, mc=mc)
 
 
 def test_design_forwards_boundary_only(monkeypatch):

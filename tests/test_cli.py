@@ -183,6 +183,24 @@ def test_bias_estimation_mode(tmp_path):
     assert float(row["avg_bias_in_favor"]) == pytest.approx(0.486, abs=0.003)
 
 
+def test_bias_on_a_location_normal_grid_is_exact_and_refuses_only_a_named_value(tmp_path, capsys):
+    bundle = {"kind": "location_normal", "n": 20, "sigma0_sq": 1.0, "mu_star": 0.0, "tau_star_sq": 1.0}
+    grid = {"delta": 0.1}
+    config = {"bundle": bundle, "delta": 0.5, "mode": "estimation", "discretization": grid}
+    code, out = run(tmp_path, config, "bias")
+    assert code == 0
+    row = read_csv(out / "bias_estimation.csv")[0]
+    assert row["method"] == "Exact"
+    assert float(row["sup_bias_against"]) == pytest.approx(0.0671559, abs=1e-7)
+    assert float(row["avg_bias_in_favor"]) == pytest.approx(0.5039308, abs=1e-7)
+    # a hypothesized value 9 prior sds out: its cell holds about 2e-19
+    for method in ("exact", "mc"):
+        config = {"bundle": bundle, "psi0": 9.0, "delta": 0.5, "method": method, "discretization": grid}
+        assert run(tmp_path, config, "bias")[0] == 3
+    floor = "domain error: a cell anchored at the hypothesized value has prior content below 1e-12"
+    assert capsys.readouterr().err.splitlines() == [floor] * 2
+
+
 @pytest.mark.parametrize("value", ["false", 0, None])
 def test_boundary_only_must_be_a_json_boolean(tmp_path, value):
     bias = {"bundle": LOCNORMAL_20, "psi0": 0.0, "delta": 0.5, "boundary_only": value}
@@ -317,14 +335,21 @@ def test_one_replication_is_a_config_error(tmp_path, capsys, where):
 
 
 def test_bias_estimation_fallback_exit_code(tmp_path, monkeypatch):
-    # force the quadrature fallback path and confirm it surfaces as exit 4
+    # no library path sets ``fallback``; a fake with the real signature sets
+    # it, to confirm the CLI surfaces it as exit 4
+    import inspect
+
     import relbelief.bias as bias_mod
     from relbelief.bias import BiasComponent
 
-    def fake_against(bundle, disc=None, mc=None, method="auto", quad_nodes=64):
+    def fake_against(bundle, disc=None, mc=None, method="auto"):
         comp = BiasComponent(value=0.1, se=0.001, method="MonteCarlo", fallback=True)
         return comp, BiasComponent(value=0.2, se=0.0, method="Exact")
 
+    def params(fn):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()]
+
+    assert params(fake_against) == params(bias_mod.bias_against_e)
     monkeypatch.setattr(bias_mod, "bias_against_e", fake_against)
     config = {
         "bundle": {

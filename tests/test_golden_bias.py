@@ -16,6 +16,11 @@ The ``MC_POLICY`` cases moved when the ``mc`` method came to mean "every
 average drawn, every supremum exact"; they stay in the golden comparison and
 are checked for moving as that policy says, and no further.
 
+The ``CELL_EXACT`` cases moved when the location-normal cell ratio got an
+exact region probability: a hypothesis bias on a cell is exact under
+``auto``/``exact`` instead of drawn, and an estimation bias on a grid is
+computed instead of refused.  They are checked for moving as that says.
+
 Record with ``python tests/test_golden_bias.py`` -- only from code whose
 outputs are known to be right, never to make this test pass.
 """
@@ -102,8 +107,9 @@ def _changed(key):
     """Cases whose recorded output ignored an option: a discretization on a
     finite bundle, whose labels have no cells; a discretization in an
     estimation bias on a continuous bundle (location-normal Monte Carlo bias
-    against already honoured it); and the exterior search of the
-    beta-binomial average bias in favor."""
+    against already honoured it; the location-normal ones are ``CELL_EXACT``
+    cases, checked against the cell results they now give); and the exterior
+    search of the beta-binomial average bias in favor."""
     kind, func, method, grid, *search = key.split("/")
     if kind == "finite":
         return grid == "disc"
@@ -118,7 +124,7 @@ CASES = {key: (build, call) for key, build, call in _cases()}
 CHANGED = sorted(key for key in CASES if _changed(key))
 FINITE_REFUSED = [key for key in CHANGED if key.startswith("finite/")]
 MC_POLICY = [
-    # the supremum is searched exactly, and a grid has no exact cell probability
+    # the supremum is searched exactly
     "location_normal/against_e/mc/point",
     "location_normal/against_e/mc/disc",
     # the average bias in favor is drawn
@@ -127,10 +133,19 @@ MC_POLICY = [
 ]
 
 
+CELL_EXACT = [
+    # hypothesis biases on a cell: Monte Carlo -> exact
+    *(f"location_normal/against_h/{m}/disc" for m in ("auto", "exact")),
+    *(f"location_normal/favor_h/{m}/disc/{s}" for m in ("auto", "exact") for s in ("boundary", "exterior")),
+    # estimation biases on a grid: refused -> computed.  The recorded outputs
+    # ignored the grid, except the drawn average bias against under mc, which
+    # is also an MC_POLICY case and is checked as one.
+    *(f"location_normal/against_e/{m}/disc" for m in METHODS),
+    *(f"location_normal/favor_e/{m}/disc/{s}" for m in METHODS for s in ("boundary", "exterior")),
+]
+
+
 def _moved_by_mc_policy(key, want, got):
-    if key.endswith("/disc"):
-        assert isinstance(got, dict) and "discretization" in got["error"]
-        return
     if key.startswith("finite/"):
         [g], [w] = got, want
         assert (g["method"], w["method"]) == ("MonteCarlo", "Exact") and g["se"] > 0.0
@@ -140,6 +155,26 @@ def _moved_by_mc_policy(key, want, got):
     assert g_avg == w_avg  # the average is drawn as before, bit for bit
     assert (g_sup["method"], g_sup["se"], w_sup["method"]) == ("Exact", 0.0, "MonteCarlo")
     assert abs(g_sup["value"] - w_sup["value"]) <= 3.0 * w_sup["se"]
+
+
+def _moved_to_exact_cells(key, want, got, golden):
+    _, func, method, *_ = key.split("/")
+    if func.endswith("_h"):
+        # the recorded draws honoured the cell, so they bound the exact value
+        [g], [w] = got, want
+        assert (g["method"], g["se"], w["method"]) == ("Exact", 0.0, "MonteCarlo")
+        assert abs(g["value"] - w["value"]) <= 3.0 * w["se"]
+        return
+    assert [g["value"] for g in got] != [w["value"] for w in want]  # the grid is no longer ignored
+    if method == "mc":  # the average bias in favor, drawn over the prior
+        assert [g["method"] for g in got] == ["MonteCarlo"]
+        return
+    assert all((g["method"], g["se"]) == ("Exact", 0.0) for g in got)
+    # the exact average agrees with the one drawn over the same grid: the
+    # recorded one for the bias against, a fresh one for the bias in favor
+    mc_key = key.replace(f"/{method}/", "/mc/")
+    drawn = golden[mc_key] if func == "against_e" else _run(*CASES[mc_key])
+    assert abs(got[0]["value"] - drawn[0]["value"]) <= 3.0 * drawn[0]["se"]
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +195,9 @@ def test_bias_matches_golden(golden, key):
     if key in MC_POLICY:
         _moved_by_mc_policy(key, want, got)
         return
+    if key in CELL_EXACT:
+        _moved_to_exact_cells(key, want, got, golden)
+        return
     if "error" in want:
         assert got == want
         return
@@ -178,6 +216,9 @@ def test_estimation_bias_no_longer_ignores_an_option(golden, key):
     """The option the recorded output ignored now either changes the answer
     or is refused by name."""
     got = _run(*CASES[key])
+    if key in CELL_EXACT:
+        _moved_to_exact_cells(key, golden[key], got, golden)
+        return
     if "error" in got:
         bb_exterior = key.startswith("beta_binomial") and key.endswith("exterior")
         assert ("boundary_only" if bb_exterior else "discretization") in got["error"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 from relbelief import (
     Discretization,
@@ -393,3 +393,86 @@ def test_normal_interval_prob_tail_accuracy():
     exact = stats.norm.sf(8.0) - stats.norm.sf(8.5)
     assert p == pytest.approx(exact, rel=1e-10)
     assert p > 0.0
+
+
+# -- location-normal cell window -------------------------------------------------
+
+
+def _cell_favor_by_brentq(spec, psi0, c, truths):
+    """Probability that the ratio of [psi0 - c, psi0 + c] is >= 1 under each
+    true mean: the window's two ends found by ``brentq`` in the posterior
+    mean, one on each side of ``psi0``, then mapped to data means."""
+    post_var = 1.0 / (spec.n / spec.sigma0_sq + 1.0 / spec.tau_star_sq)
+    post_sd, tau = math.sqrt(post_var), math.sqrt(spec.tau_star_sq)
+
+    def content(mean, sd):
+        lo, hi = psi0 - c, psi0 + c
+        if lo >= mean:
+            return stats.norm.sf(lo, mean, sd) - stats.norm.sf(hi, mean, sd)
+        return stats.norm.cdf(hi, mean, sd) - stats.norm.cdf(lo, mean, sd)
+
+    target = content(spec.mu_star, tau)
+    excess = lambda mp: content(mp, post_sd) - target
+    reach = c + 40.0 * post_sd
+    ends = [optimize.brentq(excess, a, b, xtol=1e-15, rtol=1e-15) for a, b in ((psi0 - reach, psi0), (psi0, psi0 + reach))]
+    x_lo, x_hi = ((mp - post_var * spec.mu_star / spec.tau_star_sq) / (post_var * spec.n / spec.sigma0_sq) for mp in ends)
+    sd = math.sqrt(spec.sigma0_sq / spec.n)
+    return stats.norm.cdf(x_hi, truths, sd) - stats.norm.cdf(x_lo, truths, sd)
+
+
+@st.composite
+def cell_cases(draw):
+    """A location-normal spec, a value across its prior and a cell half-width
+    from 1e-3 to twice the prior sd."""
+    spec = LocationNormalSpec(
+        n=draw(st.integers(1, 200)),
+        sigma0_sq=draw(st.floats(0.05, 20.0)),
+        mu_star=draw(st.floats(-5.0, 5.0)),
+        tau_star_sq=draw(st.floats(0.01, 20.0)),
+    )
+    tau = math.sqrt(spec.tau_star_sq)
+    psi0 = spec.mu_star + tau * draw(st.floats(-5.0, 5.0))
+    c = math.exp(draw(st.floats(math.log(1e-3), math.log(2.0 * tau))))
+    return spec, psi0, c
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=cell_cases(), offsets=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+def test_cell_region_prob_matches_a_brentq_window(case, offsets):
+    spec, psi0, c = case
+    bundle, disc = make_location_normal(spec), Discretization(delta=c)
+    truths = psi0 + math.sqrt(spec.tau_star_sq) * np.array([0.0, *offsets])
+    want = _cell_favor_by_brentq(spec, psi0, c, truths)
+    favor = bundle.region_prob(psi0, truths, disc, against=False)
+    np.testing.assert_allclose(favor, want, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(bundle.region_prob(psi0, truths, disc), 1.0 - favor, rtol=0.0, atol=0.0)
+    # one call over an array of values gives each value's own window
+    np.testing.assert_allclose(bundle.region_prob(np.full(truths.size, psi0), truths, disc, False), favor, atol=1e-15)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=cell_cases(), offset=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_cell_region_prob_agrees_with_drawn_cell_ratios(case, offset, seed):
+    spec, psi0, c = case
+    bundle, disc, n_sim = make_location_normal(spec), Discretization(delta=c), 20_000
+    truth = psi0 + offset * math.sqrt(spec.tau_star_sq)
+    exact = float(bundle.region_prob(psi0, truth, disc, against=False))
+    draws = bundle.sample_stat(np.random.default_rng(seed), truth, size=n_sim)
+    drawn = float(np.mean(bundle.log_rb(psi0, draws, disc) >= 0.0))
+    assert abs(drawn - exact) <= 3.0 * math.sqrt(exact * (1.0 - exact) / n_sim) + 1.0 / n_sim
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=cell_cases(), offset=st.floats(-3.0, 3.0))
+def test_cell_favor_prob_approaches_the_point_as_the_cell_shrinks(case, offset):
+    from relbelief import favor_prob_locnormal
+
+    spec, psi0, _ = case
+    bundle = make_location_normal(spec)
+    truth = psi0 + offset * math.sqrt(spec.tau_star_sq)
+    point = favor_prob_locnormal(spec, psi0, truth)
+    post_sd = math.sqrt(bundle.posterior_params(0.0)[1])
+    gaps = [abs(float(bundle.region_prob(psi0, truth, Discretization(delta=k * post_sd), False)) - point)
+            for k in (1e-1, 1e-2, 1e-4)]
+    assert gaps[-1] <= 1e-7
+    assert gaps[-1] <= gaps[0] + 1e-12
