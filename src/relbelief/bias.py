@@ -77,6 +77,8 @@ class McConfig:
     def __post_init__(self):
         if not (isinstance(self.n_sim, (int, np.integer)) and self.n_sim >= 2):
             raise DomainError(f"n_sim must be an integer >= 2 (a standard error needs two draws), got {self.n_sim!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,21 @@ def _check_delta(delta) -> None:
         raise DomainError(f"a positive difference-that-matters is required, got {delta!r}")
 
 
+def _check_grid(disc: Optional[Discretization], psi0=None) -> None:
+    """A bias reads only the ``delta`` of a discretization: its one cell is
+    anchored at the hypothesized value ``psi0``, or in estimation (``psi0``
+    None) at each value the prior weighs.  Refuse a ``range``, and an
+    ``anchor`` anywhere else, rather than ignore them."""
+    if disc is None:
+        return
+    if disc.range is not None:
+        raise DomainError(f"a bias takes no discretization range (its cell is anchored at the value assessed), "
+                          f"got range {disc.range}")
+    if disc.anchor is not None and (psi0 is None or disc.anchor != psi0):
+        at = "each prior value" if psi0 is None else f"psi0 = {psi0!r}"
+        raise DomainError(f"a bias anchors its discretization cell at {at}, got anchor {disc.anchor}")
+
+
 def _worst_case(bundle, psi0, cases, disc, mc, how, against: bool) -> BiasComponent:
     """Largest probability of the ratio event at ``psi0`` (one value, or one
     per case) -- ratio <= 1 when ``against``, else >= 1 -- over ``cases``,
@@ -206,6 +223,7 @@ def bias_against_h(
     """Prior probability of failing to obtain evidence in favor of ``psi0``
     when it is true (ties at a ratio of exactly 1 count as failures)."""
     how = _resolve_method(method)
+    _check_grid(disc, psi0)
     psi0 = bundle.interest(psi0, disc)
     return _worst_case(bundle, psi0, [(("bias-against-h",), psi0)], disc, mc, how, against=True)
 
@@ -229,6 +247,7 @@ def bias_in_favor_h(
     """
     _check_delta(delta)
     how = _resolve_method(method)
+    _check_grid(disc, psi0)
     coord = bundle.interest(psi0, disc)
     cases = [(("bias-favor-h", j), truth) for j, truth in bundle.alternatives(coord, delta, boundary_only)]
     if not cases:
@@ -281,6 +300,7 @@ def bias_against_e(
     from the prior predictive whose ratio at the true value is at most 1.
     """
     how = _resolve_method(method)
+    _check_grid(disc)
     mc = mc or McConfig()
 
     g = lambda psi: bundle.region_prob(psi, psi, disc, against=True)
@@ -311,6 +331,7 @@ def bias_in_favor_e(
     """
     _check_delta(delta)
     how = _resolve_method(method)
+    _check_grid(disc)
     mc = mc or McConfig()
     g = bundle.favor_sup(delta, disc, boundary_only)
 

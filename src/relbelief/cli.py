@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import math
@@ -563,7 +564,20 @@ def cmd_reproduce(args, out: Path) -> int:
 # entry point
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; each
+    ``parse_args`` returns a fresh namespace, so calls share no state."""
     parser = argparse.ArgumentParser(prog="relbelief", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -571,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (created if missing)")
         p.add_argument("--seed", type=int, default=None, help="override the Monte Carlo seed")
         p.add_argument("--sims", type=int, default=None, help="override the replication count")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_positive_int, default=1,
                        help="worker threads (results are identical for any value)")
 
     for name in ("analyze", "assess", "bias", "design", "check"):

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import integrate, optimize, special
+import scipy  # scipy.integrate and scipy.optimize load on first use, which post-data jobs never reach
+from scipy import special
 
 from .errors import DomainError
 
@@ -273,7 +274,7 @@ class _ContinuousBundle:
         grid = np.linspace(center - halfwidth, center + halfwidth, points)
         vals = g(grid)
         k = int(np.argmax(vals))
-        res = optimize.minimize_scalar(
+        res = scipy.optimize.minimize_scalar(
             lambda m: -float(g(m)), bounds=(grid[max(k - 1, 0)], grid[min(k + 1, points - 1)]), method="bounded"
         )
         return max(float(-res.fun), float(vals[k]))
@@ -518,8 +519,8 @@ class LocationNormalBundle(_ContinuousBundle):
         pdf = lambda m: math.exp(-((m - mean) ** 2) / (2.0 * self.spec.tau_star_sq)) / (sd * math.sqrt(2.0 * math.pi))
         integrand = lambda m: float(g(m)) * pdf(m)
         span = 9.0 * sd
-        left, _ = integrate.quad(integrand, mean - span, mean, limit=200)
-        right, _ = integrate.quad(integrand, mean, mean + span, limit=200)
+        left, _ = scipy.integrate.quad(integrand, mean - span, mean, limit=200)
+        right, _ = scipy.integrate.quad(integrand, mean, mean + span, limit=200)
         return left + right
 
     def prior_predictive_params(self) -> Tuple[float, float]:

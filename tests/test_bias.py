@@ -669,6 +669,65 @@ def test_mc_config_needs_two_replications_for_a_standard_error(n_sim):
     assert np.isfinite(comp.se)
 
 
+@pytest.mark.parametrize("seed", [-5, -1, 2**64, 2**64 + 5, 1.5, "5"])
+def test_mc_config_refuses_a_seed_outside_64_bits(seed):
+    # the stream key is 64 bits: -5 would run the stream of 2**64 - 5
+    with pytest.raises(DomainError, match="seed"):
+        McConfig(seed=seed)
+
+
+def test_mc_config_accepts_every_64_bit_seed():
+    bundle = locnormal(5, 0.0, 1.0)
+    for seed in (0, 2**63, 2**64 - 1):
+        comp = bias_against_h(bundle, 0.0, mc=McConfig(n_sim=100, seed=seed), method="mc")
+        assert comp.method == "MonteCarlo"
+
+
+# the six public bias functions and the design search: name -> (assesses
+# psi0 = 0.2, call on a bundle and a grid)
+_GRID_CALLS = {
+    "bias_against_h": (True, lambda b, disc: bias_against_h(b, 0.2, disc=disc)),
+    "bias_in_favor_h": (True, lambda b, disc: bias_in_favor_h(b, 0.2, 0.5, disc=disc)),
+    "hypothesis_bias": (True, lambda b, disc: hypothesis_bias(b, 0.2, 0.5, disc=disc)),
+    "design_sample_size": (True, lambda b, disc: design_sample_size(
+        lambda n: b, 0.2, 0.5, {"max_bias_in_favor": 0.9}, [10], disc=disc)),
+    "bias_against_e": (False, lambda b, disc: bias_against_e(b, disc=disc)),
+    "bias_in_favor_e": (False, lambda b, disc: bias_in_favor_e(b, 0.5, disc=disc)),
+    "estimation_bias": (False, lambda b, disc: estimation_bias(b, 0.5, disc=disc)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_CALLS))
+def test_bias_functions_refuse_the_grid_keys_they_ignore(name):
+    """A bias reads only the grid's ``delta``: its cell is anchored at the
+    value assessed, so a ``range`` or another ``anchor`` is refused, not
+    ignored (they used to leave every value unchanged)."""
+    from relbelief import Discretization
+
+    hypothesis, fn = _GRID_CALLS[name]
+    call = lambda disc: fn(locnormal(10, 0.0, 1.0), disc)
+    with pytest.raises(DomainError, match="range"):
+        call(Discretization(delta=0.1, range=(3.0, 4.0)))
+    with pytest.raises(DomainError, match="anchor"):
+        call(Discretization(delta=0.1, anchor=3.5))
+    with pytest.raises(DomainError, match="range"):
+        call(Discretization(delta=0.1, range=(3.0, 4.0), anchor=0.2))
+    plain = call(Discretization(delta=0.1))
+    if hypothesis:
+        # the hypothesized value is where the cell is anchored anyway
+        assert call(Discretization(delta=0.1, anchor=0.2)) == plain
+    else:
+        with pytest.raises(DomainError, match="anchor"):
+            call(Discretization(delta=0.1, anchor=0.0))
+
+
+def test_bias_against_h_on_a_delta_only_grid_is_the_anchored_cell_value():
+    from relbelief import Discretization
+
+    comp = bias_against_h(locnormal(10, 0.0, 1.0), 0.2, disc=Discretization(delta=0.1))
+    assert comp.value == pytest.approx(0.0983259, abs=1e-7)
+
+
 @pytest.mark.parametrize("method", ["Exact", "MonteCarlo", "EXACT", None])
 def test_only_the_documented_method_names_are_accepted(method):
     with pytest.raises(DomainError, match="unknown method"):

@@ -670,3 +670,61 @@ def test_finite_integer_outcome_is_a_label(tmp_path):
     assert digest == [1, 0]  # the outcome labelled 0, at index 1
     assert (profile, report) == analyze(["trait", "no_trait"], "no_trait")[::2]
     assert profile != analyze(["trait", "no_trait"], "trait")[0]
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+@pytest.mark.parametrize("seed", [-5, 2**64])
+def test_seed_outside_64_bits_is_a_config_error(tmp_path, capsys, where, seed):
+    # -5 used to run the stream of seed 2**64 - 5, and 2**64 that of seed 0
+    config = {"bundle": LOCNORMAL_20, "psi0": 0.0, "delta": 0.5, "method": "mc", "mc": {"n_sim": 50}}
+    extra = ("--seed", str(seed))
+    if where == "config":
+        config["mc"]["seed"], extra = seed, ()
+    code, out = run(tmp_path, config, "bias", extra)
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (out / "bias.csv").exists()
+    config["mc"]["seed"], extra = 2**64 - 1, ()
+    assert run(tmp_path, config, "bias", extra)[0] == 0
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_refused_when_parsed(tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    assert main(["reproduce", "table1", "--out", str(out), "--threads", threads]) == 2
+    assert "argument --threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_calls_in_one_process_share_no_state(tmp_path):
+    """``main`` reuses one parser; each call must still see only its own
+    arguments: an override, an error or a flag does not carry over."""
+    from relbelief import cli
+
+    def call(config, command, *extra, name="out"):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / name
+        code = main([command, "--config", str(cfg), "--out", str(out), *extra])
+        return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+
+    cli._build_parser.cache_clear()
+    check = {"bundle": LOCNORMAL_20, "data": {"xbar": 0.3}, "threshold": 0.1}
+    bias = {"bundle": LOCNORMAL_20, "psi0": 0.0, "delta": 0.5, "method": "mc", "mc": {"n_sim": 200, "seed": 3}}
+    code, lone = call(bias, "bias", name="lone")
+    assert code == 0
+    parser = cli._build_parser()
+
+    assert call(check, "check", "--threshold", "0.2", name="flag")[0] == 0
+    assert read_csv(tmp_path / "flag" / "check.csv")[0]["threshold"] == "0.2"
+    assert call(check, "check", name="config")[0] == 0
+    assert read_csv(tmp_path / "config" / "check.csv")[0]["threshold"] == "0.1"
+
+    code, flagged = call(bias, "bias", "--seed", "5", "--sims", "50", name="flagged")
+    assert code == 0 and flagged["bias.csv"] != lone["bias.csv"]
+    assert call(bias, "bias", name="again") == (0, lone)
+
+    assert call(bias, "bias", "--bogus", name="error") == (2, {})
+    assert call(bias, "bias", "--threads", "0", name="error") == (2, {})
+    assert call(bias, "bias", name="after") == (0, lone)
+    assert cli._build_parser() is parser
