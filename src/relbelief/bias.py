@@ -416,6 +416,10 @@ def design_sample_size(
     for name, value in targets.items():
         if not (0.0 < value < 1.0):
             raise DomainError(f"target {name} must lie strictly inside (0, 1), got {value}")
+    for n in n_grid:
+        whole = isinstance(n, (int, np.integer)) or (isinstance(n, (float, np.floating)) and float(n).is_integer())
+        if isinstance(n, (bool, np.bool_)) or not whole:
+            raise DomainError(f"n_grid entries must be whole sample sizes, got {n!r}")
     n_grid = [int(n) for n in n_grid]
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
         raise DomainError("n_grid must be a strictly ascending sequence of sizes >= 1")

@@ -239,10 +239,7 @@ def _numbered(truths):
 class _ContinuousBundle:
     """What the two bundles with a real interest parameter share.  A subclass
     sets ``_sup_grid``, the (center, half-width, points) of the grid its
-    supremum search starts from, and may set ``_draw_cells``, the cells one
-    value's region probability spans."""
-
-    _draw_cells = 1
+    supremum search starts from."""
 
     def interest(self, psi0, disc: Optional[Discretization] = None) -> float:
         """The hypothesized value ``psi0``; with ``disc``, refused when its
@@ -278,23 +275,6 @@ class _ContinuousBundle:
             lambda m: -float(g(m)), bounds=(grid[max(k - 1, 0)], grid[min(k + 1, points - 1)]), method="bounded"
         )
         return max(float(-res.fun), float(vals[k]))
-
-    def favor_sup(self, delta: float, disc: Optional[Discretization] = None, boundary_only: bool = True):
-        """``g(psi0)``: the exact largest probability of evidence in favor of
-        ``psi0`` (a value or an array) over its alternatives, 0 where there
-        is none.  Arrays go in blocks of at most ``_BLOCK_CELLS`` cells."""
-
-        def one(p0):
-            truths = np.array([truth for _, truth in self.alternatives(p0, delta, boundary_only)])
-            return np.fmax.reduce(self.region_prob(p0, truths, disc, False), axis=0, initial=0.0)
-
-        def g(p0):
-            if np.ndim(p0) == 0:
-                return one(p0)
-            rows = max(1, _BLOCK_CELLS // self._draw_cells)
-            return np.concatenate([one(p0[start:start + rows]) for start in range(0, len(p0), rows)])
-
-        return g
 
     def profile_cells(self, data, disc: Optional[Discretization]):
         """(prior contents, posterior contents, data digest, layout) of the
@@ -334,6 +314,14 @@ class LocationNormalSpec:
             raise DomainError(f"mu_star must be finite, got {self.mu_star}")
         if not (0.0 < self.tau_star_sq < math.inf):
             raise DomainError(f"tau_star_sq must be positive and finite, got {self.tau_star_sq}")
+        # the favor window divides by the precision ratio a and by a^2, so
+        # outside this range it is not finite
+        a = self.n * self.tau_star_sq / self.sigma0_sq
+        if not (0.0 < a < math.inf and 0.0 < 1.0 / a < math.inf and 0.0 < a * a < math.inf):
+            raise DomainError(
+                f"the precision ratio n * tau_star_sq / sigma0_sq = {a!r} is out of range: "
+                "it, its reciprocal and its square must be positive and finite"
+            )
 
 
 def locnormal_log_rb(spec: LocationNormalSpec, xbar, mu0):
@@ -364,25 +352,35 @@ def locnormal_log_rb(spec: LocationNormalSpec, xbar, mu0):
 
 def _favor_window(spec: LocationNormalSpec, mu0):
     """Window (r, d) such that the ratio at mu0 is >= 1 iff |z + d| <= r,
-    where z is the standardized distance of the data mean from mu0."""
-    mu0 = np.asarray(mu0, dtype=float)
+    where z is the standardized distance of the data mean from mu0.  ``mu0``
+    is a float or an array; the spec's precision rule keeps r finite and
+    positive."""
     a = spec.n * spec.tau_star_sq / spec.sigma0_sq
     c = math.sqrt(spec.n) * (mu0 - spec.mu_star) / math.sqrt(spec.sigma0_sq)
     d = -c / a
     r_sq = (1.0 + a) / a * math.log1p(a) + (1.0 + a) * c * c / (a * a)
-    if not np.all(r_sq > 0.0):
-        raise AssertionError("window radius lost positivity; this cannot happen for a > 0")
     return np.sqrt(r_sq), d
+
+
+def _window_prob(spec: LocationNormalSpec, window, mu0, mu_true):
+    """Probability that the data mean from true mean ``mu_true`` falls in the
+    favor ``window`` (r, d) of ``mu0`` (floats or arrays, broadcast)."""
+    r, d = window
+    shift = math.sqrt(spec.n) * (mu_true - mu0) / math.sqrt(spec.sigma0_sq)
+    return norm_cdf(r - d - shift) - norm_cdf(-r - d - shift)
+
+
+def _real(x):
+    """A float as it is (float arithmetic rounds as float64 does); anything
+    else as a float array."""
+    return x if isinstance(x, float) else np.asarray(x, dtype=float)
 
 
 def favor_prob_locnormal(spec: LocationNormalSpec, mu0, mu_true):
     """Probability of obtaining evidence in favor of ``mu0`` when data are
     generated with true mean ``mu_true`` (exact; vectorized)."""
-    mu0_arr = np.asarray(mu0, dtype=float)
-    mu_true_arr = np.asarray(mu_true, dtype=float)
-    r, d = _favor_window(spec, mu0_arr)
-    shift = math.sqrt(spec.n) * (mu_true_arr - mu0_arr) / math.sqrt(spec.sigma0_sq)
-    prob = norm_cdf(r - d - shift) - norm_cdf(-r - d - shift)
+    mu0_real = _real(mu0)
+    prob = _window_prob(spec, _favor_window(spec, mu0_real), mu0_real, _real(mu_true))
     if np.isscalar(mu0) and np.isscalar(mu_true):
         return float(prob)
     return prob
@@ -496,10 +494,41 @@ class LocationNormalBundle(_ContinuousBundle):
         exterior (the favor probability peaks there)."""
         truths = [psi0 - delta, psi0 + delta]
         if not boundary_only:
-            _, d = _favor_window(self.spec, psi0)
-            center = psi0 - d * math.sqrt(self.spec.sigma0_sq) / math.sqrt(self.spec.n)
+            center = self._window_center(psi0, _favor_window(self.spec, psi0))
             truths.append(np.where(np.abs(center - psi0) >= delta, center, np.nan))
         return _numbered(truths)
+
+    def _window_center(self, psi0, window):
+        """The true mean at the center of the favor ``window`` of ``psi0``."""
+        _, d = window
+        return psi0 - d * math.sqrt(self.spec.sigma0_sq) / math.sqrt(self.spec.n)
+
+    def favor_sup(self, delta: float, disc: Optional[Discretization] = None, boundary_only: bool = True):
+        """``g(psi0)``: the exact largest probability of evidence in favor of
+        ``psi0`` (a float or an array) over its ``alternatives``, 0 where
+        there is none.  The favor window of each value, of the point or of
+        the cell, is solved once and each candidate truth is read off it with
+        the arithmetic of ``region_prob``, so the values are those of
+        ``region_prob`` over ``alternatives`` to the bit; a float builds no
+        list or array, and an array needs a few more of its own length."""
+        spec = self.spec
+
+        def g(psi0):
+            window = _favor_window(spec, psi0)
+            if disc is None:
+                prob = lambda truth: _window_prob(spec, window, psi0, truth)
+            else:
+                lo, hi = self._cell_window(psi0, disc.delta)
+                prob = lambda truth: normal_interval_prob(lo, hi, truth, self._stat_sd)
+            worst = np.fmax(np.fmax(0.0, prob(psi0 - delta)), prob(psi0 + delta))
+            if boundary_only:
+                return worst
+            # a center within delta of psi0 is no alternative: the product is
+            # 0 (or NaN), which cannot raise a maximum that is at least 0
+            center = self._window_center(psi0, window)
+            return np.fmax(worst, prob(center) * (abs(center - psi0) >= delta))
+
+        return g
 
     def prior_mean(self, g, smooth: bool) -> float:
         """Prior expectation of ``g``.  A smooth ``g`` goes up the
@@ -580,7 +609,6 @@ class BetaBinomialBundle(_ContinuousBundle):
         self.alpha = float(alpha)
         self.beta = float(beta)
         self._counts = np.arange(self.n + 1)
-        self._draw_cells = self.n + 1
         # the count-only term of the point ratio, so no draw evaluates it
         self._log_beta_post = special.betaln(self.alpha + self._counts, self.beta + self.n - self._counts)
 
@@ -687,6 +715,24 @@ class BetaBinomialBundle(_ContinuousBundle):
     def prior_mean(self, g, smooth: bool) -> None:
         """No exact prior rule yet: averages over the beta prior are drawn."""
         return None
+
+    def favor_sup(self, delta: float, disc: Optional[Discretization] = None, boundary_only: bool = True):
+        """``g(psi0)``: the exact largest probability of evidence in favor of
+        ``psi0`` (a value or an array) over its alternatives, 0 where there
+        is none.  A rate spans the n + 1 counts, so arrays go in blocks of at
+        most ``_BLOCK_CELLS`` cells."""
+
+        def one(p0):
+            truths = np.array([truth for _, truth in self.alternatives(p0, delta, boundary_only)])
+            return np.fmax.reduce(self.region_prob(p0, truths, disc, False), axis=0, initial=0.0)
+
+        def g(p0):
+            if np.ndim(p0) == 0:
+                return one(p0)
+            rows = max(1, _BLOCK_CELLS // (self.n + 1))
+            return np.concatenate([one(p0[start:start + rows]) for start in range(0, len(p0), rows)])
+
+        return g
 
     def log_predictive(self) -> np.ndarray:
         """log prior predictive pmf of the success count, s = 0..n."""

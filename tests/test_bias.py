@@ -472,6 +472,24 @@ def test_no_exact_request_draws(monkeypatch):
                 assert all(c.method == "Exact" for c in comps), (kind, method, disc)
 
 
+def test_location_normal_average_favor_reads_the_window_not_the_primitive(monkeypatch):
+    """The exact location-normal average bias in favor evaluates each
+    quadrature node's worst case in closed form off its favor window: it never
+    lists the alternatives nor asks ``region_prob`` for them."""
+    from relbelief import Discretization
+    from relbelief.models import LocationNormalBundle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the primitive was reached")
+
+    bundle = locnormal(4, 0.0, 1.0, sigma0_sq=4.0)  # weak data: exterior window centers
+    monkeypatch.setattr(LocationNormalBundle, "alternatives", refuse)
+    monkeypatch.setattr(LocationNormalBundle, "region_prob", refuse)
+    for disc, boundary_only in ((None, True), (None, False), (Discretization(delta=0.1), True)):
+        comp = bias_in_favor_e(bundle, 0.5, disc=disc, boundary_only=boundary_only)
+        assert comp.method == "Exact" and 0.0 < comp.value < 1.0
+
+
 def test_prior_content_floor_refuses_only_a_named_value():
     """A hypothesized value whose anchored cell has prior content below the
     floor is refused, under ``exact`` and ``mc`` alike.  The same value as a
@@ -596,6 +614,25 @@ def test_design_rejects_impossible_targets():
         design_sample_size(family, 0.0, 0.5, {}, [5, 10])
     with pytest.raises(DomainError, match="ascending"):
         design_sample_size(family, 0.0, 0.5, {"max_bias_against": 0.5}, [10, 5])
+
+
+@pytest.mark.parametrize(
+    "n_grid", [[5.7, 10.2, 20.9], [5, 10.5], [True, 5], [5, np.bool_(True)], [5, "10"], [5, float("nan")]]
+)
+def test_design_refuses_a_size_that_is_not_whole(n_grid):
+    """A fractional size is refused, not truncated: [5.7, 10.2, 20.9] used to
+    run [5, 10, 20] and name that grid in its message."""
+    built = []
+    with pytest.raises(DomainError, match="n_grid"):
+        design_sample_size(lambda n: built.append(n) or family(n), 0.0, 0.5, {"max_bias_in_favor": 0.001}, n_grid)
+    assert built == []
+
+
+def test_design_takes_whole_sizes_of_any_number_type():
+    grid = [5, np.int64(10), 20.0, np.float64(50.0)]
+    result = design_sample_size(family, 0.0, 0.5, {"max_bias_in_favor": 0.07}, grid)
+    assert result.n == 50 and type(result.n) is int
+    assert [n for n, _ in result.evaluated] == [5, 10, 20, 50]
 
 
 def test_design_failure_carries_the_table():

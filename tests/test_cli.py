@@ -134,6 +134,18 @@ def test_assess_psi0_outside_grid_is_domain_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "sigma0_sq, tau_star_sq, code",
+    [(1e300, 1e-300, 3), (1e-300, 1e300, 3), (1e77, 1e-77, 0)],
+    ids=["ratio_underflows", "ratio_overflows", "just_inside"],
+)
+def test_bias_on_a_degenerate_precision_ratio_is_a_domain_error(tmp_path, capsys, sigma0_sq, tau_star_sq, code):
+    bundle = {"kind": "location_normal", "n": 1, "sigma0_sq": sigma0_sq, "mu_star": 0.0, "tau_star_sq": tau_star_sq}
+    assert run(tmp_path, {"bundle": bundle, "psi0": 0.0, "delta": 1e-38}, "bias")[0] == code
+    if code:
+        assert "domain error: the precision ratio" in capsys.readouterr().err
+
+
 def test_assess_finite_matches_enumeration(tmp_path):
     config = {"bundle": PROSECUTOR, "data": {"outcome": "trait"}, "psi0": "guilty"}
     code, out = run(tmp_path, config, "assess")

@@ -41,6 +41,29 @@ def test_location_normal_spec_validation(kwargs):
         LocationNormalSpec(**kwargs)
 
 
+# (sigma0_sq, tau_star_sq) at n=1: the precision ratio a = tau_star_sq / sigma0_sq
+# underflows to 0 (the favor window divided by zero) or overflows to inf (its
+# radius became NaN); its square just fits at 1e154 and at 1e-154.
+DEGENERATE_PRECISION = [(1e300, 1e-300), (1e-300, 1e300)]
+EXTREME_PRECISION = [(1e-77, 1e77), (1e77, 1e-77)]
+
+
+@pytest.mark.parametrize("sigma0_sq, tau_star_sq", DEGENERATE_PRECISION)
+def test_location_normal_spec_refuses_a_precision_ratio_without_a_finite_window(sigma0_sq, tau_star_sq):
+    with pytest.raises(DomainError, match="precision ratio"):
+        LocationNormalSpec(n=1, sigma0_sq=sigma0_sq, mu_star=0.0, tau_star_sq=tau_star_sq)
+
+
+@pytest.mark.parametrize("sigma0_sq, tau_star_sq", EXTREME_PRECISION)
+def test_location_normal_spec_just_inside_the_precision_rule_has_exact_biases(sigma0_sq, tau_star_sq):
+    from relbelief import hypothesis_bias
+
+    bundle = make_location_normal(LocationNormalSpec(n=1, sigma0_sq=sigma0_sq, mu_star=0.0, tau_star_sq=tau_star_sq))
+    report = hypothesis_bias(bundle, 0.0, math.sqrt(tau_star_sq))
+    assert report.method == "Exact"
+    assert 0.0 <= report.bias_against <= 1.0 and 0.0 <= report.bias_in_favor <= 1.0
+
+
 def test_beta_binomial_validation():
     with pytest.raises(DomainError):
         make_beta_binomial(0, 1.0, 1.0)
@@ -476,3 +499,43 @@ def test_cell_favor_prob_approaches_the_point_as_the_cell_shrinks(case, offset):
             for k in (1e-1, 1e-2, 1e-4)]
     assert gaps[-1] <= 1e-7
     assert gaps[-1] <= gaps[0] + 1e-12
+
+
+# -- location-normal worst case in favor ---------------------------------------------
+
+
+def _favor_sup_by_alternatives(bundle, psi0, delta, disc, boundary_only):
+    """The worst case composed from the primitive: every alternative of
+    ``psi0`` through ``region_prob``, the largest kept (0 with none)."""
+    truths = np.array([truth for _, truth in bundle.alternatives(psi0, delta, boundary_only)])
+    return np.fmax.reduce(bundle.region_prob(psi0, truths, disc, False), axis=0, initial=0.0)
+
+
+@st.composite
+def favor_cases(draw):
+    """A location-normal spec (n of 1 or 2, where the data variance reaches
+    1e4 and the favor window's center often lies in the exterior, as often as
+    any other n), a difference that matters up to 5 prior sds, a point or a
+    cell of half-width up to 2 prior sds, and either exterior rule."""
+    spec = LocationNormalSpec(
+        n=draw(st.one_of(st.integers(1, 2), st.integers(1, 200))),
+        sigma0_sq=math.exp(draw(st.floats(math.log(0.01), math.log(1e4)))),
+        mu_star=draw(st.floats(-5.0, 5.0)),
+        tau_star_sq=math.exp(draw(st.floats(math.log(0.01), math.log(100.0)))),
+    )
+    tau = math.sqrt(spec.tau_star_sq)
+    delta = tau * draw(st.floats(0.01, 5.0))
+    disc = draw(st.none() | st.floats(1e-3, 2.0).map(lambda k: Discretization(delta=k * tau)))
+    return spec, delta, disc, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=favor_cases(), zs=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=6))
+def test_location_normal_favor_sup_equals_the_alternatives_composition_to_the_bit(case, zs):
+    spec, delta, disc, boundary_only = case
+    bundle = make_location_normal(spec)
+    g = bundle.favor_sup(delta, disc, boundary_only)
+    psi = spec.mu_star + math.sqrt(spec.tau_star_sq) * np.array(zs)
+    for p0 in psi.tolist():  # floats, as adaptive quadrature passes them
+        assert g(p0) == _favor_sup_by_alternatives(bundle, p0, delta, disc, boundary_only)
+    np.testing.assert_array_equal(g(psi), _favor_sup_by_alternatives(bundle, psi, delta, disc, boundary_only), strict=True)
