@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,12 +83,13 @@ class McConfig:
 
 @dataclass(frozen=True)
 class BiasComponent:
-    """One estimated bias probability with its standard error."""
+    """One estimated bias probability with its standard error, and the
+    ``method`` that computed it."""
 
     value: float
     se: float
     method: str
-    fallback: bool = False
+    fallback: ClassVar[bool] = False  # read-only: no path hands a component to another method
 
     def __post_init__(self):
         if not (-1e-12 <= self.value <= 1.0 + 1e-12):
@@ -119,8 +120,7 @@ class BiasHReport:
 
 @dataclass(frozen=True)
 class BiasEReport:
-    """Estimation biases: prior-averaged and worst-case coverage failures;
-    ``fallback`` marks a component whose exact computation fell back."""
+    """Estimation biases: prior-averaged and worst-case coverage failures."""
 
     avg_bias_against: float
     sup_bias_against: float
@@ -131,7 +131,6 @@ class BiasEReport:
     se_sup_against: float
     se_avg_in_favor: float
     method: str
-    fallback: bool = False
 
     def __post_init__(self):
         if self.implied_coverage != 1.0 - self.avg_bias_against:
@@ -365,7 +364,6 @@ def estimation_bias(
         se_sup_against=sup.se,
         se_avg_in_favor=favor.se,
         method=EXACT if all(c.method == EXACT for c in components) else MONTE_CARLO,
-        fallback=any(c.fallback for c in components),
     )
 
 

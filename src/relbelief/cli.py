@@ -11,10 +11,11 @@ Subcommands::
 
 Configs are JSON with a fixed schema (see README); unknown keys are errors,
 not warnings, so a typo cannot silently change a study.  Every config value
-is checked and cast here, once, before the library sees it.  Exit codes: 0 on
-success, 2 for config errors, 3 for domain errors, 4 when a numerical
-fallback was engaged (outputs are still written); an internal error
-propagates with its traceback (exit 1).
+is checked and cast here, once, before the library sees it.  Every
+subcommand, ``reproduce`` included, takes one path: parse the config (none
+for ``reproduce``) and the Monte Carlo settings, run the command, write the
+manifest.  Exit codes: 0 on success, 2 for config errors, 3 for domain
+errors; an internal error propagates with its traceback (exit 1).
 
 Outputs are CSV files plus a ``run_manifest.json`` recording the config
 digest, seed, and library versions.  Identical config and seed produce
@@ -65,7 +66,6 @@ from .models import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
-EXIT_FALLBACK = 4
 
 # Fixed settings for the reference tables: hypothesis mean 0, unit data
 # variance, sample sizes 5..100, and the priors named in the column headers.
@@ -428,7 +428,7 @@ def _observed_profile(config, required: set, optional: set):
     return rb_profile(bundle, data, disc), psi0
 
 
-def cmd_analyze(config, mc: McConfig, args, out: Path) -> int:
+def cmd_analyze(config, mc: McConfig, args, out: Path) -> None:
     profile, _ = _observed_profile(config, set(), {"gamma"})
     gamma = config.get("gamma")
     report = estimate(profile, gamma=None if gamma is None else _number(gamma, "gamma"))
@@ -449,10 +449,9 @@ def cmd_analyze(config, mc: McConfig, args, out: Path) -> int:
             "excluded_prior_mass": profile.excluded_prior_mass,
         },
     )
-    return EXIT_OK
 
 
-def cmd_assess(config, mc: McConfig, args, out: Path) -> int:
+def cmd_assess(config, mc: McConfig, args, out: Path) -> None:
     profile, psi0 = _observed_profile(config, {"psi0"}, set())
     result = assess(profile, psi0)
     _write_json(
@@ -468,10 +467,9 @@ def cmd_assess(config, mc: McConfig, args, out: Path) -> int:
             "bundle_digest": profile.bundle_digest,
         },
     )
-    return EXIT_OK
 
 
-def cmd_bias(config, mc: McConfig, args, out: Path) -> int:
+def cmd_bias(config, mc: McConfig, args, out: Path) -> None:
     optional = {"psi0", "mode", "discretization", "mc", "method", "boundary_only"}
     _require_keys(config, {"bundle", "delta"}, optional, "config")
     mode = config.get("mode", "hypothesis")
@@ -486,16 +484,14 @@ def cmd_bias(config, mc: McConfig, args, out: Path) -> int:
             raise ConfigError("hypothesis bias requires 'psi0'")
         report = hypothesis_bias(bundle, _parse_psi0(config["psi0"], bundle), delta, **options)
         _write_report(out / "bias.csv", _BIAS_H_COLUMNS, report)
-        return EXIT_OK
-
-    if "psi0" in config:
+    elif "psi0" in config:
         raise ConfigError("estimation bias takes no 'psi0': it averages over the prior")
-    report = estimation_bias(bundle, delta, **options)
-    _write_report(out / "bias_estimation.csv", _BIAS_E_COLUMNS, report)
-    return EXIT_FALLBACK if report.fallback else EXIT_OK
+    else:
+        report = estimation_bias(bundle, delta, **options)
+        _write_report(out / "bias_estimation.csv", _BIAS_E_COLUMNS, report)
 
 
-def cmd_design(config, mc: McConfig, args, out: Path) -> int:
+def cmd_design(config, mc: McConfig, args, out: Path) -> None:
     required = {"bundle", "psi0", "delta", "targets", "n_grid"}
     _require_keys(config, required, {"discretization", "mc", "method", "boundary_only"}, "config")
     section = _object(config["bundle"], "bundle")
@@ -522,17 +518,15 @@ def cmd_design(config, mc: McConfig, args, out: Path) -> int:
         raise
     _write_csv(out / "design.csv", header, rows_of(result.evaluated))
     _write_json(out / "design.json", {"n": result.n, "report": result.report})
-    return EXIT_OK
 
 
-def cmd_check(config, mc: McConfig, args, out: Path) -> int:
+def cmd_check(config, mc: McConfig, args, out: Path) -> None:
     _require_keys(config, {"bundle", "data"}, {"threshold", "mc", "method"}, "config")
     bundle = _build_bundle(config["bundle"])
     data = _parse_data(config["data"], bundle)
     threshold = _number(config.get("threshold", 0.05) if args.threshold is None else args.threshold, "threshold")
     report = conflict_check(bundle, data, threshold=threshold, mc=mc, method=_parse_method(config))
     _write_report(out / "check.csv", _CHECK_COLUMNS, report)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +548,23 @@ def _reproduce_rows(target: str):
     return ["mu", "bias_in_favor"], list(zip(grid.tolist(), vals))
 
 
-def cmd_reproduce(args, out: Path) -> int:
+def cmd_reproduce(config, mc: McConfig, args, out: Path) -> None:
     header, rows = _reproduce_rows(args.target)
     _write_csv(out / f"{args.target}.csv", header, rows)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+_COMMANDS = {
+    "analyze": cmd_analyze,
+    "assess": cmd_assess,
+    "bias": cmd_bias,
+    "design": cmd_design,
+    "check": cmd_check,
+    "reproduce": cmd_reproduce,
+}
 
 
 def _positive_int(text: str) -> int:
@@ -581,22 +584,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="relbelief", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name in _COMMANDS:
+        p = sub.add_parser(name)
+        if name == "reproduce":
+            p.add_argument("target", choices=REPRODUCE_TARGETS)
+        else:
+            p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=".", help="output directory (created if missing)")
         p.add_argument("--seed", type=int, default=None, help="override the Monte Carlo seed")
         p.add_argument("--sims", type=int, default=None, help="override the replication count")
         p.add_argument("--threads", type=_positive_int, default=1,
                        help="worker threads (results are identical for any value)")
-
-    for name in ("analyze", "assess", "bias", "design", "check"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        add_common(p)
         if name == "check":
             p.add_argument("--threshold", type=float, default=None, help="conflict threshold override")
-    p = sub.add_parser("reproduce")
-    p.add_argument("target", choices=REPRODUCE_TARGETS)
-    add_common(p)
     return parser
 
 
@@ -605,30 +605,19 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
+        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
 
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "reproduce":
-            code = cmd_reproduce(args, out)
-            digest = hashlib.sha256(args.target.encode()).hexdigest()
-            _write_manifest(out, "reproduce", digest, args.seed if args.seed is not None else 0,
-                            args.sims if args.sims is not None else 0)
-            return code
-
-        config, digest = _load_config(args.config)
+            config, digest = {}, hashlib.sha256(args.target.encode()).hexdigest()
+        else:
+            config, digest = _load_config(args.config)
         mc = _parse_mc(config, args)
-        handler = {
-            "analyze": cmd_analyze,
-            "assess": cmd_assess,
-            "bias": cmd_bias,
-            "design": cmd_design,
-            "check": cmd_check,
-        }[args.command]
-        code = handler(config, mc, args, out)
+        _COMMANDS[args.command](config, mc, args, out)
         _write_manifest(out, args.command, digest, mc.seed, mc.n_sim)
-        return code
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

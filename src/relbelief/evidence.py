@@ -62,7 +62,6 @@ class EvidenceProfile:
     centers: Optional[np.ndarray] = None
     labels: Optional[Tuple[str, ...]] = None
     anchor_index: Optional[int] = None
-    delta: Optional[float] = None
     excluded_cells: int = 0
     excluded_prior_mass: float = 0.0
 
@@ -351,7 +350,6 @@ def reparam_profile(profile: EvidenceProfile, lam: Callable[[float], float]) -> 
         bundle_digest=profile.bundle_digest + "|reparameterized",
         edges=edges,
         anchor_index=anchor,
-        delta=None,
         excluded_cells=profile.excluded_cells,
         excluded_prior_mass=profile.excluded_prior_mass,
         **arrays,

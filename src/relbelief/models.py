@@ -288,7 +288,7 @@ class _ContinuousBundle:
         centers = 0.5 * (edges[:-1] + edges[1:])
         edges.setflags(write=False)
         centers.setflags(write=False)
-        layout = dict(edges=edges, centers=centers, anchor_index=anchor_index, delta=disc.delta)
+        layout = dict(edges=edges, centers=centers, anchor_index=anchor_index)
         return prior, posterior, (self.n, t), layout
 
 
@@ -316,7 +316,12 @@ class LocationNormalSpec:
             raise DomainError(f"tau_star_sq must be positive and finite, got {self.tau_star_sq}")
         # the favor window divides by the precision ratio a and by a^2, so
         # outside this range it is not finite
-        a = self.n * self.tau_star_sq / self.sigma0_sq
+        try:
+            a = self.n * self.tau_star_sq / self.sigma0_sq
+        except OverflowError:
+            raise DomainError(
+                f"sample size n is too large for a float: got an integer of {int(self.n).bit_length()} bits"
+            ) from None
         if not (0.0 < a < math.inf and 0.0 < 1.0 / a < math.inf and 0.0 < a * a < math.inf):
             raise DomainError(
                 f"the precision ratio n * tau_star_sq / sigma0_sq = {a!r} is out of range: "
@@ -603,13 +608,22 @@ class BetaBinomialBundle(_ContinuousBundle):
     def __init__(self, n: int, alpha: float, beta: float):
         if not (isinstance(n, (int, np.integer)) and n >= 1):
             raise DomainError(f"number of trials must be an integer >= 1, got {n!r}")
+        limit = np.iinfo(np.intp).max  # the n + 1 counts 0..n must fit an array length
+        if n >= limit:
+            raise DomainError(f"number of trials n must be below {limit}, got an integer of {int(n).bit_length()} bits")
         if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
             raise DomainError(f"beta prior shapes must be positive and finite, got ({alpha}, {beta})")
         self.n = int(n)
         self.alpha = float(alpha)
         self.beta = float(beta)
         self._counts = np.arange(self.n + 1)
-        # the count-only term of the point ratio, so no draw evaluates it
+        # the count-only terms of the pmfs and the point ratio, so no call
+        # or draw evaluates them again
+        self._log_binom = (
+            special.gammaln(self.n + 1)
+            - special.gammaln(self._counts + 1)
+            - special.gammaln(self.n - self._counts + 1)
+        )
         self._log_beta_post = special.betaln(self.alpha + self._counts, self.beta + self.n - self._counts)
 
     @property
@@ -736,26 +750,14 @@ class BetaBinomialBundle(_ContinuousBundle):
 
     def log_predictive(self) -> np.ndarray:
         """log prior predictive pmf of the success count, s = 0..n."""
-        s = self._counts
-        return (
-            special.gammaln(self.n + 1)
-            - special.gammaln(s + 1)
-            - special.gammaln(self.n - s + 1)
-            + special.betaln(self.alpha + s, self.beta + self.n - s)
-            - special.betaln(self.alpha, self.beta)
-        )
+        return self._log_binom + self._log_beta_post - special.betaln(self.alpha, self.beta)
 
     def log_sampling_pmf(self, theta) -> np.ndarray:
         """log Binomial(n, theta) pmf over s = 0..n (vectorized in theta)."""
         theta = np.asarray(theta, dtype=float)
         s = self._counts
-        logc = (
-            special.gammaln(self.n + 1)
-            - special.gammaln(s + 1)
-            - special.gammaln(self.n - s + 1)
-        )
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = logc + s * np.log(theta)[..., None] + (self.n - s) * np.log1p(-theta)[..., None]
+            out = self._log_binom + s * np.log(theta)[..., None] + (self.n - s) * np.log1p(-theta)[..., None]
         return out
 
     def sample_prior(self, rng: np.random.Generator, size: int) -> np.ndarray:

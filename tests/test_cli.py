@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from relbelief.bias import McConfig
 from relbelief.cli import main
 
 
@@ -346,39 +347,6 @@ def test_one_replication_is_a_config_error(tmp_path, capsys, where):
     assert not (out / "bias_estimation.csv").exists()
 
 
-def test_bias_estimation_fallback_exit_code(tmp_path, monkeypatch):
-    # no library path sets ``fallback``; a fake with the real signature sets
-    # it, to confirm the CLI surfaces it as exit 4
-    import inspect
-
-    import relbelief.bias as bias_mod
-    from relbelief.bias import BiasComponent
-
-    def fake_against(bundle, disc=None, mc=None, method="auto"):
-        comp = BiasComponent(value=0.1, se=0.001, method="MonteCarlo", fallback=True)
-        return comp, BiasComponent(value=0.2, se=0.0, method="Exact")
-
-    def params(fn):
-        return [(p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()]
-
-    assert params(fake_against) == params(bias_mod.bias_against_e)
-    monkeypatch.setattr(bias_mod, "bias_against_e", fake_against)
-    config = {
-        "bundle": {
-            "kind": "location_normal",
-            "n": 5,
-            "sigma0_sq": 1.0,
-            "mu_star": 0.0,
-            "tau_star_sq": 1.0,
-        },
-        "delta": 0.5,
-        "mode": "estimation",
-    }
-    code, out = run(tmp_path, config, "bias")
-    assert code == 4
-    assert (out / "bias_estimation.csv").exists()
-
-
 def test_reproduce_fig1_peaks_near_the_hypothesis(tmp_path):
     out = tmp_path / "fig"
     assert main(["reproduce", "fig1", "--out", str(out)]) == 0
@@ -443,6 +411,32 @@ def test_reproduce_csv_matches_recorded_digest(tmp_path, target):
     assert main(["reproduce", target, "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / f"{target}.csv").read_bytes()).hexdigest()
     assert digest == REPRODUCE_DIGESTS[target]
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [(("--seed", "-5"), "seed"), (("--seed", str(2**64)), "seed"), (("--sims", "1"), "n_sim")],
+    ids=["seed-5", "seed2**64", "sims1"],
+)
+def test_reproduce_checks_its_monte_carlo_flags(tmp_path, capsys, extra, named):
+    # reproduce parses --seed and --sims as every other subcommand does
+    assert main(["reproduce", "table1", "--out", str(tmp_path), *extra]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "table1.csv").exists()
+    assert not (tmp_path / "run_manifest.json").exists()
+
+
+def test_reproduce_manifest_records_the_monte_carlo_settings(tmp_path):
+    for name, extra, recorded in [("flags", ("--seed", "7"), (7, McConfig.n_sim)),
+                                  ("defaults", (), (McConfig.seed, McConfig.n_sim))]:
+        out = tmp_path / name
+        assert main(["reproduce", "table1", "--out", str(out), *extra]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["command"] == "reproduce"
+        assert manifest["config_digest"] == hashlib.sha256(b"table1").hexdigest()
+        assert (manifest["seed"], manifest["n_sim"]) == recorded
+        digest = hashlib.sha256((out / "table1.csv").read_bytes()).hexdigest()
+        assert digest == REPRODUCE_DIGESTS["table1"]
 
 
 # -- config fuzzing: every field of every command, each wrong JSON type --------
@@ -698,6 +692,28 @@ def test_seed_outside_64_bits_is_a_config_error(tmp_path, capsys, where, seed):
     assert not (out / "bias.csv").exists()
     config["mc"]["seed"], extra = 2**64 - 1, ()
     assert run(tmp_path, config, "bias", extra)[0] == 0
+
+
+@pytest.mark.parametrize("command", ["bias", "analyze"])
+@pytest.mark.parametrize(
+    "bundle, n, named",
+    [(LOCNORMAL_20, 10**400, "sample size n"),
+     (BETABINOMIAL_4, 2**63, "number of trials n"),
+     (BETABINOMIAL_4, 10**400, "number of trials n")],
+    ids=["location_normal-10**400", "beta_binomial-2**63", "beta_binomial-10**400"],
+)
+def test_sample_size_beyond_the_domain_is_a_domain_error(tmp_path, capsys, command, bundle, n, named):
+    # these raised OverflowError, IndexError or ValueError, or at 2**63 trials
+    # made analyze report that no cell attains a ratio of 1
+    data = {"xbar": 0.3} if bundle["kind"] == "location_normal" else {"successes": 1}
+    config = {"bundle": dict(bundle, n=n), "psi0": 0.5, "delta": 0.1}
+    if command == "analyze":
+        config = {"bundle": config["bundle"], "data": data, "discretization": {"delta": 0.05}}
+    code, out = run(tmp_path, config, command)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert named in err and len(err) < 200
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

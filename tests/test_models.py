@@ -73,6 +73,41 @@ def test_beta_binomial_validation():
         make_beta_binomial(10, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("n", [2**1024, 10**400], ids=["2**1024", "10**400"])
+def test_location_normal_sample_size_beyond_a_float_is_a_domain_error(n):
+    with pytest.raises(DomainError, match="sample size n") as info:
+        LocationNormalSpec(n=n, sigma0_sq=1.0, mu_star=0.0, tau_star_sq=1e-300)
+    assert len(str(info.value)) < 100  # names the size in bits, not all its digits
+    # the largest sizes that still convert keep their precision ratio
+    assert LocationNormalSpec(n=2**1023, sigma0_sq=1.0, mu_star=0.0, tau_star_sq=1e-300).n == 2**1023
+
+
+@pytest.mark.parametrize(
+    "n", [2**63 - 1, 2**63, 2**64, 10**400, np.uint64(2**64 - 1)],
+    ids=["2**63-1", "2**63", "2**64", "10**400", "uint64-max"],
+)
+def test_beta_binomial_count_beyond_an_array_length_is_a_domain_error(n):
+    # at 2**63 np.arange(n + 1) used to be empty, from 2**64 it raised ValueError
+    with pytest.raises(DomainError, match="number of trials n") as info:
+        make_beta_binomial(n, 1.0, 1.0)
+    assert len(str(info.value)) < 100
+
+
+@pytest.mark.parametrize("n, alpha, beta", [(1, 1.0, 1.0), (10, 2.5, 1.5), (200, 0.3, 7.0)])
+def test_beta_binomial_log_pmfs_match_their_closed_forms_bit_for_bit(n, alpha, beta):
+    from scipy import special
+
+    bundle = make_beta_binomial(n, alpha, beta)
+    s = np.arange(n + 1)
+    logc = special.gammaln(n + 1) - special.gammaln(s + 1) - special.gammaln(n - s + 1)
+    predictive = logc + special.betaln(alpha + s, beta + n - s) - special.betaln(alpha, beta)
+    assert np.array_equal(bundle.log_predictive(), predictive)
+    theta = np.array([0.0, 0.2, 0.5, 0.93, 1.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sampling = logc + s * np.log(theta)[:, None] + (n - s) * np.log1p(-theta)[:, None]
+    assert np.array_equal(bundle.log_sampling_pmf(theta), sampling, equal_nan=True)
+
+
 def test_finite_spec_rejects_non_stochastic_rows():
     with pytest.raises(DomainError, match="sum to 1"):
         FiniteModelSpec(

@@ -1,9 +1,12 @@
-"""Every library name the benchmark's layer tracer wraps still exists.
+"""Every library name the benchmark's layer tracer wraps still exists, and
+every bias component it counts carries the attributes it reads.
 
 ``perfbench/tracer.py`` patches functions and bundle methods by name from
 outside the package, so renaming or inlining one of them breaks the traced
-benchmark.  The name tables are read from that file's source, so the tracer
-is neither imported nor installed.
+benchmark; it reads ``.method`` and ``.fallback`` of every component that
+the functions in its ``BIAS_COMPONENT_FUNCTIONS`` return.  The tables are
+read from that file's source, so the tracer is neither imported nor
+installed.
 """
 
 import ast
@@ -12,21 +15,25 @@ from pathlib import Path
 
 import pytest
 
+import relbelief.bias
 import relbelief.models
+from relbelief.bias import BiasComponent, McConfig
+from relbelief.models import FiniteModelSpec, LocationNormalSpec, make_beta_binomial, make_finite, make_location_normal
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def _tables():
     tables = {}
+    names = ("FUNCTIONS", "METHODS", "BIAS_COMPONENT_FUNCTIONS")
     for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-            if node.targets[0].id in ("FUNCTIONS", "METHODS"):
+            if node.targets[0].id in names:
                 tables[node.targets[0].id] = ast.literal_eval(node.value)
-    return tables["FUNCTIONS"], tables["METHODS"]
+    return tuple(tables[name] for name in names)
 
 
-FUNCTIONS, METHODS = _tables()
+FUNCTIONS, METHODS, BIAS_COMPONENT_FUNCTIONS = _tables()
 
 
 @pytest.mark.parametrize("module, attr, span", FUNCTIONS)
@@ -37,3 +44,49 @@ def test_traced_function_resolves(module, attr, span):
 @pytest.mark.parametrize("cls, attr, span", METHODS)
 def test_traced_method_is_defined_on_its_class(cls, attr, span):
     assert callable(vars(getattr(relbelief.models, cls))[attr])
+
+
+# kind -> (bundle, psi0, delta)
+BUNDLES = {
+    "location_normal": (
+        make_location_normal(LocationNormalSpec(n=10, sigma0_sq=1.0, mu_star=0.0, tau_star_sq=1.0)), 0.0, 0.5,
+    ),
+    "beta_binomial": (make_beta_binomial(10, 2.0, 3.0), 0.4, 0.1),
+    "finite": (
+        make_finite(FiniteModelSpec(
+            theta_labels=["a", "b", "c"],
+            prior=[0.3, 0.3, 0.4],
+            likelihood=[[0.8, 0.2], [0.5, 0.5], [0.1, 0.9]],
+            x_labels=["x", "y"],
+        )),
+        "b",
+        1.0,
+    ),
+}
+
+# the positional arguments after the bundle, from its (psi0, delta)
+ARGUMENTS = {
+    "bias_against_h": lambda psi0, delta: (psi0,),
+    "bias_in_favor_h": lambda psi0, delta: (psi0, delta),
+    "bias_against_e": lambda psi0, delta: (),
+    "bias_in_favor_e": lambda psi0, delta: (delta,),
+}
+
+
+@pytest.mark.parametrize("method", ["auto", "mc"])
+@pytest.mark.parametrize("kind", sorted(BUNDLES))
+@pytest.mark.parametrize("attr", BIAS_COMPONENT_FUNCTIONS)
+def test_traced_bias_components_carry_method_and_fallback(attr, kind, method):
+    bundle, psi0, delta = BUNDLES[kind]
+    result = getattr(relbelief.bias, attr)(
+        bundle, *ARGUMENTS[attr](psi0, delta), mc=McConfig(n_sim=200, seed=1), method=method
+    )
+    for component in result if isinstance(result, tuple) else (result,):
+        assert component.method in ("Exact", "MonteCarlo")
+        assert component.fallback is False
+
+
+def test_fallback_is_no_constructor_argument():
+    assert BiasComponent(value=0.1, se=0.0, method="Exact").fallback is False
+    with pytest.raises(TypeError):
+        BiasComponent(value=0.1, se=0.001, method="MonteCarlo", fallback=True)
