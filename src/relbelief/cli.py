@@ -51,7 +51,7 @@ from .bias import (
     hypothesis_bias,
     meets_targets,
 )
-from .checking import conflict_check
+from .checking import DEFAULT_THRESHOLD, conflict_check
 from .errors import DesignSearchError, DomainError
 from .evidence import assess, estimate, rb_profile
 from .models import (
@@ -137,7 +137,7 @@ def _load_config(path: str) -> tuple[dict, str]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         config = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond the digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
@@ -355,10 +355,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, enum.Enum):
         return obj.value
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -524,8 +520,8 @@ def cmd_check(config, mc: McConfig, args, out: Path) -> None:
     _require_keys(config, {"bundle", "data"}, {"threshold", "mc", "method"}, "config")
     bundle = _build_bundle(config["bundle"])
     data = _parse_data(config["data"], bundle)
-    threshold = _number(config.get("threshold", 0.05) if args.threshold is None else args.threshold, "threshold")
-    report = conflict_check(bundle, data, threshold=threshold, mc=mc, method=_parse_method(config))
+    threshold = config.get("threshold", DEFAULT_THRESHOLD) if args.threshold is None else args.threshold
+    report = conflict_check(bundle, data, threshold=_number(threshold, "threshold"), mc=mc, method=_parse_method(config))
     _write_report(out / "check.csv", _CHECK_COLUMNS, report)
 
 

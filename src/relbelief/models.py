@@ -608,7 +608,7 @@ class BetaBinomialBundle(_ContinuousBundle):
     def __init__(self, n: int, alpha: float, beta: float):
         if not (isinstance(n, (int, np.integer)) and n >= 1):
             raise DomainError(f"number of trials must be an integer >= 1, got {n!r}")
-        limit = np.iinfo(np.intp).max  # the n + 1 counts 0..n must fit an array length
+        limit = np.iinfo(np.intp).max // 8  # the n + 1 counts 0..n must fit an array of 8-byte entries
         if n >= limit:
             raise DomainError(f"number of trials n must be below {limit}, got an integer of {int(n).bit_length()} bits")
         if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
@@ -787,54 +787,62 @@ def make_beta_binomial(n: int, alpha: float, beta: float) -> BetaBinomialBundle:
 # finite model
 
 
-def _check_weights(values, what: str) -> None:
-    """Refuse weights that are negative, not finite, or do not sum to 1
-    within 1e-12.  ``min`` and ``sum`` run in C: a NaN anywhere makes the
-    plain sum NaN, so no per-entry Python pass is needed."""
-    if min(values, default=0.0) < 0.0:
-        raise DomainError(f"{what} must be nonnegative")
-    if not math.isfinite(sum(values)):
-        raise DomainError(f"{what} must be finite and sum to 1 within 1e-12")
-    if abs(math.fsum(values) - 1.0) > 1e-12:
-        raise DomainError(f"{what} must sum to 1 within 1e-12")
+def _float_array(values, what: str) -> np.ndarray:
+    """``values`` as a new read-only float64 array; a table numpy cannot
+    read as floats (ragged rows, a non-numeric entry) is a domain error."""
+    try:
+        array = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} cannot be read as an array of floats: {exc}") from None
+    array.setflags(write=False)
+    return array
 
 
-@dataclass(frozen=True)
+def _check_rows(rows: np.ndarray, names) -> None:
+    """Refuse the first row (``names`` names them in order) with a negative
+    entry or a sum farther than 1e-12 from 1.  A plain sum above 2, or NaN,
+    refuses a row outright, where ``math.fsum`` could overflow; it decides the rest."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        unfit = (rows < 0.0).any(axis=1) | ~(rows.sum(axis=1) <= 2.0)
+    for name, row, bad in zip(names, rows.tolist(), unfit.tolist()):
+        if bad or abs(math.fsum(row) - 1.0) > 1e-12:
+            raise DomainError(f"{name} must be nonnegative and sum to 1 within 1e-12")
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteModelSpec:
     """A fully tabulated model: prior over theta labels, row-stochastic
     likelihood table over data labels, and a map from theta to interest
-    labels."""
+    labels.  ``prior`` and ``likelihood`` are read-only float64 arrays, so
+    specs compare by identity."""
 
     theta_labels: Tuple[str, ...]
-    prior: Tuple[float, ...]
-    likelihood: Tuple[Tuple[float, ...], ...]  # rows indexed by theta, columns by x
+    prior: np.ndarray
+    likelihood: np.ndarray  # rows indexed by theta, columns by x
     x_labels: Tuple[str, ...]
     psi_of_theta: Tuple[str, ...]
 
     def __init__(self, theta_labels, prior, likelihood, x_labels, psi_of_theta=None):
         theta_labels = tuple(theta_labels)
-        prior = tuple(map(float, prior))
-        likelihood = tuple(tuple(map(float, row)) for row in likelihood)
+        prior = _float_array(prior, "prior weights")
+        likelihood = _float_array(likelihood, "likelihood table")
         x_labels = tuple(x_labels)
-        if psi_of_theta is None:
-            psi_of_theta = theta_labels  # interest parameter is theta itself
-        psi_of_theta = tuple(psi_of_theta)
+        psi_of_theta = theta_labels if psi_of_theta is None else tuple(psi_of_theta)  # default: theta itself
 
         if len(set(theta_labels)) != len(theta_labels):
             raise DomainError("theta labels must be unique")
         if len(set(x_labels)) != len(x_labels):
             raise DomainError("data labels must be unique")
-        if len(prior) != len(theta_labels):
+        if prior.shape != (len(theta_labels),):
             raise DomainError("prior length must match theta labels")
         if len(psi_of_theta) != len(theta_labels):
             raise DomainError("psi_of_theta length must match theta labels")
-        _check_weights(prior, "prior weights")
-        if len(likelihood) != len(theta_labels):
+        _check_rows(prior[None, :], ["prior weights"])
+        if likelihood.shape[:1] != prior.shape:
             raise DomainError("likelihood table must have one row per theta")
-        for label, row in zip(theta_labels, likelihood):
-            if len(row) != len(x_labels):
-                raise DomainError(f"likelihood row for {label!r} has wrong length")
-            _check_weights(row, f"likelihood row for {label!r}")
+        if likelihood.shape[1:] != (len(x_labels),):  # every row has the width of the first
+            raise DomainError(f"likelihood row for {theta_labels[0]!r} has wrong length")
+        _check_rows(likelihood, (f"likelihood row for {label!r}" for label in theta_labels))
 
         object.__setattr__(self, "theta_labels", theta_labels)
         object.__setattr__(self, "prior", prior)
@@ -852,16 +860,12 @@ class FiniteBundle:
         self.spec = spec
         self.theta_labels = spec.theta_labels
         self.x_labels = spec.x_labels
-        self.prior = np.array(spec.prior, dtype=float)
-        self.like = np.array(spec.likelihood, dtype=float)
+        self.prior = spec.prior
+        self.like = spec.likelihood
 
-        # interest labels keep first-appearance order
-        seen = {}
-        for lab in spec.psi_of_theta:
-            if lab not in seen:
-                seen[lab] = len(seen)
-        self.psi_labels: Tuple[str, ...] = tuple(seen)
-        self.psi_index_of_theta = np.array([seen[lab] for lab in spec.psi_of_theta])
+        self.psi_labels: Tuple[str, ...] = tuple(dict.fromkeys(spec.psi_of_theta))  # first-appearance order
+        index = {lab: i for i, lab in enumerate(self.psi_labels)}
+        self.psi_index_of_theta = np.array([index[lab] for lab in spec.psi_of_theta])
         self._group = np.zeros((len(self.psi_labels), len(self.theta_labels)))
         self._group[self.psi_index_of_theta, np.arange(len(self.theta_labels))] = 1.0
 
@@ -882,9 +886,8 @@ class FiniteBundle:
         self._x_index = {lab: i for i, lab in enumerate(self.x_labels)}
         self._cum_like = np.cumsum(self.like, axis=1)  # inverse-CDF rows of the outcome draw
         self._usable = np.flatnonzero(self.prior_psi >= PRIOR_CONTENT_FLOOR)
-        for arr in (self.prior, self.like, self.joint, self.predictive, self.prior_psi,
-                    self.predictive_psi, self._rb_psi, self.psi_index_of_theta, self._group,
-                    self._cum_like, self._usable):
+        for arr in (self.joint, self.predictive, self.prior_psi, self.predictive_psi, self._rb_psi,
+                    self.psi_index_of_theta, self._group, self._cum_like, self._usable):
             arr.setflags(write=False)
 
     @property

@@ -385,6 +385,17 @@ def test_malformed_json_is_config_error(tmp_path):
     assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+def test_integer_beyond_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    # json.loads raises ValueError, not JSONDecodeError, for a 5,001-digit n
+    text = json.dumps({"bundle": dict(LOCNORMAL_20, n=0), "psi0": 0.0, "delta": 0.5})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text.replace('"n": 0', '"n": 1' + "0" * 5000))
+    out = tmp_path / "out"
+    assert main(["bias", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "bias.csv").exists() and not (out / "run_manifest.json").exists()
+
+
 def test_wrong_value_types_are_config_errors(tmp_path):
     bad_bundle = dict(LOCNORMAL_20, n="twenty")
     config = {"bundle": bad_bundle, "data": {"xbar": 0.3}, "discretization": {"delta": 0.05}}
@@ -698,12 +709,17 @@ def test_seed_outside_64_bits_is_a_config_error(tmp_path, capsys, where, seed):
 @pytest.mark.parametrize(
     "bundle, n, named",
     [(LOCNORMAL_20, 10**400, "sample size n"),
+     (BETABINOMIAL_4, 2**60 - 1, "number of trials n"),
+     (BETABINOMIAL_4, 2**61, "number of trials n"),
+     (BETABINOMIAL_4, 2**62, "number of trials n"),
      (BETABINOMIAL_4, 2**63, "number of trials n"),
      (BETABINOMIAL_4, 10**400, "number of trials n")],
-    ids=["location_normal-10**400", "beta_binomial-2**63", "beta_binomial-10**400"],
+    ids=["location_normal-10**400", "beta_binomial-2**60-1", "beta_binomial-2**61", "beta_binomial-2**62",
+         "beta_binomial-2**63", "beta_binomial-10**400"],
 )
 def test_sample_size_beyond_the_domain_is_a_domain_error(tmp_path, capsys, command, bundle, n, named):
-    # these raised OverflowError, IndexError or ValueError, or at 2**63 trials
+    # these raised OverflowError, IndexError or ValueError ("array is too big"
+    # from 2**60 trials: 8-byte count arrays of n + 1 entries), or at 2**63 trials
     # made analyze report that no cell attains a ratio of 1
     data = {"xbar": 0.3} if bundle["kind"] == "location_normal" else {"successes": 1}
     config = {"bundle": dict(bundle, n=n), "psi0": 0.5, "delta": 0.1}

@@ -386,6 +386,25 @@ def test_reparam_decreasing_map_reverses_grid():
     assert strength(mapped, -0.4) == pytest.approx(s0, abs=1e-12)
 
 
+def test_reparam_decreasing_map_moves_the_anchor_with_its_cell():
+    profile = make_profile(LocationNormalSpec(n=20, sigma0_sq=1.0, mu_star=0.0, tau_star_sq=1.0), 0.4, 0.05,
+                           anchor=0.1)
+    mapped = reparam_profile(profile, lambda x: -x)
+    i, j = profile.anchor_index, mapped.anchor_index
+    assert j == profile.n_cells - 1 - i
+    assert mapped.centers[j] == -profile.centers[i]
+    for field in ("prior_content", "posterior_content", "rb"):
+        assert getattr(mapped, field)[j] == getattr(profile, field)[i]
+
+
+def test_reparam_takes_a_map_of_scalars_only():
+    profile = _profile_for_reparam()
+    mapped, vectorized = reparam_profile(profile, math.exp), reparam_profile(profile, np.exp)
+    assert mapped.edges == pytest.approx(vectorized.edges, rel=1e-15)
+    assert mapped.centers == pytest.approx(vectorized.centers, rel=1e-15)
+    assert np.array_equal(mapped.rb, vectorized.rb, equal_nan=True)
+
+
 def test_reparam_rejects_non_monotone_maps():
     profile = _profile_for_reparam()
     with pytest.raises(DomainError, match="monotone"):

@@ -1,6 +1,8 @@
 """Bundle construction, validation, and sampler/density consistency."""
 
 import math
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -83,11 +85,12 @@ def test_location_normal_sample_size_beyond_a_float_is_a_domain_error(n):
 
 
 @pytest.mark.parametrize(
-    "n", [2**63 - 1, 2**63, 2**64, 10**400, np.uint64(2**64 - 1)],
-    ids=["2**63-1", "2**63", "2**64", "10**400", "uint64-max"],
+    "n", [2**60 - 1, 2**61, 2**63 - 1, 2**63, 2**64, 10**400, np.uint64(2**64 - 1)],
+    ids=["2**60-1", "2**61", "2**63-1", "2**63", "2**64", "10**400", "uint64-max"],
 )
 def test_beta_binomial_count_beyond_an_array_length_is_a_domain_error(n):
-    # at 2**63 np.arange(n + 1) used to be empty, from 2**64 it raised ValueError
+    # from 2**60 np.arange(n + 1) of 8-byte entries raised ValueError ("array is
+    # too big"), at 2**63 it used to be empty
     with pytest.raises(DomainError, match="number of trials n") as info:
         make_beta_binomial(n, 1.0, 1.0)
     assert len(str(info.value)) < 100
@@ -158,6 +161,9 @@ def test_reduce_data_accepts_statistic_and_sample():
         bb.reduce_data(7)
     with pytest.raises(DomainError):
         bb.reduce_data([1, 2, 0, 0])
+    assert bb.reduce_data((4, 3)) == 3
+    with pytest.raises(DomainError, match="n=5"):
+        bb.reduce_data((5, 3))
 
 
 def test_finite_bundle_refuses_a_discretization():
@@ -353,6 +359,118 @@ def test_finite_spec_refuses_non_finite_entries(value):
 def test_finite_spec_refuses_weights_whose_sum_overflows():
     with pytest.raises(DomainError, match="prior"):
         FiniteModelSpec(["t0", "t1"], [1e308, 1e308], [[1.0], [1.0]], ["x0"])
+
+
+def test_finite_spec_refuses_weights_whose_exact_sum_overflows():
+    # the plain sum rounds to the largest float, the exact sum overflows
+    # math.fsum, which used to escape as OverflowError
+    half_ulp_below = 2.0**970 - 2.0**918
+    with pytest.raises(DomainError, match="prior weights"):
+        FiniteModelSpec(["t0", "t1", "t2"], [sys.float_info.max, half_ulp_below, half_ulp_below],
+                        [[1.0], [1.0], [1.0]], ["x0"])
+
+
+def test_finite_spec_tables_are_read_only_float64_arrays_the_bundle_shares():
+    prior, likelihood = [1, 0], [[0.25, 0.75], [1, 0]]
+    spec = FiniteModelSpec(["t0", "t1"], prior, likelihood, ["x0", "x1"])
+    for table, values in ((spec.prior, prior), (spec.likelihood, likelihood)):
+        assert isinstance(table, np.ndarray) and table.dtype == np.float64
+        assert not table.flags.writeable
+        np.testing.assert_array_equal(table, values)
+    prior[0] = likelihood[0][0] = 0.5  # the spec holds a copy of the caller's lists
+    assert spec.prior[0] == 1.0 and spec.likelihood[0, 0] == 0.25
+    bundle = make_finite(spec)
+    assert np.shares_memory(bundle.prior, spec.prior)
+    assert np.shares_memory(bundle.like, spec.likelihood)
+    assert spec != FiniteModelSpec(["t0", "t1"], [1, 0], [[0.25, 0.75], [1, 0]], ["x0", "x1"])
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(prior=[0.5, 0.25, 0.25]), "prior length must match theta labels"),
+        (dict(prior=[[0.5, 0.5]]), "prior length must match theta labels"),
+        (dict(psi_of_theta=["a"]), "psi_of_theta length must match theta labels"),
+        (dict(prior=[-0.5, 1.5]), "prior weights must be nonnegative and sum to 1"),
+        (dict(prior=[0.5, 0.5 + 2e-12]), "prior weights must be nonnegative and sum to 1"),
+        (dict(likelihood=[[0.5, 0.5]]), "likelihood table must have one row per theta"),
+        (dict(likelihood=[[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]]), "likelihood row for 't0' has wrong length"),
+        (dict(likelihood=[0.5, 0.5]), "likelihood row for 't0' has wrong length"),
+        (dict(likelihood=[[0.5, 0.5], [-0.1, 1.1]]), "likelihood row for 't1' must be nonnegative and sum to 1"),
+        (dict(likelihood=[[0.5, 0.5], [0.5, 0.4]]), "likelihood row for 't1' must be nonnegative and sum to 1"),
+        (dict(likelihood=[[0.5, 0.6], [0.5, 0.4]]), "likelihood row for 't0' must be nonnegative and sum to 1"),
+        (dict(likelihood=[[0.5, 0.5], [math.inf, -math.inf]]), "likelihood row for 't1' must be nonnegative"),
+    ],
+    ids=["prior-long", "prior-2d", "psi-short", "prior-negative", "prior-sum", "rows-short", "rows-wide",
+         "rows-1d", "row-negative", "row-sum-low", "first-row-sum-high", "row-infinite"],
+)
+def test_finite_spec_refusal_names_the_table_and_row(change, message):
+    fields = dict(theta_labels=["t0", "t1"], prior=[0.5, 0.5], likelihood=[[0.5, 0.5], [0.2, 0.8]],
+                  x_labels=["x0", "x1"])
+    with pytest.raises(DomainError, match=re.escape(message)):
+        FiniteModelSpec(**{**fields, **change})
+
+
+@pytest.mark.parametrize(
+    "prior, likelihood, named",
+    [
+        ([0.5, 0.5], [[0.5, 0.5], [1.0]], "likelihood table"),
+        ([0.5, 0.5], [[0.5, "half"], [0.5, 0.5]], "likelihood table"),
+        ([0.5, 0.5], [[0.5, {}], [0.5, 0.5]], "likelihood table"),
+        ([0.5, "half"], [[0.5, 0.5], [0.5, 0.5]], "prior weights"),
+        ([10**400, 0], [[0.5, 0.5], [0.5, 0.5]], "prior weights"),
+    ],
+    ids=["ragged", "string", "object", "prior-string", "prior-huge-int"],
+)
+def test_finite_spec_refuses_a_table_numpy_cannot_read(prior, likelihood, named):
+    with pytest.raises(DomainError, match=f"{named} cannot be read as an array of floats"):
+        FiniteModelSpec(["t0", "t1"], prior, likelihood, ["x0", "x1"])
+
+
+def _row_rule_accepts(values):
+    """The row rule finite specs have always applied, entry by entry in
+    Python: nonnegative, a finite plain sum, and an exact sum within 1e-12
+    of 1 (an exact sum that overflows counts as a refusal)."""
+    if min(values, default=0.0) < 0.0 or not math.isfinite(sum(values)):
+        return False
+    try:
+        return abs(math.fsum(values) - 1.0) <= 1e-12
+    except OverflowError:
+        return False
+
+
+SPECIAL_WEIGHTS = (math.nan, math.inf, -math.inf, -0.0, -5e-324, -0.5, 2.0, 1e308, sys.float_info.max)
+
+
+@st.composite
+def weight_rows(draw, width):
+    """A row that sums to 1 within a few 1e-12, one with a special value put
+    in, or any floats at all."""
+    kind = draw(st.sampled_from(["near_one", "special", "any"]))
+    if kind == "any":
+        return draw(st.lists(st.floats(), min_size=width, max_size=width))
+    head = draw(st.lists(st.floats(0.0, 1.0), min_size=width - 1, max_size=width - 1))
+    scale = 2.0 * (math.fsum(head) or 1.0)
+    head = [v / scale for v in head]
+    row = head + [1.0 - math.fsum(head) + draw(st.floats(-3e-12, 3e-12))]
+    if kind == "special":
+        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(SPECIAL_WEIGHTS))
+    return row
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(1, 3), m=st.integers(1, 4))
+def test_finite_spec_refuses_exactly_the_rows_the_row_rule_refuses(data, k, m):
+    prior = data.draw(weight_rows(k))
+    rows = [data.draw(weight_rows(m)) for _ in range(k)]
+    names = ["prior weights", *(f"likelihood row for 't{i}'" for i in range(k))]
+    refused = [name for name, row in zip(names, [prior, *rows]) if not _row_rule_accepts(row)]
+    labels = [f"t{i}" for i in range(k)]
+    if not refused:
+        FiniteModelSpec(labels, prior, rows, [f"x{j}" for j in range(m)])
+        return
+    with pytest.raises(DomainError, match=re.escape(refused[0] + " must")):
+        FiniteModelSpec(labels, prior, rows, [f"x{j}" for j in range(m)])
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
