@@ -248,7 +248,7 @@ def bias_in_favor_h(
     how = _resolve_method(method)
     _check_grid(disc, psi0)
     coord = bundle.interest(psi0, disc)
-    cases = [(("bias-favor-h", j), truth) for j, truth in bundle.alternatives(coord, delta, boundary_only)]
+    cases = [(("bias-favor-h", j), truth) for j, truth in bundle.alternatives(coord, delta, boundary_only, disc)]
     if not cases:
         raise DomainError(f"no value with prior mass differs from {psi0!r} by at least {delta}")
     return _worst_case(bundle, coord, cases, disc, mc, how, against=False)

@@ -308,6 +308,16 @@ def _parse_mc(config, args) -> McConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _refuse_monte_carlo(config, args, why: str) -> None:
+    """Refuse Monte Carlo settings on a run that draws nothing (``why`` says
+    so): they would reach only the manifest."""
+    given = [flag for flag, value in (("--seed", args.seed), ("--sims", args.sims)) if value is not None]
+    if "mc" in config:
+        given.append("an 'mc' section")
+    if given:
+        raise ConfigError(f"{' and '.join(given)} given, but {why}")
+
+
 def _parse_boundary_only(config) -> bool:
     value = config.get("boundary_only", True)
     if not isinstance(value, bool):
@@ -425,6 +435,7 @@ def _observed_profile(config, required: set, optional: set):
 
 
 def cmd_analyze(config, mc: McConfig, args, out: Path) -> None:
+    _refuse_monte_carlo(config, args, "analyze draws nothing")
     profile, _ = _observed_profile(config, set(), {"gamma"})
     gamma = config.get("gamma")
     report = estimate(profile, gamma=None if gamma is None else _number(gamma, "gamma"))
@@ -448,6 +459,7 @@ def cmd_analyze(config, mc: McConfig, args, out: Path) -> None:
 
 
 def cmd_assess(config, mc: McConfig, args, out: Path) -> None:
+    _refuse_monte_carlo(config, args, "assess draws nothing")
     profile, psi0 = _observed_profile(config, {"psi0"}, set())
     result = assess(profile, psi0)
     _write_json(
@@ -518,10 +530,13 @@ def cmd_design(config, mc: McConfig, args, out: Path) -> None:
 
 def cmd_check(config, mc: McConfig, args, out: Path) -> None:
     _require_keys(config, {"bundle", "data"}, {"threshold", "mc", "method"}, "config")
+    method = _parse_method(config)
+    if method != "mc":
+        _refuse_monte_carlo(config, args, f"a check under method {method!r} draws nothing: its tail is exact")
     bundle = _build_bundle(config["bundle"])
     data = _parse_data(config["data"], bundle)
     threshold = config.get("threshold", DEFAULT_THRESHOLD) if args.threshold is None else args.threshold
-    report = conflict_check(bundle, data, threshold=_number(threshold, "threshold"), mc=mc, method=_parse_method(config))
+    report = conflict_check(bundle, data, threshold=_number(threshold, "threshold"), mc=mc, method=method)
     _write_report(out / "check.csv", _CHECK_COLUMNS, report)
 
 

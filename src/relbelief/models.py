@@ -226,20 +226,10 @@ def _enumerated_tail(order, t, draws, pmf) -> float:
     return float(np.mean(order[draws] <= order[t]))
 
 
-def _numbered(truths):
-    """Number candidate true values as (stream key, value) pairs.
-
-    For one hypothesized value a NaN candidate is no alternative and is
-    dropped before numbering; for an array of hypothesized values every
-    candidate is an array, NaN where it is no alternative."""
-    kept = [t if np.ndim(t) else float(t) for t in truths if np.ndim(t) or not np.isnan(t)]
-    return list(enumerate(kept))
-
-
 class _ContinuousBundle:
     """What the two bundles with a real interest parameter share.  A subclass
     sets ``_sup_grid``, the (center, half-width, points) of the grid its
-    supremum search starts from."""
+    supremum search starts from, ``_support``, its open interval, and ``_peak``."""
 
     def interest(self, psi0, disc: Optional[Discretization] = None) -> float:
         """The hypothesized value ``psi0``; with ``disc``, refused when its
@@ -262,6 +252,23 @@ class _ContinuousBundle:
         """Draw (true value, statistic) pairs from the prior predictive."""
         psi = self.sample_prior(rng, size)
         return psi, self.sample_stat(rng, psi)
+
+    def alternatives(self, psi0, delta: float, boundary_only: bool = True, disc: Optional[Discretization] = None):
+        """(stream key, true value) pairs for the bias in favor of ``psi0``:
+        the values at distance ``delta`` and, unless ``boundary_only``, the
+        ``_peak`` if it is at least ``delta`` away.  Only values inside the
+        support count, and a peak at its edge (the limit there) where the
+        value at distance ``delta`` on that side does: for one ``psi0`` the
+        others are dropped before numbering, for an array they are NaN."""
+        lo, hi = self._support
+        below, above = psi0 - delta, psi0 + delta
+        truths = [(below, below), (above, above)]
+        if not boundary_only:
+            peak = self._peak(psi0, disc)
+            side = np.where(peak <= lo, below, np.where(peak >= hi, above, peak))
+            truths.append((peak, np.where(np.abs(peak - psi0) >= delta, side, np.nan)))
+        kept = [np.where((lo < at) & (at < hi), truth, np.nan) for truth, at in truths]
+        return list(enumerate(kept if np.ndim(psi0) else [float(t) for t in kept if not np.isnan(t)]))
 
     def supremum(self, g) -> float:
         """Largest value of the vectorized ``g`` on the interest range: the
@@ -395,6 +402,7 @@ class LocationNormalBundle(_ContinuousBundle):
     """Normal data with known variance, conjugate normal prior on the mean."""
 
     kind = "location_normal"
+    _support = (-math.inf, math.inf)
 
     def __init__(self, spec: LocationNormalSpec):
         self.spec = spec
@@ -420,7 +428,7 @@ class LocationNormalBundle(_ContinuousBundle):
             return float(data)
         if isinstance(data, tuple) and len(data) == 2:
             n, xbar = data
-            if int(n) != self.spec.n:
+            if n != self.spec.n:  # a fractional n is refused, not truncated
                 raise DomainError(f"statistic reports n={n}, bundle expects n={self.spec.n}")
             return float(xbar)
         sample = np.asarray(data, dtype=float)
@@ -492,20 +500,10 @@ class LocationNormalBundle(_ContinuousBundle):
             favor = normal_interval_prob(*self._cell_window(psi0, disc.delta), truths, self._stat_sd)
         return 1.0 - favor if against else favor
 
-    def alternatives(self, psi0, delta: float, boundary_only: bool = True):
-        """(stream key, true mean) pairs for the bias in favor of ``psi0``:
-        the two values at distance ``delta`` and, unless ``boundary_only``,
-        the center of the favor window when the prior pull puts it in the
-        exterior (the favor probability peaks there)."""
-        truths = [psi0 - delta, psi0 + delta]
-        if not boundary_only:
-            center = self._window_center(psi0, _favor_window(self.spec, psi0))
-            truths.append(np.where(np.abs(center - psi0) >= delta, center, np.nan))
-        return _numbered(truths)
-
-    def _window_center(self, psi0, window):
-        """The true mean at the center of the favor ``window`` of ``psi0``."""
-        _, d = window
+    def _peak(self, psi0, disc: Optional[Discretization] = None):
+        """The true mean at the center of the favor window of ``psi0``, where
+        the favor probability peaks; a cell's window has the same center."""
+        _, d = _favor_window(self.spec, psi0)
         return psi0 - d * math.sqrt(self.spec.sigma0_sq) / math.sqrt(self.spec.n)
 
     def favor_sup(self, delta: float, disc: Optional[Discretization] = None, boundary_only: bool = True):
@@ -530,7 +528,7 @@ class LocationNormalBundle(_ContinuousBundle):
                 return worst
             # a center within delta of psi0 is no alternative: the product is
             # 0 (or NaN), which cannot raise a maximum that is at least 0
-            center = self._window_center(psi0, window)
+            center = self._peak(psi0)
             return np.fmax(worst, prob(center) * (abs(center - psi0) >= delta))
 
         return g
@@ -604,6 +602,7 @@ class BetaBinomialBundle(_ContinuousBundle):
 
     kind = "beta_binomial"
     _sup_grid = (0.5, 0.5 - 1e-6, 201)
+    _support = (0.0, 1.0)
 
     def __init__(self, n: int, alpha: float, beta: float):
         if not (isinstance(n, (int, np.integer)) and n >= 1):
@@ -631,17 +630,16 @@ class BetaBinomialBundle(_ContinuousBundle):
         return f"beta_binomial(n={self.n},alpha={self.alpha!r},beta={self.beta!r})"
 
     def reduce_data(self, data) -> int:
-        """Reduce data to the success count; accepts the count, an
-        ``(n, count)`` pair, or a 0/1 sample of length ``n``."""
-        if isinstance(data, (int, np.integer)) or (
-            isinstance(data, float) and float(data).is_integer()
-        ):
-            s = int(data)
-        elif isinstance(data, tuple) and len(data) == 2:
-            n, s = data
-            if int(n) != self.n:
+        """Reduce data to the success count; accepts the count, an ``(n,
+        count)`` pair, or a 0/1 sample of length ``n``.  Fractions are refused."""
+        if isinstance(data, tuple) and len(data) == 2:
+            n, data = data
+            if n != self.n:
                 raise DomainError(f"statistic reports n={n}, bundle expects n={self.n}")
-            s = int(s)
+        if isinstance(data, (int, float, np.integer, np.floating)):
+            if not float(data).is_integer():
+                raise DomainError(f"success count must be a whole number, got {data!r}")
+            s = int(data)
         else:
             sample = np.asarray(data)
             if sample.ndim != 1 or sample.size != self.n:
@@ -704,27 +702,28 @@ class BetaBinomialBundle(_ContinuousBundle):
     def region_prob(self, psi0, truths, disc: Optional[Discretization] = None, against: bool = True):
         """Exact probability that the ratio at ``psi0`` is <= 1 (``against``)
         or >= 1 when counts come from each true rate (broadcast; NaN for a
-        NaN rate)."""
+        NaN rate; at a rate of 0 or 1, the limit)."""
         log_rb = self.log_rb(np.asarray(psi0, dtype=float)[..., None], self._counts, disc)
         region = log_rb <= 0.0 if against else log_rb >= 0.0
         pmf = np.exp(self.log_sampling_pmf(truths))
+        pmf[..., 0][truths == 0.0] = 1.0  # all mass on 0 or n successes, not 0 * log(0)
+        pmf[..., -1][truths == 1.0] = 1.0
         return np.where(region, pmf, 0.0).sum(axis=-1)
 
-    def alternatives(self, psi0, delta: float, boundary_only: bool = True):
-        """(stream key, true rate) pairs for the bias in favor of ``psi0``:
-        the two rates at distance ``delta`` and, unless ``boundary_only``,
-        every point of an 801-point grid at least ``delta`` away; only rates
-        inside (0, 1) count.  The grid is searched for one ``psi0`` only."""
-        truths = [psi0 - delta, psi0 + delta]
-        if not boundary_only:
-            if np.ndim(psi0):
-                raise DomainError(
-                    "the exterior grid search runs for one hypothesized rate; "
-                    "an average over the prior needs boundary_only=True"
-                )
-            grid = np.linspace(1e-6, 1.0 - 1e-6, 801)
-            truths.extend(grid[np.abs(grid - psi0) >= delta])
-        return _numbered([np.where((t > 0.0) & (t < 1.0), t, np.nan) for t in truths])
+    def _peak(self, psi0, disc: Optional[Discretization] = None):
+        """The rate where the favor probability of ``psi0`` (point or cell) peaks.  Its counts in
+        favor are one interval [k1, k2] (the point log ratio is concave in the count), and
+        P(k1 <= S <= k2) is unimodal in the rate, with its mode where (rate / (1 - rate))^(k2 -
+        k1 + 1) = C(n-1, k1-1) / C(n-1, k2), 0 or 1 at k1 = 0 or k2 = n.  Other regions are refused."""
+        favor = self.log_rb(np.asarray(psi0, dtype=float)[..., None], self._counts, disc) >= 0.0
+        k1 = np.argmax(favor, axis=-1)
+        k2 = self.n - np.argmax(favor[..., ::-1], axis=-1)
+        if np.any(np.count_nonzero(favor, axis=-1) != k2 - k1 + 1):
+            raise DomainError("the counts in favor of a hypothesized rate are not one interval")
+        # C(n-1, k1-1) / C(n-1, k2) = k1 C(n, k1) / ((n - k2) C(n, k2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_odds = np.log(k1) + self._log_binom[k1] - np.log(self.n - k2) - self._log_binom[k2]
+        return np.where(k1 == 0, 0.0, special.expit(log_odds / (k2 - k1 + 1)))
 
     def prior_mean(self, g, smooth: bool) -> None:
         """No exact prior rule yet: averages over the beta prior are drawn."""
@@ -737,7 +736,7 @@ class BetaBinomialBundle(_ContinuousBundle):
         most ``_BLOCK_CELLS`` cells."""
 
         def one(p0):
-            truths = np.array([truth for _, truth in self.alternatives(p0, delta, boundary_only)])
+            truths = np.array([truth for _, truth in self.alternatives(p0, delta, boundary_only, disc)])
             return np.fmax.reduce(self.region_prob(p0, truths, disc, False), axis=0, initial=0.0)
 
         def g(p0):
@@ -947,11 +946,12 @@ class FiniteBundle:
         region = rb <= 1.0 if against else rb >= 1.0
         return np.where(region, self.predictive_psi[truths], 0.0).sum(axis=-1)
 
-    def alternatives(self, psi0, delta: float, boundary_only: bool = True):
+    def alternatives(self, psi0, delta: float, boundary_only: bool = True, disc: Optional[Discretization] = None):
         """(stream key, true index) pairs for the bias in favor of ``psi0``:
         every other interest value above the prior floor.  Labels carry the
         discrete metric, so each lies at distance 1 and ``boundary_only``
-        changes nothing."""
+        changes nothing; they have no cells, so ``disc`` is refused."""
+        refuse_grid(disc)
         if delta > 1.0:
             raise DomainError(f"no interest value lies at distance >= {delta} under the discrete metric")
         return [(int(j), int(j)) for j in self._usable if j != psi0]

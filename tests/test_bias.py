@@ -257,6 +257,75 @@ def test_beta_binomial_exact_enumeration_and_mc_agree():
         bias_in_favor_h(make_beta_binomial(5, 1.0, 1.0), 0.5, 0.9)
 
 
+def test_beta_binomial_exterior_worst_case_reaches_the_peak():
+    """The favor probability of 0.5 peaks at a rate of about 0.5795, between
+    two points of an 801-point grid, which read 0.9327180330."""
+    bundle = make_beta_binomial(20, 3.0, 6.0)
+    got = bias_in_favor_h(bundle, 0.5, 0.05, boundary_only=False)
+    assert got.method == "Exact"
+    assert got.value == pytest.approx(0.9327210907, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "psi0, delta, cell",
+    [(0.5, 0.05, None), (0.5, 0.05, 0.02), (0.3, 0.1, None), (0.15, 0.1, 0.05)],
+    ids=["peak", "peak-cell", "boundary", "edge-cell"],
+)
+def test_beta_binomial_exterior_mc_agrees_with_exact(psi0, delta, cell):
+    from relbelief import Discretization
+
+    bundle = make_beta_binomial(20, 3.0, 6.0)
+    disc = None if cell is None else Discretization(delta=cell)
+    exact = bias_in_favor_h(bundle, psi0, delta, disc=disc, boundary_only=False).value
+    est = bias_in_favor_h(bundle, psi0, delta, disc=disc, boundary_only=False,
+                          mc=McConfig(n_sim=20_000, seed=8), method="mc")
+    assert est.method == "MonteCarlo"
+    assert _within_3se(est.value, est.se, exact)
+
+
+def test_beta_binomial_exterior_refuses_a_favor_region_of_two_pieces(monkeypatch):
+    """The peak is read off one interval of counts; a favor region of two
+    pieces is refused, never searched some other way.  The two values at
+    distance ``delta`` need no interval."""
+    from relbelief.models import BetaBinomialBundle
+
+    def two_pieces(self, psi0, t, disc=None):
+        return np.where(np.isin(t, (2, 3, 7)), 1.0, -1.0) + 0.0 * np.asarray(psi0)
+
+    bundle = make_beta_binomial(10, 2.0, 3.0)
+    monkeypatch.setattr(BetaBinomialBundle, "log_rb", two_pieces)
+    assert bias_in_favor_h(bundle, 0.4, 0.1).method == "Exact"
+    with pytest.raises(DomainError, match="one interval"):
+        bias_in_favor_h(bundle, 0.4, 0.1, boundary_only=False)
+
+
+@pytest.mark.parametrize("method", ["auto", "exact", "mc"])
+@pytest.mark.parametrize("cell", [None, 0.05], ids=["point", "cell"])
+def test_beta_binomial_exterior_runs_in_estimation_and_design(method, cell):
+    """The exterior is three candidates for an array of rates as for one, so
+    the average bias in favor and every design candidate honour
+    ``boundary_only=False``.  With the same draws the exterior, which holds
+    the two values at distance ``delta``, never reads below them."""
+    from relbelief import Discretization
+
+    disc = None if cell is None else Discretization(delta=cell)
+    opts = dict(disc=disc, mc=McConfig(n_sim=2000, seed=5), method=method)
+    bundle = make_beta_binomial(15, 2.0, 3.0)
+    boundary = estimation_bias(bundle, 0.15, **opts)
+    exterior = estimation_bias(bundle, 0.15, boundary_only=False, **opts)
+    assert exterior.avg_bias_in_favor > boundary.avg_bias_in_favor
+    assert exterior.avg_bias_against == boundary.avg_bias_against
+
+    def evaluated(**kw):
+        family = lambda n: make_beta_binomial(n, 2.0, 3.0)
+        with pytest.raises(DesignSearchError) as info:
+            design_sample_size(family, 0.4, 0.15, {"max_bias_against": 1e-6}, [5, 20], **opts, **kw)
+        return [report for _, report in info.value.reports]
+
+    for b, e in zip(evaluated(), evaluated(boundary_only=False)):
+        assert e.bias_in_favor >= b.bias_in_favor and e.bias_against == b.bias_against
+
+
 def _finite_spec(prior, psi_of_theta, n_x, seed):
     rng = np.random.default_rng(seed)
     like = rng.uniform(0.05, 1.0, size=(len(prior), n_x))
@@ -391,7 +460,7 @@ OPTION_BUNDLES = {
 
 
 # the (bundle, option) pairs an estimation bias refuses by name
-REFUSED_OPTIONS = {("finite", "discretization"), ("beta_binomial", "boundary_only")}
+REFUSED_OPTIONS = {("finite", "discretization")}
 
 
 @pytest.mark.parametrize("method", ["auto", "exact", "mc"])
@@ -402,9 +471,10 @@ def test_estimation_options_are_honoured_or_refused(kind, functional, method):
     estimation bias or is refused by name.  A finite model refuses the
     discretization (its labels have no cells); its labels all sit at distance
     1 from each other, so the exterior search leaves it unaffected.  The
-    beta-binomial exterior search runs for one rate only, so an average
-    refuses it.  A location-normal grid is honoured exactly wherever the point
-    is: exact cells under ``auto``/``exact``, exact suprema under ``mc``."""
+    exterior of both continuous bundles is three candidates per value, for an
+    array of values as for one, so an average honours it.  A location-normal
+    grid is honoured exactly wherever the point is: exact cells under
+    ``auto``/``exact``, exact suprema under ``mc``."""
     from relbelief import Discretization
 
     build, delta = OPTION_BUNDLES[kind]

@@ -450,6 +450,40 @@ def test_reproduce_manifest_records_the_monte_carlo_settings(tmp_path):
         assert digest == REPRODUCE_DIGESTS["table1"]
 
 
+POST_DATA = {"bundle": LOCNORMAL_20, "data": {"xbar": 0.3}, "discretization": {"delta": 0.05}}
+CHECK = {"bundle": LOCNORMAL_20, "data": {"xbar": 0.3}}
+
+
+@pytest.mark.parametrize(
+    "command, config, extra, named",
+    [("analyze", POST_DATA, ("--seed", "5"), "--seed"),
+     ("analyze", POST_DATA, ("--sims", "50"), "--sims"),
+     ("assess", dict(POST_DATA, psi0=0.0), ("--seed", "5", "--sims", "50"), "--seed and --sims"),
+     ("check", CHECK, ("--seed", "5"), "--seed"),
+     ("check", dict(CHECK, method="exact", mc={"n_sim": 5}), (), "'mc'"),
+     ("check", dict(CHECK, method="auto"), ("--sims", "7"), "--sims")],
+    ids=["analyze-seed", "analyze-sims", "assess-both", "check-default-seed", "check-exact-mc", "check-auto-sims"],
+)
+def test_monte_carlo_settings_are_refused_where_nothing_draws(tmp_path, capsys, command, config, extra, named):
+    # they used to reach only run_manifest.json
+    code, out = run(tmp_path, config, command, extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert named in err and "draws nothing" in err
+    assert not any(out.iterdir())
+    assert run(tmp_path, {k: v for k, v in config.items() if k != "mc"}, command)[0] == 0
+
+
+def test_monte_carlo_settings_are_taken_where_a_run_can_draw(tmp_path):
+    check = dict(CHECK, method="mc", mc={"n_sim": 200})
+    code, out = run(tmp_path, check, "check", ("--seed", "5", "--sims", "300"))
+    assert code == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["seed"], manifest["n_sim"]) == (5, 300)
+    bias = {"bundle": LOCNORMAL_20, "psi0": 0.0, "delta": 0.5, "mc": {"n_sim": 200}}
+    assert run(tmp_path, bias, "bias", ("--seed", "5"))[0] == 0
+
+
 # -- config fuzzing: every field of every command, each wrong JSON type --------
 
 LOCNORMAL_4 = {"kind": "location_normal", "n": 4, "sigma0_sq": 1.0, "mu_star": 0.0, "tau_star_sq": 1.0}

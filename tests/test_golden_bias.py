@@ -213,16 +213,13 @@ def test_bias_matches_golden(golden, key):
 
 @pytest.mark.parametrize("key", sorted(set(CHANGED) - set(FINITE_REFUSED)))
 def test_estimation_bias_no_longer_ignores_an_option(golden, key):
-    """The option the recorded output ignored now either changes the answer
-    or is refused by name."""
+    """The option the recorded output ignored now changes the answer (the
+    finite refusals are checked with the golden cases)."""
     got = _run(*CASES[key])
     if key in CELL_EXACT:
         _moved_to_exact_cells(key, golden[key], got, golden)
         return
-    if "error" in got:
-        bb_exterior = key.startswith("beta_binomial") and key.endswith("exterior")
-        assert ("boundary_only" if bb_exterior else "discretization") in got["error"]
-        return
+    assert "error" not in got, got
     assert [g["value"] for g in got] != [w["value"] for w in golden[key]]
 
 

@@ -153,6 +153,8 @@ def test_reduce_data_accepts_statistic_and_sample():
         bundle.reduce_data([1.0, 2.0])
     with pytest.raises(DomainError):
         bundle.reduce_data((5, 0.3))
+    with pytest.raises(DomainError, match="n=4.7"):  # it passed as n=4
+        bundle.reduce_data((4.7, 0.3))
 
     bb = make_beta_binomial(4, 1.0, 1.0)
     assert bb.reduce_data(3) == 3
@@ -164,6 +166,14 @@ def test_reduce_data_accepts_statistic_and_sample():
     assert bb.reduce_data((4, 3)) == 3
     with pytest.raises(DomainError, match="n=5"):
         bb.reduce_data((5, 3))
+    assert bb.reduce_data((4.0, 3.0)) == 3 and bb.reduce_data(np.float64(2.0)) == 2
+    # fractional entries are refused, never truncated
+    with pytest.raises(DomainError, match="success count must be a whole number, got 2.5"):
+        bb.reduce_data((4, 2.5))  # it returned 2
+    with pytest.raises(DomainError, match="n=4.9"):
+        bb.reduce_data((4.9, 3))  # it passed as n=4
+    with pytest.raises(DomainError, match="success count must be a whole number, got 2.5"):
+        bb.reduce_data(2.5)  # it was named a raw sample
 
 
 def test_finite_bundle_refuses_a_discretization():
@@ -692,3 +702,74 @@ def test_location_normal_favor_sup_equals_the_alternatives_composition_to_the_bi
     for p0 in psi.tolist():  # floats, as adaptive quadrature passes them
         assert g(p0) == _favor_sup_by_alternatives(bundle, p0, delta, disc, boundary_only)
     np.testing.assert_array_equal(g(psi), _favor_sup_by_alternatives(bundle, psi, delta, disc, boundary_only), strict=True)
+
+
+# -- beta-binomial worst case in favor ---------------------------------------------
+
+
+def _beta_binomial_exterior_by_search(bundle, psi0, delta, disc):
+    """The worst case in favor of ``psi0`` over the exterior by search: the
+    binomial probability of the counts with a ratio >= 1 on 4,001 points of
+    each side of the exterior that is not empty (an edge of (0, 1) at its
+    limit), then a bounded refinement between the best point's neighbours."""
+    counts = np.arange(bundle.n + 1)
+    favor = counts[bundle.log_rb(psi0, counts, disc) >= 0.0]
+    prob = lambda theta: stats.binom.pmf(favor, bundle.n, np.asarray(theta)[..., None]).sum(axis=-1)
+    sides = []  # a side of the exterior holds a rate where its value at distance delta is one
+    if 0.0 < psi0 - delta < 1.0:
+        sides.append((0.0, psi0 - delta))
+    if 0.0 < psi0 + delta < 1.0:
+        sides.append((psi0 + delta, 1.0))
+    best = 0.0
+    for lo, hi in sides:
+        grid = np.linspace(lo, hi, 4001)
+        vals = prob(grid)
+        k = int(np.argmax(vals))
+        res = optimize.minimize_scalar(lambda t: -float(prob(t)), bounds=(grid[max(k - 1, 0)], grid[min(k + 1, 4000)]),
+                                       method="bounded", options={"xatol": 1e-13})
+        best = max(best, float(vals[k]), -float(res.fun))
+    return best
+
+
+@st.composite
+def beta_binomial_exterior_cases(draw):
+    """A beta-binomial spec (n from 1), a hypothesized rate, a difference
+    that matters from 0.02, and a point or a cell."""
+    bundle = make_beta_binomial(draw(st.integers(1, 80)), draw(st.floats(0.5, 6.0)), draw(st.floats(0.5, 6.0)))
+    psi0, delta = draw(st.floats(0.02, 0.98)), draw(st.floats(0.02, 0.45))
+    return bundle, psi0, delta, draw(st.none() | st.floats(0.005, 0.2).map(lambda c: Discretization(delta=c)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=beta_binomial_exterior_cases())
+def test_beta_binomial_exterior_worst_case_matches_a_refined_search(case):
+    from relbelief import bias_in_favor_h
+
+    bundle, psi0, delta, disc = case
+    got = bias_in_favor_h(bundle, psi0, delta, disc=disc, boundary_only=False)
+    assert got.method == "Exact"
+    assert abs(got.value - _beta_binomial_exterior_by_search(bundle, psi0, delta, disc)) <= 1e-9
+
+
+# favor regions [0, k2] or [k1, n], whose probability peaks at an edge of (0, 1):
+# (bundle, psi0, delta, disc, whether the exterior reaches that edge)
+EDGE_EXTERIOR_CASES = {
+    "k2=n": (make_beta_binomial(5, 1.0, 8.0), 0.3, 0.1, None, True),
+    "k1=0-cell": (make_beta_binomial(5, 8.0, 1.0), 0.7, 0.1, Discretization(delta=0.05), True),
+    "k1=0-n=1": (make_beta_binomial(1, 1.0, 1.0), 0.2, 0.1, None, True),
+    "k2=n-cell-n=1": (make_beta_binomial(1, 1.0, 1.0), 0.8, 0.1, Discretization(delta=0.02), True),
+    # psi0 - delta is 0: the exterior holds no rate below psi0
+    "k1=0-unreached": (make_beta_binomial(10, 1.0, 1.0), 0.05, 0.05, None, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_EXTERIOR_CASES))
+def test_beta_binomial_exterior_worst_case_at_an_edge_is_the_limit(name):
+    from relbelief import bias_in_favor_h
+
+    bundle, psi0, delta, disc, reached = EDGE_EXTERIOR_CASES[name]
+    favor = np.flatnonzero(bundle.log_rb(psi0, np.arange(bundle.n + 1), disc) >= 0.0)
+    assert favor[0] == 0 or favor[-1] == bundle.n
+    got = bias_in_favor_h(bundle, psi0, delta, disc=disc, boundary_only=False)
+    assert got.value == pytest.approx(_beta_binomial_exterior_by_search(bundle, psi0, delta, disc), abs=1e-9)
+    assert (got.value == 1.0) == reached
