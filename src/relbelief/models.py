@@ -36,6 +36,7 @@ as reported).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -212,10 +213,38 @@ def _hermite_rule(nodes: int) -> Tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _inverse_cdf(weights, u) -> np.ndarray:
-    """The index each uniform in ``u`` selects under ``weights``."""
-    cum = np.cumsum(weights)
-    return np.clip(np.searchsorted(cum, u * cum[-1], side="right"), 0, len(weights) - 1)
+def _cumulative_rows(weights) -> np.ndarray:
+    """The running sums of ``weights`` along its last axis, as the rows of a
+    2-D table padded with +inf to a power-of-two width for
+    :func:`_inverse_cdf`."""
+    weights = np.atleast_2d(weights)
+    width = weights.shape[1]
+    table = np.full((weights.shape[0], 1 << (width - 1).bit_length()), np.inf)
+    np.cumsum(weights, axis=1, out=table[:, :width])
+    return table
+
+
+def _inverse_cdf(table, width: int, u, rows=None, strict: bool = False) -> np.ndarray:
+    """The index each uniform in ``u`` selects from its row of ``table``
+    (from :func:`_cumulative_rows`, with ``width`` real columns; row 0, or
+    one row per uniform in ``rows``): the number of entries at most ``u``
+    times the row total (below it if ``strict``), capped at ``width - 1``.
+
+    One branch-free binary search over every uniform at once: each halving
+    of the padded width is one gather, compare and add, and the +inf padding
+    fails every comparison, so no probe needs a bounds check."""
+    padded = table.shape[1]
+    flat = table.ravel()
+    start = np.zeros(len(u), dtype=np.intp) if rows is None else rows * padded
+    target = u * flat[start + (width - 1)]
+    passes = np.less if strict else np.less_equal
+    last = start - 1  # the last entry known to pass: none yet
+    step = padded >> 1
+    while step:
+        last += step * passes(flat[last + step], target)
+        step >>= 1
+    count = last - start + 1
+    return np.minimum(count, width - 1, out=count)
 
 
 def _enumerated_tail(order, t, draws, pmf) -> float:
@@ -799,13 +828,25 @@ def _float_array(values, what: str) -> np.ndarray:
 
 def _check_rows(rows: np.ndarray, names) -> None:
     """Refuse the first row (``names`` names them in order) with a negative
-    entry or a sum farther than 1e-12 from 1.  A plain sum above 2, or NaN,
-    refuses a row outright, where ``math.fsum`` could overflow; it decides the rest."""
+    entry or an exact sum farther than 1e-12 from 1.  A plain sum above 2,
+    or NaN, refuses a row outright, where ``math.fsum`` could overflow.
+
+    The plain sum of m nonnegative entries lies within (m - 1) units of
+    roundoff (2^-53 each) of the exact sum, whatever order numpy adds them
+    in.  ``slack`` doubles that and adds 4 ulps of 1 for the rounding of
+    ``fsum`` itself, so only a row whose plain sum lies within ``slack`` of
+    1 +- 1e-12 needs ``fsum`` to decide as it always has."""
     with np.errstate(over="ignore", invalid="ignore"):
-        unfit = (rows < 0.0).any(axis=1) | ~(rows.sum(axis=1) <= 2.0)
-    for name, row, bad in zip(names, rows.tolist(), unfit.tolist()):
-        if bad or abs(math.fsum(row) - 1.0) > 1e-12:
-            raise DomainError(f"{name} must be nonnegative and sum to 1 within 1e-12")
+        sums = rows.sum(axis=1)
+        off = np.abs(sums - 1.0)
+        slack = rows.shape[1] * 2.0**-52 * sums + 2.0**-50
+        unfit = (rows < 0.0).any(axis=1) | ~(sums <= 2.0) | (off - slack > 1e-12)
+        unsure = ~unfit & (off + slack >= 1e-12)
+    for i in np.flatnonzero(unsure):
+        unfit[i] = abs(math.fsum(rows[i].tolist()) - 1.0) > 1e-12
+    if unfit.any():
+        name = next(itertools.islice(names, int(unfit.argmax()), None))
+        raise DomainError(f"{name} must be nonnegative and sum to 1 within 1e-12")
 
 
 @dataclass(frozen=True, eq=False)
@@ -883,11 +924,18 @@ class FiniteBundle:
                 np.nan,
             )
         self._x_index = {lab: i for i, lab in enumerate(self.x_labels)}
-        self._cum_like = np.cumsum(self.like, axis=1)  # inverse-CDF rows of the outcome draw
         self._usable = np.flatnonzero(self.prior_psi >= PRIOR_CONTENT_FLOOR)
         for arr in (self.joint, self.predictive, self.prior_psi, self.predictive_psi, self._rb_psi,
-                    self.psi_index_of_theta, self._group, self._cum_like, self._usable):
+                    self.psi_index_of_theta, self._group, self._usable):
             arr.setflags(write=False)
+
+    @functools.cached_property
+    def _cum_like(self) -> np.ndarray:
+        """The likelihood rows' running sums, the search table of the outcome
+        draw; built on the first draw, so a bundle that never draws skips it."""
+        table = _cumulative_rows(self.like)
+        table.setflags(write=False)
+        return table
 
     @property
     def digest(self) -> str:
@@ -1034,24 +1082,16 @@ class FiniteBundle:
         blocks so the layout is replication-indexed and schedule independent.
 
         The outcome of a draw from row theta is the number of cumulative
-        likelihood entries of that row below ``u * row total``: one left
-        ``searchsorted`` per drawn row, with no ``size x |X|`` array."""
+        likelihood entries of that row below ``u * row total``, found by one
+        search over all draws, with no ``size x |X|`` array."""
         weights = self.prior if cond_prior is None else cond_prior
-        theta_idx = _inverse_cdf(weights, rng.random(size))
-        u_x = rng.random(size)
-        x_idx = np.empty(size, dtype=np.intp)
-        order = np.argsort(theta_idx, kind="stable")
-        counts = np.bincount(theta_idx, minlength=len(weights))
-        starts = np.cumsum(counts) - counts
-        for theta in np.flatnonzero(counts):
-            draws = order[starts[theta]:starts[theta] + counts[theta]]
-            row = self._cum_like[theta]
-            x_idx[draws] = np.searchsorted(row, u_x[draws] * row[-1], side="left")
+        theta_idx = _inverse_cdf(_cumulative_rows(weights), len(weights), rng.random(size))
+        x_idx = _inverse_cdf(self._cum_like, len(self.x_labels), rng.random(size), rows=theta_idx, strict=True)
         return self.psi_index_of_theta[theta_idx], x_idx
 
     def sample_prior(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw interest indices from the prior, by inverse CDF."""
-        return _inverse_cdf(self.prior_psi, rng.random(size))
+        return _inverse_cdf(_cumulative_rows(self.prior_psi), len(self.psi_labels), rng.random(size))
 
     def sample_predictive(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.sample_joint(rng, size)[1]

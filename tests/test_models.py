@@ -16,12 +16,14 @@ from relbelief import (
     DomainError,
     FiniteModelSpec,
     LocationNormalSpec,
+    McConfig,
+    conflict_check,
     make_beta_binomial,
     make_finite,
     make_location_normal,
     rb_profile,
 )
-from relbelief.models import beta_interval_prob, build_cells, normal_interval_prob
+from relbelief.models import _cumulative_rows, _inverse_cdf, beta_interval_prob, build_cells, normal_interval_prob
 from relbelief.rng import substream
 
 from oracle import random_finite_spec
@@ -276,26 +278,42 @@ def _dense_draws(bundle, rng, size, cond_prior=None):
     return bundle.psi_index_of_theta[theta_idx], x_idx
 
 
+# Theta counts and outcome widths on both sides of powers of two, where the
+# padded search table of a draw changes its number of halvings.
+DRAW_WIDTHS = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40)
+
+
 @st.composite
 def finite_tables(draw):
-    """Small tables with zero-prior theta, zero likelihood entries, a single
-    theta or outcome, and grouped interest labels."""
-    k, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
-    weights = st.lists(weight, min_size=m, max_size=m).filter(any)
-    prior = draw(st.lists(weight, min_size=k, max_size=k).filter(any))
-    rows = draw(st.lists(weights, min_size=k, max_size=k))
-    groups = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    """Tables of every width in ``DRAW_WIDTHS``, with zero-prior thetas
+    (first and last among them), zero likelihood entries (trailing ones tie
+    the end of a cumulative row), a single theta or outcome, and grouped
+    interest labels.  The entries come from a drawn numpy seed."""
+    k, m = draw(st.sampled_from(DRAW_WIDTHS)), draw(st.sampled_from(DRAW_WIDTHS))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    prior = gen.uniform(0.01, 1.0, k) * (gen.random(k) >= zeros)
+    if draw(st.booleans()):
+        prior[0] = 0.0
+    if draw(st.booleans()):
+        prior[-1] = 0.0
+    if not prior.any():
+        prior[k // 2] = 1.0
+    rows = gen.uniform(0.01, 1.0, (k, m)) * (gen.random((k, m)) >= zeros)
+    trailing = draw(st.integers(0, m - 1))
+    rows[gen.random(k) < 0.5, m - trailing:] = 0.0
+    rows[~rows.any(axis=1), 0] = 1.0
+    groups = gen.integers(0, k, k)
     return {
         "theta_labels": [f"t{i}" for i in range(k)],
-        "prior": [p / sum(prior) for p in prior],
-        "likelihood": [[v / sum(row) for v in row] for row in rows],
+        "prior": (prior / prior.sum()).tolist(),
+        "likelihood": (rows / rows.sum(axis=1, keepdims=True)).tolist(),
         "x_labels": [f"x{j}" for j in range(m)],
         "psi_of_theta": [f"p{g}" for g in groups],
     }
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(table=finite_tables(), size=st.sampled_from([1, 2, 17, 600]), seed=st.integers(0, 2**32 - 1))
 def test_finite_draws_equal_the_dense_inverse_cdf(table, size, seed):
     bundle = make_finite(FiniteModelSpec(**table))
@@ -309,21 +327,61 @@ def test_finite_draws_equal_the_dense_inverse_cdf(table, size, seed):
         np.testing.assert_array_equal(got, _dense_draws(bundle, np.random.default_rng(seed), size, cond)[1])
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), width=st.sampled_from(DRAW_WIDTHS), strict=st.booleans())
+def test_inverse_cdf_counts_as_searchsorted_with_the_last_index_capped(data, width, strict):
+    """Rows with ties and zeros, and uniforms at 0 and at 1: a target equal
+    to the row total counts every entry, which the cap takes back to the
+    last index (only 1 reaches it; a drawn uniform stays below 1)."""
+    weight = st.sampled_from([0.0, 0.25, 1.0, 3.0])
+    weights = np.array(data.draw(st.lists(st.lists(weight, min_size=width, max_size=width), min_size=1, max_size=4)))
+    u = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53, 1.0]) | st.floats(0.0, 1.0),
+                                    min_size=1, max_size=20)))
+    rows = np.arange(len(u)) % len(weights)
+    cum = np.cumsum(weights, axis=1)
+    side = "left" if strict else "right"
+    want = [min(np.searchsorted(cum[r], v * cum[r, -1], side=side), width - 1) for r, v in zip(rows, u)]
+    got = _inverse_cdf(_cumulative_rows(weights), width, u, rows=rows, strict=strict)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 17])
+@pytest.mark.parametrize("shape", [(3, 2), (17, 9), (40, 33)])
+def test_finite_mc_conflict_tail_is_the_share_of_dense_draws(shape, seed):
+    """The Monte Carlo tail of a finite conflict check, bit for bit, from
+    the dense inverse-CDF draws of its stream."""
+    gen = np.random.default_rng(seed)
+    k, m = shape
+    rows = gen.uniform(size=(k, m))
+    bundle = make_finite(FiniteModelSpec(
+        [f"t{i}" for i in range(k)], gen.dirichlet(np.ones(k)).tolist(),
+        (rows / rows.sum(axis=1, keepdims=True)).tolist(), [f"x{j}" for j in range(m)],
+        [f"p{i % 4}" for i in range(k)],
+    ))
+    t = int(gen.integers(m))
+    report = conflict_check(bundle, t, mc=McConfig(n_sim=20_000, seed=seed), method="mc")
+    x = _dense_draws(bundle, substream(seed, "conflict-check"), 20_000)[1]
+    assert report.tail_prob == min(float(np.mean(bundle.predictive[x] <= bundle.predictive[t])), 1.0)
+
+
 def test_finite_joint_draw_allocates_no_size_by_outcomes_array():
+    """Neither the joint draw nor the conditional one (``sample_stat``)."""
     rows = np.random.default_rng(1).uniform(size=(200, 400))
     rows /= rows.sum(axis=1, keepdims=True)
     bundle = make_finite(FiniteModelSpec(
         [f"t{i}" for i in range(200)], [1 / 200] * 200, rows.tolist(), [f"x{j}" for j in range(400)],
     ))
     size = 20_000
-    bundle.sample_joint(np.random.default_rng(2), size)
-    tracemalloc.start()
-    try:
-        bundle.sample_joint(np.random.default_rng(2), size)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < size * 400 * 8 / 10
+    for draw in (lambda rng: bundle.sample_joint(rng, size), lambda rng: bundle.sample_stat(rng, 3, size)):
+        draw(np.random.default_rng(2))
+        tracemalloc.start()
+        try:
+            draw(np.random.default_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size * 400 * 8 / 10
 
 
 @pytest.mark.parametrize("n, theta", [(20, 0.2), (40, 0.5), (7, 0.93)])
@@ -468,11 +526,26 @@ def weight_rows(draw, width):
     return row
 
 
+@st.composite
+def long_rows(draw, width):
+    """A row of ``width`` entries (from a drawn numpy seed) whose exact sum
+    lies within a few 1e-12 of 1, mostly within 1e-13 of the edge 1 +- 1e-12,
+    where the plain sum alone cannot decide; sometimes with a special value
+    put in."""
+    head = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(size=width - 1)
+    head = (head / (2.0 * head.sum())).tolist()
+    edge = st.builds(lambda sign, by: sign * (1e-12 + by), st.sampled_from([-1.0, 1.0]), st.floats(-1e-13, 1e-13))
+    row = head + [1.0 - math.fsum(head) + draw(edge | edge | st.floats(-3e-12, 3e-12))]
+    if draw(st.integers(0, 9)) == 0:
+        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(SPECIAL_WEIGHTS))
+    return row
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(data=st.data(), k=st.integers(1, 3), m=st.integers(1, 4))
+@given(data=st.data(), k=st.integers(1, 3), m=st.integers(1, 4) | st.integers(150, 400))
 def test_finite_spec_refuses_exactly_the_rows_the_row_rule_refuses(data, k, m):
     prior = data.draw(weight_rows(k))
-    rows = [data.draw(weight_rows(m)) for _ in range(k)]
+    rows = [data.draw(weight_rows(m) if m <= 4 else long_rows(m)) for _ in range(k)]
     names = ["prior weights", *(f"likelihood row for 't{i}'" for i in range(k))]
     refused = [name for name, row in zip(names, [prior, *rows]) if not _row_rule_accepts(row)]
     labels = [f"t{i}" for i in range(k)]
@@ -481,6 +554,23 @@ def test_finite_spec_refuses_exactly_the_rows_the_row_rule_refuses(data, k, m):
         return
     with pytest.raises(DomainError, match=re.escape(refused[0] + " must")):
         FiniteModelSpec(labels, prior, rows, [f"x{j}" for j in range(m)])
+
+
+@pytest.mark.parametrize("offset, refused", [(-1e-12 - 5e-15, True), (1e-12 - 5e-15, False)])
+def test_finite_spec_decides_rows_whose_plain_sum_errs_by_many_ulps(offset, refused):
+    """A Fortran-ordered table is summed one column at a time: 399 entries
+    of 0.75 ulp each round its running sum up, so the plain sum lies 1.1e-14
+    above the exact sum 1 + ``offset``, on the other side of 1 +- 1e-12."""
+    tail = [0.75 * 2.0**-53] * 399
+    row = [1.0 + offset - math.fsum(tail), *tail]
+    likelihood = np.array([row, row[::-1]], order="F")
+    assert abs(likelihood.sum(axis=1)[0] - 1.0 - offset) > 1e-14
+    build = lambda: FiniteModelSpec(["t0", "t1"], [0.5, 0.5], likelihood, [f"x{j}" for j in range(400)])
+    if not refused:
+        build()
+        return
+    with pytest.raises(DomainError, match="likelihood row for 't0' must"):
+        build()
 
 
 @pytest.mark.parametrize("value", NON_FINITE)

@@ -13,12 +13,16 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relbelief.bias
 import relbelief.models
 from relbelief.bias import BiasComponent, McConfig
-from relbelief.models import FiniteModelSpec, LocationNormalSpec, make_beta_binomial, make_finite, make_location_normal
+from relbelief.checking import conflict_check
+from relbelief.models import (
+    FiniteBundle, FiniteModelSpec, LocationNormalSpec, make_beta_binomial, make_finite, make_location_normal,
+)
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -90,3 +94,25 @@ def test_fallback_is_no_constructor_argument():
     assert BiasComponent(value=0.1, se=0.0, method="Exact").fallback is False
     with pytest.raises(TypeError):
         BiasComponent(value=0.1, se=0.001, method="MonteCarlo", fallback=True)
+
+
+@pytest.mark.parametrize("run, calls", [
+    (lambda bundle, mc: relbelief.bias.bias_in_favor_h(bundle, "b", 1.0, mc=mc, method="mc"), 2),
+    (lambda bundle, mc: conflict_check(bundle, "x", mc=mc, method="mc"), 1),
+], ids=["bias_in_favor_h", "conflict_check"])
+def test_finite_draws_pass_through_the_traced_sample_joint(monkeypatch, run, calls):
+    """The tracer counts ``models.sample_joint`` and ``models.draws`` on the
+    class attribute, so every finite draw must go through ``self.sample_joint``:
+    one call per alternative of a bias in favor (``a`` and ``c``), one for a
+    conflict check."""
+    seen = []
+    sample_joint = FiniteBundle.sample_joint
+
+    def counted(self, *args, **kwargs):
+        result = sample_joint(self, *args, **kwargs)
+        seen.append(np.size(result[1]))
+        return result
+
+    monkeypatch.setattr(FiniteBundle, "sample_joint", counted)
+    run(BUNDLES["finite"][0], McConfig(n_sim=300, seed=1))
+    assert seen == [300] * calls
