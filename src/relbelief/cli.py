@@ -348,41 +348,51 @@ def _bias_options(config, kind: str, mc: McConfig) -> dict:
 # output helpers
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
+@functools.lru_cache(maxsize=None)
+def _row_format(types) -> tuple:
+    """The ``%`` format of a CSV row whose values have ``types``, a float as
+    ``%.10g`` and anything else as ``%s``, and whether the row holds a
+    string, which may need quoting.  The commands write a handful of row
+    types, so the cache stays small."""
+    fmt = ",".join("%.10g" if issubclass(t, float) else "%s" for t in types)
+    return fmt, any(issubclass(t, str) for t in types)
+
+
+def _quoted(value):
+    """A string holding a comma, a double quote or a line break, as one CSV
+    field: in double quotes, its own doubled (RFC 4180).  Anything else
+    passes unchanged."""
+    if isinstance(value, str) and any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
 
 
 def _write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    for row in rows:
+        fmt, has_str = _row_format(tuple(map(type, row)))
+        lines.append(fmt % (tuple(map(_quoted, row)) if has_str else tuple(row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def _fields(report, names) -> list:
     """The named fields of ``report``, enums as their values."""
-    return [_jsonable(getattr(report, name)) for name in names]
+    values = [getattr(report, name) for name in names]
+    return [v.value if isinstance(v, enum.Enum) else v for v in values]
 
 
 def _write_report(path: Path, columns, report) -> None:
     _write_csv(path, columns, [_fields(report, columns)])
 
 
+def _json_default(obj):
+    """What ``json`` cannot write itself: an enum as its value, a dataclass
+    as its fields (``asdict`` refuses anything else with a TypeError)."""
+    return obj.value if isinstance(obj, enum.Enum) else dataclasses.asdict(obj)
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, default=_json_default, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_manifest(out: Path, command: str, digest: str, seed, n_sim) -> None:
@@ -408,8 +418,9 @@ def _profile_rows(profile):
     if profile.is_labeled:
         header, cells = ["label"], [profile.labels]
     else:
-        header, cells = ["cell_lo", "cell_hi"], [profile.edges[:-1], profile.edges[1:]]
-    columns = (*cells, profile.prior_content, profile.posterior_content, profile.rb)
+        edges = profile.edges.tolist()
+        header, cells = ["cell_lo", "cell_hi"], [edges[:-1], edges[1:]]
+    columns = (*cells, *(a.tolist() for a in (profile.prior_content, profile.posterior_content, profile.rb)))
     return header + ["prior", "posterior", "rb"], zip(*columns)
 
 

@@ -73,11 +73,12 @@ class EvidenceProfile:
     def n_cells(self) -> int:
         return len(self.prior_content)
 
-    def value_of(self, index: int):
-        """The representative interest value of a cell (center or label)."""
+    def values_of(self, indices) -> tuple:
+        """The representative interest values (centers or labels) of the
+        cells at the integer array ``indices``."""
         if self.is_labeled:
-            return self.labels[index]
-        return float(self.centers[index])
+            return tuple(map(self.labels.__getitem__, indices.tolist()))
+        return tuple(self.centers[indices].tolist())
 
     def cell_index_of(self, psi) -> int:
         """Locate the cell containing ``psi`` (a value, or a label)."""
@@ -174,8 +175,7 @@ def estimate(profile: EvidenceProfile, gamma: Optional[float] = None) -> Estimat
     usable = profile.usable
     idx = np.flatnonzero(usable)
     max_rb = float(np.max(rb[idx]))
-    tied_idx = idx[rb[idx] == max_rb]
-    psi_hat = profile.value_of(int(tied_idx[0]))
+    tied = profile.values_of(idx[rb[idx] == max_rb])
 
     pl_idx = np.flatnonzero(usable & (rb > 1.0))
     pl_post = float(profile.posterior_content[pl_idx].sum())
@@ -203,16 +203,16 @@ def estimate(profile: EvidenceProfile, gamma: Optional[float] = None) -> Estimat
         credible = CredibleRegion(
             gamma=gamma,
             cutoff=cutoff,
-            indices=tuple(int(i) for i in region),
+            indices=tuple(region.tolist()),
             posterior_content=float(profile.posterior_content[region].sum()),
             prior_content=float(profile.prior_content[region].sum()),
         )
 
     return EstimateReport(
-        psi_hat=psi_hat,
-        tied=tuple(profile.value_of(int(i)) for i in tied_idx),
-        plausible_indices=tuple(int(i) for i in pl_idx),
-        plausible_values=tuple(profile.value_of(int(i)) for i in pl_idx),
+        psi_hat=tied[0],
+        tied=tied,
+        plausible_indices=tuple(pl_idx.tolist()),
+        plausible_values=profile.values_of(pl_idx),
         pl_posterior_content=pl_post,
         pl_prior_content=pl_prior,
         credible=credible,

@@ -101,24 +101,42 @@ def norm_quantile(p):
     return special.ndtri(p)
 
 
-def normal_interval_prob(lo, hi, mean, sd):
-    """P(lo < X <= hi) for X ~ N(mean, sd^2), accurate in both tails."""
-    zlo = (np.asarray(lo, dtype=float) - mean) / sd
-    zhi = (np.asarray(hi, dtype=float) - mean) / sd
+def normal_interval_prob(edges, mean, sd):
+    """P(lo < X <= hi) for X ~ N(mean, sd^2), accurate in both tails, for
+    each cell of ``edges``: a pair ``(lo, hi)`` of single cells (arrays,
+    broadcast with ``mean`` and ``sd``), or a 1-D array of a profile's cell
+    edges, where each edge's two tails are evaluated once and shared by the
+    cells on either side.  Single cells keep one evaluation per end: stacked
+    into edge pairs, large arrays of them run slower."""
+    if isinstance(edges, tuple):
+        lo, hi = edges
+        zlo = (np.asarray(lo, dtype=float) - mean) / sd
+        zhi = (np.asarray(hi, dtype=float) - mean) / sd
+        upper = special.ndtr(-zlo) - special.ndtr(-zhi)
+        lower = special.ndtr(zhi) - special.ndtr(zlo)
+    else:
+        z = (np.asarray(edges, dtype=float) - mean) / sd
+        sf, cdf = special.ndtr(-z), special.ndtr(z)
+        zlo, upper, lower = z[:-1], sf[:-1] - sf[1:], cdf[1:] - cdf[:-1]
     # In the upper tail the CDF saturates at 1; use survival values there.
-    upper = special.ndtr(-zlo) - special.ndtr(-zhi)
-    lower = special.ndtr(zhi) - special.ndtr(zlo)
     return np.where(zlo >= 0.0, upper, lower)
 
 
-def beta_interval_prob(lo, hi, a, b):
-    """P(lo < X <= hi) for X ~ Beta(a, b), accurate in both tails."""
-    lo = np.clip(np.asarray(lo, dtype=float), 0.0, 1.0)
-    hi = np.clip(np.asarray(hi, dtype=float), 0.0, 1.0)
-    cdf_lo = special.betainc(a, b, lo)
-    direct = special.betainc(a, b, hi) - cdf_lo
+def beta_interval_prob(edges, a, b):
+    """P(lo < X <= hi) for X ~ Beta(a, b), accurate in both tails, for each
+    cell of ``edges``, given as to :func:`normal_interval_prob`."""
+    if isinstance(edges, tuple):
+        lo, hi = edges
+        lo = np.clip(np.asarray(lo, dtype=float), 0.0, 1.0)
+        hi = np.clip(np.asarray(hi, dtype=float), 0.0, 1.0)
+        cdf_lo = special.betainc(a, b, lo)
+        direct = special.betainc(a, b, hi) - cdf_lo
+        flipped = special.betainc(b, a, 1.0 - lo) - special.betainc(b, a, 1.0 - hi)
+    else:
+        x = np.clip(np.asarray(edges, dtype=float), 0.0, 1.0)
+        cdf, sf = special.betainc(a, b, x), special.betainc(b, a, 1.0 - x)
+        cdf_lo, direct, flipped = cdf[:-1], cdf[1:] - cdf[:-1], sf[:-1] - sf[1:]
     # Past the median the CDF saturates at 1; use survival values there.
-    flipped = special.betainc(b, a, 1.0 - lo) - special.betainc(b, a, 1.0 - hi)
     return np.where(cdf_lo >= 0.5, flipped, direct)
 
 
@@ -180,20 +198,20 @@ def build_cells(disc: Discretization, default_range: Tuple[float, float]):
     return edges, None
 
 
-def _prior_cell_content(bundle, lo, hi):
-    """Prior content of the cells (lo, hi], refused where it underflows to 0:
-    the cell ratio is then 0/0."""
-    prior = bundle.prior_interval(lo, hi)
+def _prior_cell_content(bundle, cell):
+    """Prior content of the cells ``cell`` = (lo, hi], refused where it
+    underflows to 0: the cell ratio is then 0/0."""
+    prior = bundle.prior_interval(cell)
     if not np.all(prior > 0.0):
         raise DomainError("a cell's prior content underflows to 0, so its ratio cannot be computed")
     return prior
 
 
-def _log_cell_rb(bundle, lo, hi, t):
-    """log ratio of the cell (lo, hi] for statistic values ``t``."""
-    prior = _prior_cell_content(bundle, lo, hi)
+def _log_cell_rb(bundle, cell, t):
+    """log ratio of the cells ``cell`` = (lo, hi] for statistic values ``t``."""
+    prior = _prior_cell_content(bundle, cell)
     with np.errstate(divide="ignore"):
-        return np.log(bundle.posterior_interval(lo, hi, t)) - np.log(prior)
+        return np.log(bundle.posterior_interval(cell, t)) - np.log(prior)
 
 
 def refuse_grid(disc: Optional[Discretization]) -> None:
@@ -264,7 +282,7 @@ class _ContinuousBundle:
         """The hypothesized value ``psi0``; with ``disc``, refused when its
         anchored cell has prior content below PRIOR_CONTENT_FLOOR."""
         psi0 = float(psi0)
-        if disc is not None and self.prior_interval(*self._cell(psi0, disc.delta)) < PRIOR_CONTENT_FLOOR:
+        if disc is not None and self.prior_interval(self._cell(psi0, disc.delta)) < PRIOR_CONTENT_FLOOR:
             raise DomainError(
                 f"a cell anchored at the hypothesized value has prior content below {PRIOR_CONTENT_FLOOR}"
             )
@@ -319,8 +337,8 @@ class _ContinuousBundle:
             raise DomainError("a Discretization is required for continuous interest parameters")
         t = self.reduce_data(data)
         edges, anchor_index = build_cells(disc, self.default_psi_range())
-        prior = np.asarray(self.prior_interval(edges[:-1], edges[1:]), dtype=float)
-        posterior = np.asarray(self.posterior_interval(edges[:-1], edges[1:], t), dtype=float)
+        prior = self.prior_interval(edges)
+        posterior = self.posterior_interval(edges, t)
         centers = 0.5 * (edges[:-1] + edges[1:])
         edges.setflags(write=False)
         centers.setflags(write=False)
@@ -478,12 +496,12 @@ class LocationNormalBundle(_ContinuousBundle):
         s = self.spec
         return (s.mu_star - z * self._tau_star, s.mu_star + z * self._tau_star)
 
-    def prior_interval(self, lo, hi):
-        return normal_interval_prob(lo, hi, self.spec.mu_star, self._tau_star)
+    def prior_interval(self, edges):
+        return normal_interval_prob(edges, self.spec.mu_star, self._tau_star)
 
-    def posterior_interval(self, lo, hi, t: float):
+    def posterior_interval(self, edges, t: float):
         mean, var = self.posterior_params(t)
-        return normal_interval_prob(lo, hi, mean, math.sqrt(var))
+        return normal_interval_prob(edges, mean, math.sqrt(var))
 
     def log_rb_point(self, psi0, t):
         return locnormal_log_rb(self.spec, t, psi0)
@@ -493,7 +511,7 @@ class LocationNormalBundle(_ContinuousBundle):
         cell of half-width ``disc.delta`` anchored there (broadcast)."""
         if disc is None:
             return self.log_rb_point(psi0, t)
-        return _log_cell_rb(self, *self._cell(psi0, disc.delta), t)
+        return _log_cell_rb(self, self._cell(psi0, disc.delta), t)
 
     def _cell_window(self, psi0, delta: float):
         """Data means (lo, hi) between which the ratio of the cell of
@@ -507,12 +525,12 @@ class LocationNormalBundle(_ContinuousBundle):
         count of halvings of [0, delta + 40 posterior sds] for every ``psi0``
         at once, and mapped back to data means."""
         psi0 = np.asarray(psi0, dtype=float)
-        target = _prior_cell_content(self, *self._cell(psi0, delta))
+        target = _prior_cell_content(self, self._cell(psi0, delta))
         lo = np.zeros_like(target)
         hi = np.full_like(target, delta + 40.0 * self._post_sd)
         for _ in range(_WINDOW_BISECTIONS):
             mid = 0.5 * (lo + hi)
-            inside = normal_interval_prob(-delta, delta, mid, self._post_sd) >= target
+            inside = normal_interval_prob((-delta, delta), mid, self._post_sd) >= target
             lo = np.where(inside, mid, lo)
             hi = np.where(inside, hi, mid)
         # the posterior mean moves by ``_shrink`` per unit of data mean
@@ -526,7 +544,7 @@ class LocationNormalBundle(_ContinuousBundle):
         if disc is None:
             favor = favor_prob_locnormal(self.spec, psi0, truths)
         else:
-            favor = normal_interval_prob(*self._cell_window(psi0, disc.delta), truths, self._stat_sd)
+            favor = normal_interval_prob(self._cell_window(psi0, disc.delta), truths, self._stat_sd)
         return 1.0 - favor if against else favor
 
     def _peak(self, psi0, disc: Optional[Discretization] = None):
@@ -550,8 +568,8 @@ class LocationNormalBundle(_ContinuousBundle):
             if disc is None:
                 prob = lambda truth: _window_prob(spec, window, psi0, truth)
             else:
-                lo, hi = self._cell_window(psi0, disc.delta)
-                prob = lambda truth: normal_interval_prob(lo, hi, truth, self._stat_sd)
+                window = self._cell_window(psi0, disc.delta)
+                prob = lambda truth: normal_interval_prob(window, truth, self._stat_sd)
             worst = np.fmax(np.fmax(0.0, prob(psi0 - delta)), prob(psi0 + delta))
             if boundary_only:
                 return worst
@@ -691,16 +709,12 @@ class BetaBinomialBundle(_ContinuousBundle):
         hi = float(special.betaincinv(self.alpha, self.beta, 1.0 - eps))
         return lo, hi
 
-    def prior_interval(self, lo, hi):
-        return beta_interval_prob(lo, hi, self.alpha, self.beta)
+    def prior_interval(self, edges):
+        return beta_interval_prob(edges, self.alpha, self.beta)
 
-    def posterior_interval(self, lo, hi, s: int):
+    def posterior_interval(self, edges, s: int):
         a_post, b_post = self.posterior_params(s)
-        return beta_interval_prob(lo, hi, a_post, b_post)
-
-    def _cell(self, psi0, delta: float):
-        """The cell of half-width ``delta`` anchored at ``psi0``, cut to [0, 1]."""
-        return np.maximum(psi0 - delta, 0.0), np.minimum(psi0 + delta, 1.0)
+        return beta_interval_prob(edges, a_post, b_post)
 
     def log_rb_point(self, psi0, s):
         """log posterior-to-prior density ratio at psi0 given the count."""
@@ -725,7 +739,7 @@ class BetaBinomialBundle(_ContinuousBundle):
         if disc is None:
             out = self.log_rb_point(psi0, s)
         else:
-            out = _log_cell_rb(self, *self._cell(np.asarray(psi0, dtype=float), disc.delta), s)
+            out = _log_cell_rb(self, self._cell(np.asarray(psi0, dtype=float), disc.delta), s)
         return out[t] if one else out
 
     def region_prob(self, psi0, truths, disc: Optional[Discretization] = None, against: bool = True):

@@ -570,7 +570,7 @@ def test_prior_content_floor_refuses_only_a_named_value():
 
     bundle, disc = locnormal(10, 0.0, 1.0), Discretization(delta=0.05)
     node = float(np.polynomial.hermite_e.hermegauss(64)[0].max())
-    assert node > 9.0 and bundle.prior_interval(node - 0.05, node + 0.05) < PRIOR_CONTENT_FLOOR
+    assert node > 9.0 and bundle.prior_interval((node - 0.05, node + 0.05)) < PRIOR_CONTENT_FLOOR
     mc = McConfig(n_sim=1000, seed=2)
     for method in ("exact", "mc"):
         with pytest.raises(DomainError, match="prior content below"):
@@ -595,7 +595,7 @@ def test_beta_binomial_cells_below_the_floor_are_evaluated_and_empty_ones_refuse
 
     disc, mc = Discretization(delta=0.05), McConfig(n_sim=2000, seed=1)
     bundle = make_beta_binomial(10, 2.0, 20.0)  # the grid's cells near 1 hold about 1e-26
-    assert bundle.prior_interval(0.95, 1.0) < 1e-20
+    assert bundle.prior_interval((0.95, 1.0)) < 1e-20
     avg, sup = bias_against_e(bundle, disc=disc, mc=mc)
     assert avg.value <= sup.value + 3.0 * avg.se
     with pytest.raises(DomainError, match="underflows to 0"):

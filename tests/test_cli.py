@@ -3,10 +3,15 @@
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relbelief import cli
 from relbelief.bias import McConfig
 from relbelief.cli import main
 
@@ -777,8 +782,6 @@ def test_threads_below_one_is_refused_when_parsed(tmp_path, capsys, threads):
 def test_repeated_calls_in_one_process_share_no_state(tmp_path):
     """``main`` reuses one parser; each call must still see only its own
     arguments: an override, an error or a flag does not carry over."""
-    from relbelief import cli
-
     def call(config, command, *extra, name="out"):
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps(config))
@@ -806,3 +809,79 @@ def test_repeated_calls_in_one_process_share_no_state(tmp_path):
     assert call(bias, "bias", "--threads", "0", name="error") == (2, {})
     assert call(bias, "bias", name="after") == (0, lone)
     assert cli._build_parser() is parser
+
+
+# -- CSV rows: one format per row, labels quoted where they must be -------------
+
+
+def _joined(header, rows):
+    """The CSV bytes ``_write_csv`` writes for rows that need no quoting:
+    floats to ten significant digits, anything else as ``str``."""
+    fields = lambda row: (format(v, ".10g") if isinstance(v, float) else str(v) for v in row)
+    return "\n".join([",".join(header), *(",".join(fields(row)) for row in rows)]) + "\n"
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, math.nan, 1.7e308, -1.7e308]
+_PLAIN_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'))
+_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats().map(np.float64),
+    st.sampled_from(_EDGE_FLOATS).map(np.float64),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.none(),
+    _PLAIN_TEXT,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 6), data=st.data())
+def test_csv_rows_match_a_format_and_str_join(tmp_path_factory, width, data):
+    """Each column may change type from row to row; the bytes are those of a
+    plain join whatever the types."""
+    rows = data.draw(st.lists(st.lists(_VALUES, min_size=width, max_size=width).map(tuple), max_size=8))
+    header = [f"c{i}" for i in range(width)]
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    cli._write_csv(path, header, rows)
+    assert path.read_bytes() == _joined(header, rows).encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),
+    st.one_of(st.floats(), st.integers()),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),
+), min_size=1, max_size=6))
+def test_csv_string_fields_read_back_as_one_field(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    cli._write_csv(path, ["a", "b", "c"], rows)
+    with open(path, newline="", encoding="utf-8") as fh:
+        read = list(csv.reader(fh))
+    want = [[s, format(v, ".10g") if isinstance(v, float) else str(v), t] for s, v, t in rows]
+    assert read == [["a", "b", "c"], *want]
+
+
+_AWKWARD = ["a,b", "c\nd", 'say "e"', "f\r"]
+
+
+def test_awkward_finite_labels_are_one_csv_field_each(tmp_path):
+    """A label holding a comma, a quote or a line break is quoted in
+    profile.csv, check.csv and bias.csv, so a CSV reader sees one field."""
+    bundle = {"kind": "finite", "theta_labels": _AWKWARD, "prior": [0.1, 0.2, 0.3, 0.4],
+              "likelihood": [[0.9, 0.1], [0.6, 0.4], [0.3, 0.7], [0.2, 0.8]], "x_labels": ["x,0", 'x"1']}
+
+    def rows(config, command, name):
+        code, out = run(tmp_path, config, command)
+        assert code == 0
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+
+    profile = rows({"bundle": bundle, "data": {"outcome": "x,0"}}, "analyze", "profile.csv")
+    assert [len(r) for r in profile] == [4] * 5
+    assert [r[0] for r in profile] == ["label", *_AWKWARD]
+    check = rows({"bundle": bundle, "data": {"outcome": 'x"1'}}, "check", "check.csv")
+    assert [len(r) for r in check] == [4, 4] and check[1][check[0].index("t_obs")] == 'x"1'
+    for psi0 in _AWKWARD:
+        bias = rows({"bundle": bundle, "psi0": psi0, "delta": 1.0, "method": "exact"}, "bias", "bias.csv")
+        assert [len(r) for r in bias] == [7, 7] and bias[1][bias[0].index("psi0")] == psi0

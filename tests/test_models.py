@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special, stats
 
 from relbelief import (
     Discretization,
@@ -660,12 +660,12 @@ def test_beta_interval_prob_tail_accuracy(a, b):
     else:
         want = hi ** a * -np.expm1(a * np.log(lo / hi))
     keep = want > 1e-300
-    np.testing.assert_allclose(beta_interval_prob(lo, hi, a, b)[keep], want[keep], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(beta_interval_prob((lo, hi), a, b)[keep], want[keep], rtol=1e-12, atol=0.0)
 
 
 def test_normal_interval_prob_tail_accuracy():
     # deep upper tail: the difference of CDFs would cancel catastrophically
-    p = normal_interval_prob(8.0, 8.5, 0.0, 1.0)
+    p = normal_interval_prob((8.0, 8.5), 0.0, 1.0)
     exact = stats.norm.sf(8.0) - stats.norm.sf(8.5)
     assert p == pytest.approx(exact, rel=1e-10)
     assert p > 0.0
@@ -863,3 +863,76 @@ def test_beta_binomial_exterior_worst_case_at_an_edge_is_the_limit(name):
     got = bias_in_favor_h(bundle, psi0, delta, disc=disc, boundary_only=False)
     assert got.value == pytest.approx(_beta_binomial_exterior_by_search(bundle, psi0, delta, disc), abs=1e-9)
     assert (got.value == 1.0) == reached
+
+
+# -- one tail pass per cell edge ---------------------------------------------------
+
+
+def _four_tail_normal(lo, hi, mean, sd):
+    """The per-interval formula the edge pass replaced: four tails per cell."""
+    zlo = (np.asarray(lo, dtype=float) - mean) / sd
+    zhi = (np.asarray(hi, dtype=float) - mean) / sd
+    upper = special.ndtr(-zlo) - special.ndtr(-zhi)
+    lower = special.ndtr(zhi) - special.ndtr(zlo)
+    return np.where(zlo >= 0.0, upper, lower)
+
+
+def _four_tail_beta(lo, hi, a, b):
+    lo = np.clip(np.asarray(lo, dtype=float), 0.0, 1.0)
+    hi = np.clip(np.asarray(hi, dtype=float), 0.0, 1.0)
+    cdf_lo = special.betainc(a, b, lo)
+    direct = special.betainc(a, b, hi) - cdf_lo
+    flipped = special.betainc(b, a, 1.0 - lo) - special.betainc(b, a, 1.0 - hi)
+    return np.where(cdf_lo >= 0.5, flipped, direct)
+
+
+_SD = st.floats(-150.0, 150.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _grid(draw, center, scale):
+    """Sorted cell edges around ``center`` on the scale ``scale``: a free
+    list of points, or an anchored grid from ``build_cells``."""
+    if draw(st.booleans()):
+        offsets = draw(st.lists(st.floats(-8.0, 8.0), min_size=2, max_size=30))
+        return np.sort(center + scale * np.array(offsets))
+    delta = scale * draw(st.floats(0.01, 2.0))
+    anchor = center + scale * draw(st.floats(-3.0, 3.0))
+    default_range = (center - 4.0 * scale, center + 4.0 * scale)
+    return build_cells(Discretization(delta=delta, anchor=anchor), default_range)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mean=st.floats(-1e3, 1e3), sd=_SD, data=st.data())
+def test_normal_edge_pass_equals_four_tails_bitwise(mean, sd, data):
+    """Cells straddle the side switch at the mean; standard deviations run
+    from 1e-150 to 1e150.  Single cells given as a pair (lo, hi) and
+    broadcast against several means (the bias callers' form) equal the
+    formula too."""
+    edges = data.draw(_grid(mean, sd))
+    want = _four_tail_normal(edges[:-1], edges[1:], mean, sd)
+    np.testing.assert_array_equal(normal_interval_prob(edges, mean, sd), want)
+    means = mean + sd * np.array(data.draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=5)))
+    cells = (edges[:-1, None], edges[1:, None])
+    np.testing.assert_array_equal(normal_interval_prob(cells, means, sd), _four_tail_normal(*cells, means, sd))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(-1.0, 2.5).map(lambda e: 10.0**e),
+    b=st.floats(-1.0, 2.5).map(lambda e: 10.0**e),
+    data=st.data(),
+)
+def test_beta_edge_pass_equals_four_tails_bitwise(a, b, data):
+    """Edges run below 0 and above 1, cells straddle the median (where the
+    side switches) and may sit on it, and anchored grids are cut to [0, 1]."""
+    median = float(special.betaincinv(a, b, 0.5))
+    edges = data.draw(_grid(median, 0.5))
+    if data.draw(st.booleans()):
+        edges = np.sort(np.concatenate([edges, [median, np.nextafter(median, 0.0), np.nextafter(median, 1.0)]]))
+    np.testing.assert_array_equal(beta_interval_prob(edges, a, b), _four_tail_beta(edges[:-1], edges[1:], a, b))
+    counts = np.arange(data.draw(st.integers(1, 40)) + 1)
+    cells = (edges[:-1, None], edges[1:, None])
+    np.testing.assert_array_equal(
+        beta_interval_prob(cells, a + counts, b + counts[::-1]), _four_tail_beta(*cells, a + counts, b + counts[::-1])
+    )
