@@ -24,13 +24,16 @@ alike), ``alternatives`` (the true values a bias in favor ranges over, with
 their Monte Carlo stream keys), the samplers, and three estimation methods:
 ``supremum(g)``, ``prior_mean(g, smooth)`` (``None`` where the bundle has no
 exact rule yet) and ``favor_sup(delta, disc, boundary_only)`` (the function
-whose prior mean is the average bias in favor).  ``profile_cells`` gives a
-profile its label or grid cells.  The conflict check needs three more:
-``sample_predictive`` (statistic draws from the prior predictive),
-``predictive_tail`` (the prior-predictive probability of a statistic no more
-probable than the observed one, exact or from draws, each bundle comparing
-statistics on its own ordering) and ``stat_label`` (the observed statistic
-as reported).
+whose prior mean is the average bias in favor).  The two continuous bundles
+share one ``region_prob``, ``alternatives`` and ``favor_sup``, built in
+:class:`_ContinuousBundle` over a private primitive of each: the favor region
+of a hypothesized value, {statistic : ratio >= 1}, and its probability.
+``profile_cells`` gives a profile its label or grid cells.  The conflict
+check needs three more: ``sample_predictive`` (statistic draws from the prior
+predictive), ``predictive_tail`` (the prior-predictive probability of a
+statistic no more probable than the observed one, exact or from draws, each
+bundle comparing statistics on its own ordering) and ``stat_label`` (the
+observed statistic as reported).
 """
 
 from __future__ import annotations
@@ -276,7 +279,13 @@ def _enumerated_tail(order, t, draws, pmf) -> float:
 class _ContinuousBundle:
     """What the two bundles with a real interest parameter share.  A subclass
     sets ``_sup_grid``, the (center, half-width, points) of the grid its
-    supremum search starts from, ``_support``, its open interval, and ``_peak``."""
+    supremum search starts from, ``_support``, its open interval, and
+    ``_cells_per_value``, the statistic cells one value's favor region spans.
+    It defines the favor region of a value, {statistic : ratio >= 1}:
+    ``_favor_region(psi0, disc)`` builds it, ``_region_mass(region, psi0,
+    truths, against)`` is the probability of it (or of its complement with
+    ties, ratio <= 1) under each true value, and ``_peak(psi0, region)`` the
+    true value where that probability peaks."""
 
     def interest(self, psi0, disc: Optional[Discretization] = None) -> float:
         """The hypothesized value ``psi0``; with ``disc``, refused when its
@@ -300,22 +309,66 @@ class _ContinuousBundle:
         psi = self.sample_prior(rng, size)
         return psi, self.sample_stat(rng, psi)
 
-    def alternatives(self, psi0, delta: float, boundary_only: bool = True, disc: Optional[Discretization] = None):
-        """(stream key, true value) pairs for the bias in favor of ``psi0``:
-        the values at distance ``delta`` and, unless ``boundary_only``, the
-        ``_peak`` if it is at least ``delta`` away.  Only values inside the
+    def region_prob(self, psi0, truths, disc: Optional[Discretization] = None, against: bool = True):
+        """Exact probability that the ratio at ``psi0`` (of the point, or of
+        the cell anchored there) is <= 1 (``against``) or >= 1 when the
+        statistic comes from each true value (broadcast)."""
+        return self._region_mass(self._favor_region(psi0, disc), psi0, truths, against)
+
+    def _candidates(self, psi0, delta: float, region=None) -> list:
+        """The true values a bias in favor of ``psi0`` ranges over: the values
+        at distance ``delta`` and, given the favor ``region`` of ``psi0``, its
+        ``_peak`` if that is at least ``delta`` away.  Only values inside the
         support count, and a peak at its edge (the limit there) where the
-        value at distance ``delta`` on that side does: for one ``psi0`` the
-        others are dropped before numbering, for an array they are NaN."""
+        value at distance ``delta`` on that side does: for a float ``psi0``
+        the others are dropped, for an array they are NaN."""
         lo, hi = self._support
         below, above = psi0 - delta, psi0 + delta
-        truths = [(below, below), (above, above)]
-        if not boundary_only:
-            peak = self._peak(psi0, disc)
+        if isinstance(psi0, float):
+            truths = [truth for truth in (below, above) if lo < truth < hi]
+            if region is not None:
+                peak = float(self._peak(psi0, region))
+                side = below if peak <= lo else above if peak >= hi else peak
+                if abs(peak - psi0) >= delta and lo < side < hi:
+                    truths.append(peak)
+            return truths
+        truths = [np.where((lo < at) & (at < hi), at, np.nan) for at in (below, above)]
+        if region is not None:
+            peak = self._peak(psi0, region)
             side = np.where(peak <= lo, below, np.where(peak >= hi, above, peak))
-            truths.append((peak, np.where(np.abs(peak - psi0) >= delta, side, np.nan)))
-        kept = [np.where((lo < at) & (at < hi), truth, np.nan) for truth, at in truths]
-        return list(enumerate(kept if np.ndim(psi0) else [float(t) for t in kept if not np.isnan(t)]))
+            truths.append(np.where((np.abs(peak - psi0) >= delta) & (lo < side) & (side < hi), peak, np.nan))
+        return truths
+
+    def alternatives(self, psi0, delta: float, boundary_only: bool = True, disc: Optional[Discretization] = None):
+        """(stream key, true value) pairs for the bias in favor of ``psi0``:
+        its ``_candidates``, numbered after any are dropped."""
+        if np.ndim(psi0) == 0:
+            psi0 = float(psi0)
+        region = None if boundary_only else self._favor_region(psi0, disc)
+        return list(enumerate(self._candidates(psi0, delta, region)))
+
+    def favor_sup(self, delta: float, disc: Optional[Discretization] = None, boundary_only: bool = True):
+        """``g(psi0)``: the exact largest probability of evidence in favor of
+        ``psi0`` (a value or an array) over its ``_candidates``, 0 where there
+        is none; the values of ``region_prob`` over ``alternatives`` to the
+        bit.  The favor region is built once per value, or once per block of
+        an array: a block spans at most ``_BLOCK_CELLS`` statistic cells.  A
+        float takes no array of its own."""
+
+        def worst(p0):
+            region = self._favor_region(p0, disc)
+            truths = self._candidates(p0, delta, None if boundary_only else region)
+            if isinstance(p0, float):  # as fmax from 0 would, a NaN never wins
+                return max([0.0, *(self._region_mass(region, p0, truth, False) for truth in truths)])
+            return np.fmax.reduce(self._region_mass(region, p0, np.array(truths), False), axis=0, initial=0.0)
+
+        def g(psi0):
+            if isinstance(psi0, float) or np.ndim(psi0) == 0:
+                return worst(float(psi0))
+            rows = max(1, _BLOCK_CELLS // self._cells_per_value)
+            return np.concatenate([worst(psi0[start:start + rows]) for start in range(0, len(psi0), rows)])
+
+        return g
 
     def supremum(self, g) -> float:
         """Largest value of the vectorized ``g`` on the interest range: the
@@ -450,6 +503,7 @@ class LocationNormalBundle(_ContinuousBundle):
 
     kind = "location_normal"
     _support = (-math.inf, math.inf)
+    _cells_per_value = 1  # a favor window is two numbers
 
     def __init__(self, spec: LocationNormalSpec):
         self.spec = spec
@@ -537,48 +591,32 @@ class LocationNormalBundle(_ContinuousBundle):
         m = self.spec.mu_star
         return m + (psi0 - lo - m) / self._shrink, m + (psi0 + lo - m) / self._shrink
 
-    def region_prob(self, psi0, truths, disc: Optional[Discretization] = None, against: bool = True):
-        """Exact probability that the ratio at ``psi0`` (of the point, or of
-        the cell anchored there) is <= 1 (``against``) or >= 1 when the data
-        mean comes from each true value (broadcast)."""
+    def _favor_region(self, psi0, disc: Optional[Discretization] = None):
+        """The favor region of ``psi0`` as (window, cell): for the point the
+        window (r, d) of :func:`_favor_window` on the standardized data mean
+        and cell None, for the cell of half-width ``disc.delta`` window None
+        and the data means (lo, hi) of ``_cell_window``."""
         if disc is None:
-            favor = favor_prob_locnormal(self.spec, psi0, truths)
+            return _favor_window(self.spec, _real(psi0)), None
+        return None, self._cell_window(psi0, disc.delta)
+
+    def _region_mass(self, region, psi0, truths, against: bool):
+        """Probability of the favor ``region`` of ``psi0``, or of its
+        complement when ``against``, under each true mean.  The point keeps
+        the difference of two normal CDFs, which the reproduce digests pin."""
+        window, cell = region
+        if cell is None:
+            favor = _window_prob(self.spec, window, _real(psi0), _real(truths))
         else:
-            favor = normal_interval_prob(self._cell_window(psi0, disc.delta), truths, self._stat_sd)
+            favor = normal_interval_prob(cell, truths, self._stat_sd)
         return 1.0 - favor if against else favor
 
-    def _peak(self, psi0, disc: Optional[Discretization] = None):
+    def _peak(self, psi0, region):
         """The true mean at the center of the favor window of ``psi0``, where
-        the favor probability peaks; a cell's window has the same center."""
+        the favor probability peaks; a cell's window has the same center, so
+        ``region`` is not read."""
         _, d = _favor_window(self.spec, psi0)
         return psi0 - d * math.sqrt(self.spec.sigma0_sq) / math.sqrt(self.spec.n)
-
-    def favor_sup(self, delta: float, disc: Optional[Discretization] = None, boundary_only: bool = True):
-        """``g(psi0)``: the exact largest probability of evidence in favor of
-        ``psi0`` (a float or an array) over its ``alternatives``, 0 where
-        there is none.  The favor window of each value, of the point or of
-        the cell, is solved once and each candidate truth is read off it with
-        the arithmetic of ``region_prob``, so the values are those of
-        ``region_prob`` over ``alternatives`` to the bit; a float builds no
-        list or array, and an array needs a few more of its own length."""
-        spec = self.spec
-
-        def g(psi0):
-            window = _favor_window(spec, psi0)
-            if disc is None:
-                prob = lambda truth: _window_prob(spec, window, psi0, truth)
-            else:
-                window = self._cell_window(psi0, disc.delta)
-                prob = lambda truth: normal_interval_prob(window, truth, self._stat_sd)
-            worst = np.fmax(np.fmax(0.0, prob(psi0 - delta)), prob(psi0 + delta))
-            if boundary_only:
-                return worst
-            # a center within delta of psi0 is no alternative: the product is
-            # 0 (or NaN), which cannot raise a maximum that is at least 0
-            center = self._peak(psi0)
-            return np.fmax(worst, prob(center) * (abs(center - psi0) >= delta))
-
-        return g
 
     def prior_mean(self, g, smooth: bool) -> float:
         """Prior expectation of ``g``.  A smooth ``g`` goes up the
@@ -663,6 +701,7 @@ class BetaBinomialBundle(_ContinuousBundle):
         self.alpha = float(alpha)
         self.beta = float(beta)
         self._counts = np.arange(self.n + 1)
+        self._cells_per_value = self.n + 1  # a favor region is a log ratio per count
         # the count-only terms of the pmfs and the point ratio, so no call
         # or draw evaluates them again
         self._log_binom = (
@@ -742,23 +781,44 @@ class BetaBinomialBundle(_ContinuousBundle):
             out = _log_cell_rb(self, self._cell(np.asarray(psi0, dtype=float), disc.delta), s)
         return out[t] if one else out
 
-    def region_prob(self, psi0, truths, disc: Optional[Discretization] = None, against: bool = True):
-        """Exact probability that the ratio at ``psi0`` is <= 1 (``against``)
-        or >= 1 when counts come from each true rate (broadcast; NaN for a
-        NaN rate; at a rate of 0 or 1, the limit)."""
-        log_rb = self.log_rb(np.asarray(psi0, dtype=float)[..., None], self._counts, disc)
-        region = log_rb <= 0.0 if against else log_rb >= 0.0
+    def _favor_region(self, psi0, disc: Optional[Discretization] = None):
+        """The log ratio at ``psi0`` (of the point, or of the cell) over the
+        counts 0..n, one row per value of an array ``psi0``: the counts in
+        favor are where it is >= 0, those against where it is <= 0, so a tie
+        at a ratio of exactly 1 counts in both."""
+        return self.log_rb(np.asarray(psi0, dtype=float)[..., None], self._counts, disc)
+
+    def _region_mass(self, region, psi0, truths, against: bool):
+        """Binomial probability of the counts in favor of ``psi0`` (against
+        it when ``against``) under each true rate (broadcast; NaN for a NaN
+        rate; at a rate of 0 or 1, the limit)."""
+        counted = region <= 0.0 if against else region >= 0.0
         pmf = np.exp(self.log_sampling_pmf(truths))
         pmf[..., 0][truths == 0.0] = 1.0  # all mass on 0 or n successes, not 0 * log(0)
         pmf[..., -1][truths == 1.0] = 1.0
-        return np.where(region, pmf, 0.0).sum(axis=-1)
+        return np.where(counted, pmf, 0.0).sum(axis=-1)
 
-    def _peak(self, psi0, disc: Optional[Discretization] = None):
-        """The rate where the favor probability of ``psi0`` (point or cell) peaks.  Its counts in
-        favor are one interval [k1, k2] (the point log ratio is concave in the count), and
-        P(k1 <= S <= k2) is unimodal in the rate, with its mode where (rate / (1 - rate))^(k2 -
-        k1 + 1) = C(n-1, k1-1) / C(n-1, k2), 0 or 1 at k1 = 0 or k2 = n.  Other regions are refused."""
-        favor = self.log_rb(np.asarray(psi0, dtype=float)[..., None], self._counts, disc) >= 0.0
+    def _peak(self, psi0, region):
+        """The rate where the favor probability of ``psi0`` (point or cell)
+        peaks, read off its favor ``region``.
+
+        Its counts in favor are one interval [k1, k2].  For the point, the log
+        ratio is concave in the count.  For the cell [a, b], the posterior
+        content is, as a function of the count s, the integral of K(s, t)
+        1[a, b](t) dt, where K is the Beta(alpha + s, beta + n - s) density.
+        K is exp(s logit t) times positive factors of s alone and of t alone,
+        so it is strictly totally positive of every order.  With c the prior
+        content, 1[a, b](t) - c changes sign twice, in the order -, +, -.  By
+        the variation-diminishing property (Karlin, Total Positivity, 1968),
+        the posterior content minus c then changes sign at most twice, zeros
+        counted either way, in that order: the counts where it is >= 0 are
+        one interval.  Rounding at a near-tie could still split it, so any
+        other region is refused.
+
+        P(k1 <= S <= k2) is unimodal in the rate, with its mode where
+        (rate / (1 - rate))^(k2 - k1 + 1) = C(n-1, k1-1) / C(n-1, k2), 0 or 1
+        at k1 = 0 or k2 = n."""
+        favor = region >= 0.0
         k1 = np.argmax(favor, axis=-1)
         k2 = self.n - np.argmax(favor[..., ::-1], axis=-1)
         if np.any(np.count_nonzero(favor, axis=-1) != k2 - k1 + 1):
@@ -771,24 +831,6 @@ class BetaBinomialBundle(_ContinuousBundle):
     def prior_mean(self, g, smooth: bool) -> None:
         """No exact prior rule yet: averages over the beta prior are drawn."""
         return None
-
-    def favor_sup(self, delta: float, disc: Optional[Discretization] = None, boundary_only: bool = True):
-        """``g(psi0)``: the exact largest probability of evidence in favor of
-        ``psi0`` (a value or an array) over its alternatives, 0 where there
-        is none.  A rate spans the n + 1 counts, so arrays go in blocks of at
-        most ``_BLOCK_CELLS`` cells."""
-
-        def one(p0):
-            truths = np.array([truth for _, truth in self.alternatives(p0, delta, boundary_only, disc)])
-            return np.fmax.reduce(self.region_prob(p0, truths, disc, False), axis=0, initial=0.0)
-
-        def g(p0):
-            if np.ndim(p0) == 0:
-                return one(p0)
-            rows = max(1, _BLOCK_CELLS // (self.n + 1))
-            return np.concatenate([one(p0[start:start + rows]) for start in range(0, len(p0), rows)])
-
-        return g
 
     def log_predictive(self) -> np.ndarray:
         """log prior predictive pmf of the success count, s = 0..n."""

@@ -283,6 +283,27 @@ def test_beta_binomial_exterior_mc_agrees_with_exact(psi0, delta, cell):
     assert _within_3se(est.value, est.se, exact)
 
 
+def test_beta_binomial_exterior_average_favor_builds_one_region_per_block(monkeypatch):
+    """The exterior average bias in favor reads the peak and the probability
+    of every candidate off one log-ratio table per block of prior draws: the
+    4,000 draws of 21 counts fit one block, so the table is built once."""
+    from relbelief import Discretization
+    from relbelief.models import BetaBinomialBundle
+
+    tables = []
+    log_rb = BetaBinomialBundle.log_rb
+
+    def counted(self, psi0, t, disc=None):
+        tables.append(np.shape(psi0))
+        return log_rb(self, psi0, t, disc)
+
+    monkeypatch.setattr(BetaBinomialBundle, "log_rb", counted)
+    comp = bias_in_favor_e(make_beta_binomial(20, 3.0, 6.0), 0.05, disc=Discretization(0.02), method="mc",
+                           mc=McConfig(4000, 1), boundary_only=False)
+    assert comp.method == "MonteCarlo" and 0.0 < comp.value < 1.0
+    assert tables == [(4000, 1)]
+
+
 def test_beta_binomial_exterior_refuses_a_favor_region_of_two_pieces(monkeypatch):
     """The peak is read off one interval of counts; a favor region of two
     pieces is refused, never searched some other way.  The two values at

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from relbelief import (
     make_location_normal,
     rb_profile,
 )
+from relbelief import models
 from relbelief.models import _cumulative_rows, _inverse_cdf, beta_interval_prob, build_cells, normal_interval_prob
 from relbelief.rng import substream
 
@@ -754,13 +756,13 @@ def test_cell_favor_prob_approaches_the_point_as_the_cell_shrinks(case, offset):
     assert gaps[-1] <= gaps[0] + 1e-12
 
 
-# -- location-normal worst case in favor ---------------------------------------------
+# -- one worst case in favor for both continuous bundles ---------------------------
 
 
 def _favor_sup_by_alternatives(bundle, psi0, delta, disc, boundary_only):
     """The worst case composed from the primitive: every alternative of
     ``psi0`` through ``region_prob``, the largest kept (0 with none)."""
-    truths = np.array([truth for _, truth in bundle.alternatives(psi0, delta, boundary_only)])
+    truths = np.array([truth for _, truth in bundle.alternatives(psi0, delta, boundary_only, disc)])
     return np.fmax.reduce(bundle.region_prob(psi0, truths, disc, False), axis=0, initial=0.0)
 
 
@@ -782,16 +784,55 @@ def favor_cases(draw):
     return spec, delta, disc, draw(st.booleans())
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=favor_cases(), zs=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=6))
-def test_location_normal_favor_sup_equals_the_alternatives_composition_to_the_bit(case, zs):
-    spec, delta, disc, boundary_only = case
-    bundle = make_location_normal(spec)
+@st.composite
+def favor_sup_cases(draw):
+    """A continuous bundle with up to six values of its interest parameter, a
+    difference that matters, a point or a cell and either exterior rule: a
+    location-normal case of ``favor_cases`` with values within 8 prior sds,
+    or a beta-binomial spec with rates across (0, 1), where the values at
+    distance ``delta`` and the peak often fall outside the support."""
+    if draw(st.booleans()):
+        spec, delta, disc, boundary_only = draw(favor_cases())
+        zs = draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=6))
+        psi = spec.mu_star + math.sqrt(spec.tau_star_sq) * np.array(zs)
+        return make_location_normal(spec), psi, delta, disc, boundary_only
+    bundle = make_beta_binomial(draw(st.integers(1, 80)), draw(st.floats(0.5, 6.0)), draw(st.floats(0.5, 6.0)))
+    psi = np.array(draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6)))
+    delta = draw(st.floats(0.02, 0.45))
+    disc = draw(st.none() | st.floats(0.005, 0.2).map(lambda c: Discretization(delta=c)))
+    return bundle, psi, delta, disc, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=favor_sup_cases())
+def test_favor_sup_equals_the_alternatives_composition_to_the_bit(case):
+    """Each bundle's one ``favor_sup`` builds the favor region once per value
+    or block of values; it equals ``region_prob`` over ``alternatives`` to the
+    bit, for floats and for arrays in one block or in blocks of two values."""
+    bundle, psi, delta, disc, boundary_only = case
     g = bundle.favor_sup(delta, disc, boundary_only)
-    psi = spec.mu_star + math.sqrt(spec.tau_star_sq) * np.array(zs)
+
+    def outcome(f, p0):
+        """The value of ``f(p0)``, or the message of the error it raises: a
+        beta-binomial ratio of exactly 1 can round below 1 at every count,
+        and the exterior refuses the empty favor region that leaves."""
+        try:
+            return f(p0)
+        except DomainError as exc:
+            return str(exc)
+
+    composed = lambda p0: _favor_sup_by_alternatives(bundle, p0, delta, disc, boundary_only)
     for p0 in psi.tolist():  # floats, as adaptive quadrature passes them
-        assert g(p0) == _favor_sup_by_alternatives(bundle, p0, delta, disc, boundary_only)
-    np.testing.assert_array_equal(g(psi), _favor_sup_by_alternatives(bundle, psi, delta, disc, boundary_only), strict=True)
+        assert outcome(g, p0) == outcome(composed, p0)
+    want = outcome(composed, psi)
+    for blocked in (False, True):  # one block, or blocks of two values
+        cells = 2 * bundle._cells_per_value if blocked else models._BLOCK_CELLS
+        with mock.patch.object(models, "_BLOCK_CELLS", cells):
+            got = outcome(g, psi)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            np.testing.assert_array_equal(got, want, strict=True)
 
 
 # -- beta-binomial worst case in favor ---------------------------------------------
