@@ -348,16 +348,6 @@ def _bias_options(config, kind: str, mc: McConfig) -> dict:
 # output helpers
 
 
-@functools.lru_cache(maxsize=None)
-def _row_format(types) -> tuple:
-    """The ``%`` format of a CSV row whose values have ``types``, a float as
-    ``%.10g`` and anything else as ``%s``, and whether the row holds a
-    string, which may need quoting.  The commands write a handful of row
-    types, so the cache stays small."""
-    fmt = ",".join("%.10g" if issubclass(t, float) else "%s" for t in types)
-    return fmt, any(issubclass(t, str) for t in types)
-
-
 def _quoted(value):
     """A string holding a comma, a double quote or a line break, as one CSV
     field: in double quotes, its own doubled (RFC 4180).  Anything else
@@ -367,11 +357,22 @@ def _quoted(value):
     return value
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        fmt, has_str = _row_format(tuple(map(type, row)))
-        lines.append(fmt % (tuple(map(_quoted, row)) if has_str else tuple(row)))
+def _column(values) -> tuple:
+    """A CSV column as its ``%`` format and its values.  A float64 array is
+    ``%.10g`` by its dtype; any other column is formatted value by value, a
+    float to ten significant digits, a string quoted where it must be and
+    anything else as ``str``."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return "%.10g", values.tolist()
+    return "%s", [format(v, ".10g") if isinstance(v, float) else _quoted(v) for v in values]
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    """Write ``columns`` (equal-length sequences, one per ``header`` name)
+    as CSV rows, with one ``%`` format per table."""
+    formats, values = zip(*map(_column, columns))
+    fmt = ",".join(formats)
+    lines = [",".join(header), *(fmt % row for row in zip(*values))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -382,13 +383,16 @@ def _fields(report, names) -> list:
 
 
 def _write_report(path: Path, columns, report) -> None:
-    _write_csv(path, columns, [_fields(report, columns)])
+    _write_csv(path, columns, [[v] for v in _fields(report, columns)])
 
 
 def _json_default(obj):
     """What ``json`` cannot write itself: an enum as its value, a dataclass
-    as its fields (``asdict`` refuses anything else with a TypeError)."""
-    return obj.value if isinstance(obj, enum.Enum) else dataclasses.asdict(obj)
+    as a dict of its fields, whose nested enums and dataclasses ``json``
+    brings back here (``fields`` refuses anything else with a TypeError)."""
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def _write_json(path: Path, payload) -> None:
@@ -412,16 +416,15 @@ def _write_manifest(out: Path, command: str, digest: str, seed, n_sim) -> None:
     )
 
 
-def _profile_rows(profile):
+def _profile_columns(profile):
     """The label or the two cell edges of each cell, then its contents and
     its ratio (NaN off the usable cells)."""
     if profile.is_labeled:
         header, cells = ["label"], [profile.labels]
     else:
-        edges = profile.edges.tolist()
-        header, cells = ["cell_lo", "cell_hi"], [edges[:-1], edges[1:]]
-    columns = (*cells, *(a.tolist() for a in (profile.prior_content, profile.posterior_content, profile.rb)))
-    return header + ["prior", "posterior", "rb"], zip(*columns)
+        header, cells = ["cell_lo", "cell_hi"], [profile.edges[:-1], profile.edges[1:]]
+    columns = [*cells, profile.prior_content, profile.posterior_content, profile.rb]
+    return header + ["prior", "posterior", "rb"], columns
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +453,8 @@ def cmd_analyze(config, mc: McConfig, args, out: Path) -> None:
     profile, _ = _observed_profile(config, set(), {"gamma"})
     gamma = config.get("gamma")
     report = estimate(profile, gamma=None if gamma is None else _number(gamma, "gamma"))
-    header, rows = _profile_rows(profile)
-    _write_csv(out / "profile.csv", header, rows)
+    header, columns = _profile_columns(profile)
+    _write_csv(out / "profile.csv", header, columns)
     _write_json(
         out / "estimate.json",
         {
@@ -527,15 +530,15 @@ def cmd_design(config, mc: McConfig, args, out: Path) -> None:
     candidates = {n: _build_bundle({**section, "n": n}) for n in n_grid}
     header = ["n", *_DESIGN_COLUMNS, "admissible"]
 
-    def rows_of(evaluated):
-        return [(n, *_fields(r, _DESIGN_COLUMNS), int(meets_targets(r, targets))) for n, r in evaluated]
+    def columns_of(evaluated):
+        return list(zip(*((n, *_fields(r, _DESIGN_COLUMNS), int(meets_targets(r, targets))) for n, r in evaluated)))
 
     try:
         result = design_sample_size(candidates.__getitem__, psi0, delta, targets, n_grid, **options)
     except DesignSearchError as exc:
-        _write_csv(out / "design.csv", header, rows_of(exc.reports))
+        _write_csv(out / "design.csv", header, columns_of(exc.reports))
         raise
-    _write_csv(out / "design.csv", header, rows_of(result.evaluated))
+    _write_csv(out / "design.csv", header, columns_of(result.evaluated))
     _write_json(out / "design.json", {"n": result.n, "report": result.report})
 
 
@@ -555,25 +558,25 @@ def cmd_check(config, mc: McConfig, args, out: Path) -> None:
 # reference tables
 
 
-def _reproduce_rows(target: str):
+def _reproduce_columns(target: str):
     if target in _TABLES:
         header, columns = _TABLES[target]
-        return header, [(n, *(column(n) for column in columns)) for n in _TABLE_NS]
+        return header, list(zip(*((n, *(column(n) for column in columns)) for n in _TABLE_NS)))
     if target == "fig1":
         spec = LocationNormalSpec(n=20, sigma0_sq=1.0, mu_star=1.0, tau_star_sq=1.0)
         grid = np.linspace(spec.mu_star - 4.0, spec.mu_star + 4.0, _FIG_POINTS)
         probs = favor_prob_locnormal(spec, 0.0, grid)
-        return ["mu", "prob_evidence_in_favor_of_0"], list(zip(grid.tolist(), probs.tolist()))
+        return ["mu", "prob_evidence_in_favor_of_0"], [grid, probs]
     bundle = _locnormal(20)
     grid = np.linspace(-4.0, 4.0, _FIG_POINTS)
     # the worst case of bias_in_favor_h at every grid value, in one array call
     vals = np.minimum(bundle.favor_sup(0.5)(grid), 1.0)
-    return ["mu", "bias_in_favor"], list(zip(grid.tolist(), vals.tolist()))
+    return ["mu", "bias_in_favor"], [grid, vals]
 
 
 def cmd_reproduce(config, mc: McConfig, args, out: Path) -> None:
-    header, rows = _reproduce_rows(args.target)
-    _write_csv(out / f"{args.target}.csv", header, rows)
+    header, columns = _reproduce_columns(args.target)
+    _write_csv(out / f"{args.target}.csv", header, columns)
 
 
 # ---------------------------------------------------------------------------

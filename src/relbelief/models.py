@@ -108,26 +108,41 @@ def normal_interval_prob(edges, mean, sd):
     """P(lo < X <= hi) for X ~ N(mean, sd^2), accurate in both tails, for
     each cell of ``edges``: a pair ``(lo, hi)`` of single cells (arrays,
     broadcast with ``mean`` and ``sd``), or a 1-D array of a profile's cell
-    edges, where each edge's two tails are evaluated once and shared by the
-    cells on either side.  Single cells keep one evaluation per end: stacked
-    into edge pairs, large arrays of them run slower."""
+    edges (with scalar ``mean`` and ``sd``), where each edge's tail is
+    evaluated once and shared by the cells on either side.  Single cells keep
+    one evaluation per end: stacked into edge pairs, large arrays of them run
+    slower."""
     if isinstance(edges, tuple):
         lo, hi = edges
         zlo = (np.asarray(lo, dtype=float) - mean) / sd
         zhi = (np.asarray(hi, dtype=float) - mean) / sd
         upper = special.ndtr(-zlo) - special.ndtr(-zhi)
         lower = special.ndtr(zhi) - special.ndtr(zlo)
-    else:
-        z = (np.asarray(edges, dtype=float) - mean) / sd
-        sf, cdf = special.ndtr(-z), special.ndtr(z)
-        zlo, upper, lower = z[:-1], sf[:-1] - sf[1:], cdf[1:] - cdf[:-1]
-    # In the upper tail the CDF saturates at 1; use survival values there.
-    return np.where(zlo >= 0.0, upper, lower)
+        # In the upper tail the CDF saturates at 1; use survival values there.
+        return np.where(zlo >= 0.0, upper, lower)
+    z = (np.asarray(edges, dtype=float) - mean) / sd
+    upper = z[:-1] >= 0.0
+    stop, start = _tail_spans(upper)
+    cdf = _on_edges(special.ndtr, z, slice(stop))
+    return _edge_cells(upper, cdf, _on_edges(lambda v: special.ndtr(-v), z, slice(start, None)))
+
+
+# The computed regularized incomplete beta function is within far less than
+# this of the exact, increasing CDF: past a sorted edge whose computed CDF is
+# at least 1/2 plus this, every computed CDF is at least 1/2.
+_MEDIAN_MARGIN = 1e-9
 
 
 def beta_interval_prob(edges, a, b):
     """P(lo < X <= hi) for X ~ Beta(a, b), accurate in both tails, for each
-    cell of ``edges``, given as to :func:`normal_interval_prob`."""
+    cell of ``edges``, given as to :func:`normal_interval_prob`.
+
+    A cell takes survival values wherever the CDF at its lower edge is at
+    least 1/2.  On sorted edges the CDF is evaluated only below the median
+    and on a guard band past it, doubled until the CDF at its last edge
+    clears 1/2 by ``_MEDIAN_MARGIN``; every edge past the band would read at
+    least 1/2 too, so each cell keeps its side.  Unsorted or NaN edges take
+    the CDF at every edge."""
     if isinstance(edges, tuple):
         lo, hi = edges
         lo = np.clip(np.asarray(lo, dtype=float), 0.0, 1.0)
@@ -135,12 +150,48 @@ def beta_interval_prob(edges, a, b):
         cdf_lo = special.betainc(a, b, lo)
         direct = special.betainc(a, b, hi) - cdf_lo
         flipped = special.betainc(b, a, 1.0 - lo) - special.betainc(b, a, 1.0 - hi)
-    else:
-        x = np.clip(np.asarray(edges, dtype=float), 0.0, 1.0)
-        cdf, sf = special.betainc(a, b, x), special.betainc(b, a, 1.0 - x)
-        cdf_lo, direct, flipped = cdf[:-1], cdf[1:] - cdf[:-1], sf[:-1] - sf[1:]
-    # Past the median the CDF saturates at 1; use survival values there.
-    return np.where(cdf_lo >= 0.5, flipped, direct)
+        # Past the median the CDF saturates at 1; use survival values there.
+        return np.where(cdf_lo >= 0.5, flipped, direct)
+    x = np.clip(np.asarray(edges, dtype=float), 0.0, 1.0)
+    n = x.size
+    if np.all(x[1:] >= x[:-1]):
+        n = int(np.searchsorted(x, special.betaincinv(a, b, 0.5)))
+    cdf = _on_edges(lambda v: special.betainc(a, b, v), x, slice(n))
+    band = 1
+    while n < x.size and (n == 0 or cdf[n - 1] < 0.5 + _MEDIAN_MARGIN):
+        stop = min(n + band, x.size)
+        cdf[n:stop] = special.betainc(a, b, x[n:stop])
+        n, band = stop, 2 * band
+    upper = cdf[:-1] >= 0.5
+    upper[n:] = True
+    start = _tail_spans(upper)[1]
+    return _edge_cells(upper, cdf, _on_edges(lambda v: special.betainc(b, a, 1.0 - v), x, slice(start, None)))
+
+
+def _tail_spans(upper):
+    """(stop, start) for the cells of an edge pass, ``upper`` where a cell
+    takes survival values: the CDF is needed on the edges ``[:stop]``,
+    through the last cell not on the upper side, and the survival function
+    on ``[start:]``, from the first cell on it.  On sorted edges the two
+    spans share one edge."""
+    m = upper.size
+    start = int(upper.argmax()) if upper.any() else m + 1
+    stop = 0 if upper.all() else m + 1 - int(upper[::-1].argmin())
+    return stop, start
+
+
+def _on_edges(tail, x, span):
+    """``tail`` evaluated on the edges ``x[span]``, 0 on the others (which
+    no cell reads)."""
+    out = np.zeros(x.shape)
+    out[span] = tail(x[span])
+    return out
+
+
+def _edge_cells(upper, cdf, sf):
+    """Cell contents from edge values, differenced between neighbours: of
+    the survival values ``sf`` where ``upper``, else of the CDF values."""
+    return np.where(upper, sf[:-1] - sf[1:], cdf[1:] - cdf[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -835,16 +835,24 @@ _VALUES = st.one_of(
 )
 
 
+_FLOAT64 = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(_EDGE_FLOATS))
+
+
 @settings(max_examples=200, deadline=None)
 @given(width=st.integers(1, 6), data=st.data())
 def test_csv_rows_match_a_format_and_str_join(tmp_path_factory, width, data):
-    """Each column may change type from row to row; the bytes are those of a
+    """Each column may change type from row to row, and float64 arrays
+    (formatted by their dtype) sit among them; the bytes are those of a
     plain join whatever the types."""
     rows = data.draw(st.lists(st.lists(_VALUES, min_size=width, max_size=width).map(tuple), max_size=8))
-    header = [f"c{i}" for i in range(width)]
+    columns = [[row[i] for row in rows] for i in range(width)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        array = np.array(data.draw(st.lists(_FLOAT64, min_size=len(rows), max_size=len(rows))), dtype=np.float64)
+        columns.insert(data.draw(st.integers(0, len(columns))), array)
+    header = [f"c{i}" for i in range(len(columns))]
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
-    cli._write_csv(path, header, rows)
-    assert path.read_bytes() == _joined(header, rows).encode("utf-8")
+    cli._write_csv(path, header, columns)
+    assert path.read_bytes() == _joined(header, list(zip(*columns))).encode("utf-8")
 
 
 @settings(max_examples=200, deadline=None)
@@ -855,7 +863,7 @@ def test_csv_rows_match_a_format_and_str_join(tmp_path_factory, width, data):
 ), min_size=1, max_size=6))
 def test_csv_string_fields_read_back_as_one_field(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
-    cli._write_csv(path, ["a", "b", "c"], rows)
+    cli._write_csv(path, ["a", "b", "c"], list(zip(*rows)))
     with open(path, newline="", encoding="utf-8") as fh:
         read = list(csv.reader(fh))
     want = [[s, format(v, ".10g") if isinstance(v, float) else str(v), t] for s, v, t in rows]

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, special, stats
 
@@ -958,12 +958,29 @@ def test_normal_edge_pass_equals_four_tails_bitwise(mean, sd, data):
     np.testing.assert_array_equal(normal_interval_prob(cells, means, sd), _four_tail_normal(*cells, means, sd))
 
 
+class _Drawn:
+    """Stands in for ``st.data()`` in an ``@example``: each ``draw`` returns
+    the next of the given values, whatever the strategy."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def draw(self, strategy):
+        return next(self._values)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     a=st.floats(-1.0, 2.5).map(lambda e: 10.0**e),
     b=st.floats(-1.0, 2.5).map(lambda e: 10.0**e),
     data=st.data(),
 )
+# An anchored grid cut to [0, 1] at both ends: the pass leaves edges past the
+# median's guard band unevaluated, and no cell may read them.
+@example(a=1.0, b=1.0, data=_Drawn(build_cells(Discretization(delta=0.25, anchor=0.5), (-1.5, 2.5))[0], False, 3))
+# Edges 1e-14 apart at the median: no edge clears it by the margin, so the
+# guard band widens to every edge.
+@example(a=2.0, b=2.0, data=_Drawn(0.5 + 1e-14 * np.arange(-25, 25), False, 5))
 def test_beta_edge_pass_equals_four_tails_bitwise(a, b, data):
     """Edges run below 0 and above 1, cells straddle the median (where the
     side switches) and may sit on it, and anchored grids are cut to [0, 1]."""
@@ -977,3 +994,23 @@ def test_beta_edge_pass_equals_four_tails_bitwise(a, b, data):
     np.testing.assert_array_equal(
         beta_interval_prob(cells, a + counts, b + counts[::-1]), _four_tail_beta(*cells, a + counts, b + counts[::-1])
     )
+
+
+def test_beta_profile_evaluates_one_incomplete_beta_tail_per_edge(monkeypatch):
+    """An 8,000-cell beta-binomial profile evaluates, at each edge, the CDF
+    or the survival function, not both: at most 2(m + 1) incomplete-beta
+    values for its prior and posterior contents, plus the guard bands past
+    the medians (4(m + 1) with both tails at every edge)."""
+    bundle = make_beta_binomial(40, 2.5, 3.5)
+    disc = Discretization(delta=1.0 / 16000, range=(0.0, 1.0))
+    evaluated = []
+    betainc = special.betainc
+
+    def counted(a, b, x):
+        evaluated.append(np.broadcast(a, b, x).size)
+        return betainc(a, b, x)
+
+    monkeypatch.setattr(special, "betainc", counted)
+    m = rb_profile(bundle, 17, disc).n_cells
+    assert m == 8000
+    assert sum(evaluated) <= 2 * (m + 1) + 64
