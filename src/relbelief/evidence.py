@@ -12,7 +12,7 @@ profile diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -65,6 +65,14 @@ class EvidenceProfile:
     excluded_cells: int = 0
     excluded_prior_mass: float = 0.0
 
+    def __post_init__(self):
+        """Every array field is made read-only, so a profile built from
+        another one (see ``reparam_profile``) can share them as views."""
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
     @property
     def is_labeled(self) -> bool:
         return self.labels is not None
@@ -97,37 +105,6 @@ class EvidenceProfile:
         return min(max(idx, 0), self.n_cells - 1)
 
 
-def _finish_profile(prior, posterior, data_digest, bundle_digest, **kw) -> EvidenceProfile:
-    prior = np.asarray(prior, dtype=float)
-    posterior = np.asarray(posterior, dtype=float)
-    usable = prior >= PRIOR_CONTENT_FLOOR
-    rb = np.full(prior.shape, np.nan)
-    rb[usable] = posterior[usable] / prior[usable]
-    if prior.sum() > 1.0 + 1e-9 or posterior.sum() > 1.0 + 1e-9:
-        raise DomainError("cell contents exceed total probability; grid construction is broken")
-    if not usable.any():
-        raise DomainError("no grid cell carries usable prior content; widen delta or the range")
-    max_rb = float(np.max(rb[usable]))
-    if max_rb < 1.0 - 1e-9:
-        raise DomainError(
-            "no cell attains a relative belief ratio of 1; the grid range misses the "
-            "posterior mass (check for prior-data conflict or widen the range)"
-        )
-    for arr in (prior, posterior, rb, usable):
-        arr.setflags(write=False)
-    return EvidenceProfile(
-        prior_content=prior,
-        posterior_content=posterior,
-        rb=rb,
-        usable=usable,
-        data_digest=data_digest,
-        bundle_digest=bundle_digest,
-        excluded_cells=int((~usable).sum()),
-        excluded_prior_mass=float(prior[~usable].sum()),
-        **kw,
-    )
-
-
 def rb_profile(bundle, data, disc: Optional[Discretization] = None) -> EvidenceProfile:
     """Build the evidence profile for the observed data.
 
@@ -137,7 +114,31 @@ def rb_profile(bundle, data, disc: Optional[Discretization] = None) -> EvidenceP
     whose interest labels have no cells.
     """
     prior, posterior, data_digest, layout = bundle.profile_cells(data, disc)
-    return _finish_profile(prior, posterior, data_digest, bundle.digest, **layout)
+    prior = np.asarray(prior, dtype=float)
+    posterior = np.asarray(posterior, dtype=float)
+    usable = prior >= PRIOR_CONTENT_FLOOR
+    rb = np.full(prior.shape, np.nan)
+    rb[usable] = posterior[usable] / prior[usable]
+    if prior.sum() > 1.0 + 1e-9 or posterior.sum() > 1.0 + 1e-9:
+        raise DomainError("cell contents exceed total probability; grid construction is broken")
+    if not usable.any():
+        raise DomainError("no grid cell carries usable prior content; widen delta or the range")
+    if float(np.max(rb[usable])) < 1.0 - 1e-9:
+        raise DomainError(
+            "no cell attains a relative belief ratio of 1; the grid range misses the "
+            "posterior mass (check for prior-data conflict or widen the range)"
+        )
+    return EvidenceProfile(
+        prior_content=prior,
+        posterior_content=posterior,
+        rb=rb,
+        usable=usable,
+        data_digest=data_digest,
+        bundle_digest=bundle.digest,
+        excluded_cells=int((~usable).sum()),
+        excluded_prior_mass=float(prior[~usable].sum()),
+        **layout,
+    )
 
 
 @dataclass(frozen=True)
@@ -299,58 +300,48 @@ def tail_difference_locnormal(spec: LocationNormalSpec, xbar: float, mu0: float)
     return 2.0 * (1.0 - float(norm_cdf(z))) - 2.0 * (1.0 - float(norm_cdf(w)))
 
 
+def _image(lam: Callable[[float], float], values: np.ndarray) -> np.ndarray:
+    """``lam`` applied to an array at once, or value by value where it does
+    not map an array to an array of the same shape."""
+    try:
+        out = np.asarray(lam(values), dtype=float)
+        if out.shape == values.shape:
+            return out
+    except Exception:
+        pass
+    return np.array([float(lam(v)) for v in values])
+
+
 def reparam_profile(profile: EvidenceProfile, lam: Callable[[float], float]) -> EvidenceProfile:
     """Push an interval profile through a strictly monotone map.
 
     Cell contents and ratios are untouched; only the coordinates move, so the
     estimate and the plausible region map elementwise.  Centers are images of
-    the old centers, not midpoints of the new cells.
+    the old centers, not midpoints of the new cells.  The contents, ratios
+    and usable mask are read-only views of the profile's own, reversed for a
+    decreasing map.
     """
     if profile.is_labeled:
         raise DomainError("profiles over labeled parameters have no continuous reparameterization")
-
-    def apply(values: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(lam(values), dtype=float)
-            if out.shape != values.shape:
-                raise ValueError
-        except Exception:
-            out = np.array([float(lam(v)) for v in values])
-        return out
-
-    new_edges = apply(profile.edges)
-    diffs = np.diff(new_edges)
+    edges = _image(lam, profile.edges)
+    diffs = np.diff(edges)
     if np.all(diffs > 0.0):
-        increasing = True
+        step = 1
     elif np.all(diffs < 0.0):
-        increasing = False
+        step = -1
     else:
         raise DomainError("the map is not strictly monotone on the grid")
-    new_centers = apply(profile.centers)
-
-    def reorient(arr):
-        return arr if increasing else arr[::-1].copy()
-
     anchor = profile.anchor_index
-    if anchor is not None and not increasing:
+    if anchor is not None and step < 0:
         anchor = profile.n_cells - 1 - anchor
-    edges = new_edges if increasing else new_edges[::-1].copy()
-    arrays = dict(
-        prior_content=reorient(profile.prior_content),
-        posterior_content=reorient(profile.posterior_content),
-        rb=reorient(profile.rb),
-        usable=reorient(profile.usable),
-        centers=reorient(new_centers),
-    )
-    for arr in arrays.values():
-        arr.setflags(write=False)
-    edges.setflags(write=False)
-    return EvidenceProfile(
-        data_digest=profile.data_digest,
+    return replace(
+        profile,
+        prior_content=profile.prior_content[::step],
+        posterior_content=profile.posterior_content[::step],
+        rb=profile.rb[::step],
+        usable=profile.usable[::step],
         bundle_digest=profile.bundle_digest + "|reparameterized",
-        edges=edges,
+        edges=edges[::step],
+        centers=_image(lam, profile.centers)[::step],
         anchor_index=anchor,
-        excluded_cells=profile.excluded_cells,
-        excluded_prior_mass=profile.excluded_prior_mass,
-        **arrays,
     )

@@ -444,8 +444,6 @@ class _ContinuousBundle:
         prior = self.prior_interval(edges)
         posterior = self.posterior_interval(edges, t)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        edges.setflags(write=False)
-        centers.setflags(write=False)
         layout = dict(edges=edges, centers=centers, anchor_index=anchor_index)
         return prior, posterior, (self.n, t), layout
 
@@ -472,8 +470,8 @@ class LocationNormalSpec:
             raise DomainError(f"mu_star must be finite, got {self.mu_star}")
         if not (0.0 < self.tau_star_sq < math.inf):
             raise DomainError(f"tau_star_sq must be positive and finite, got {self.tau_star_sq}")
-        # the favor window divides by the precision ratio a and by a^2, so
-        # outside this range it is not finite
+        # the favor window divides by the precision ratio a, so outside this
+        # range it is not finite (the bound on a^2 is stricter than it needs)
         try:
             a = self.n * self.tau_star_sq / self.sigma0_sq
         except OverflowError:
@@ -521,7 +519,9 @@ def _favor_window(spec: LocationNormalSpec, mu0):
     a = spec.n * spec.tau_star_sq / spec.sigma0_sq
     c = math.sqrt(spec.n) * (mu0 - spec.mu_star) / math.sqrt(spec.sigma0_sq)
     d = -c / a
-    r_sq = (1.0 + a) / a * math.log1p(a) + (1.0 + a) * c * c / (a * a)
+    # (1 + a)/a * (log(1 + a) + c^2/a): no a^2 and no (1 + a) c^2, either of
+    # which can overflow where the window itself is finite
+    r_sq = (1.0 + a) / a * (math.log1p(a) + c * c / a)
     return np.sqrt(r_sq), d
 
 
@@ -1146,7 +1146,7 @@ class FiniteBundle:
         refuse_grid(disc)
         x_idx = self.reduce_data(data)
         layout = dict(labels=self.psi_labels)
-        return self.prior_psi.copy(), self.posterior_psi(x_idx), (1, self.x_labels[x_idx]), layout
+        return self.prior_psi, self.posterior_psi(x_idx), (1, self.x_labels[x_idx]), layout
 
     def posterior_theta(self, x_idx: int) -> np.ndarray:
         return self.joint[:, x_idx] / self.predictive[x_idx]

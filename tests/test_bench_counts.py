@@ -7,6 +7,8 @@ program.  ``bench_counts.json``
 pins them for cycle 0 of each workload at two seeds, so a change that makes
 an ``exact`` request draw, or that solves a favor window once more per job,
 fails tier-1 and not only a traced benchmark run read by hand.
+Each job's output is checked by that job's own benchmark check, and the
+test names every job that fails one before it compares a single count.
 
 The counts come from one forked subprocess per seed: ``perfbench/tracer.py``
 patches the package on install and has no undo.  The benchmark's modules
@@ -68,16 +70,18 @@ def _perfbench():
     return checks, tracer, workloads
 
 
-def collect(seed: int) -> dict:
-    """{"workload/seed": {metric: count}} of cycle 0 of every workload at
-    ``seed``, run through ``cli.main`` with the layer tracer installed: only
-    in a process of its own, as the tracer cannot be uninstalled."""
+def collect(seed: int) -> tuple:
+    """({"workload/seed": {metric: count}}, [(mix key, problems)]) of cycle 0
+    of every workload at ``seed``, run through ``cli.main`` with the layer
+    tracer installed: only in a process of its own, as the tracer cannot be
+    uninstalled.  The list names every job that exited nonzero or failed its
+    own benchmark check."""
     checks, tracer_module, workloads = _perfbench()
     from relbelief import cli
 
     tracer = tracer_module.Tracer()
     tracer.install()  # replaces cli.main: read it from the module
-    out = {}
+    out, failures = {}, []
     with tempfile.TemporaryDirectory() as tmp:
         config, result = Path(tmp) / "config.json", Path(tmp) / "out"
         for name in WORKLOADS:
@@ -93,7 +97,9 @@ def collect(seed: int) -> dict:
                     job.check(result, outcome)
                 else:
                     outcome.fail("nonzero exit")
-                failed += bool(outcome.problems)
+                if outcome.problems:
+                    failed += 1
+                    failures.append((job.mix_key(), outcome.problems))
                 written += sum(f.stat().st_size for f in result.iterdir()) if result.exists() else 0
                 inexact += outcome.inexact_sup
             counts = {k: v for k, v in tracer_module.layer_metrics(tracer.spans, tracer.counts).items()
@@ -104,7 +110,7 @@ def collect(seed: int) -> dict:
             for span, calls in collections.Counter(s[2] for s in tracer.spans).items():
                 counts.setdefault(f"{span}.calls", calls)
             out[f"{name}/{seed}"] = dict(sorted(counts.items()))
-    return out
+    return out, failures
 
 
 def test_the_benchmark_counts_are_pinned():
@@ -115,7 +121,9 @@ def test_the_benchmark_counts_are_pinned():
     assert threading.active_count() == 1
     _perfbench()
     with multiprocessing.get_context("fork").Pool(len(SEEDS), maxtasksperchild=1) as pool:
-        got = {key: counts for part in pool.map(collect, SEEDS) for key, counts in part.items()}
+        parts = pool.map(collect, SEEDS)
+    assert [failure for _, failures in parts for failure in failures] == []
+    got = {key: counts for part, _ in parts for key, counts in part.items()}
     pinned = json.loads(COUNTS.read_text(encoding="utf-8"))
     assert sorted(got) == sorted(pinned)
     for key, counts in pinned.items():
@@ -130,6 +138,6 @@ if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
     result = {}
     for arg in sys.argv[1:]:
-        result.update(collect(int(arg)))
+        result.update(collect(int(arg))[0])
     json.dump(result, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -1,5 +1,9 @@
 """Bias functionals: exact values, Monte Carlo agreement, design search."""
 
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -42,6 +46,32 @@ def test_favor_prob_at_truth_complements_bias_against():
 def test_favor_prob_vanishes_far_away():
     spec = LocationNormalSpec(n=5, sigma0_sq=1.0, mu_star=0.0, tau_star_sq=1.0)
     assert favor_prob_locnormal(spec, 0.0, 50.0) < 1e-12
+
+
+def _reference():
+    """``perfbench/reference.py``, imported without writing bytecode there."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.append(perfbench)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import reference
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(perfbench)
+    return reference
+
+
+def test_favor_window_stays_finite_far_from_the_prior_mean():
+    """At a = 1e154 the window's (1 + a) c^2 used to overflow: the bias in
+    favor read 1.0 where the reference reads 0.0, and the estimation bias
+    warned of an overflow (an error under this suite's filters)."""
+    spec = dict(n=1, sigma0_sq=1e-77, mu_star=0.0, tau_star_sq=1e77)
+    bundle, ref = make_location_normal(LocationNormalSpec(**spec)), _reference().LocNormal(spec)
+    tau = math.sqrt(spec["tau_star_sq"])
+    for k in (1.4, 2.0, 5.0, 31.0):
+        want = float(ref.bias_in_favor_h(k * tau, tau / 2))
+        assert bias_in_favor_h(bundle, k * tau, tau / 2).value == pytest.approx(want, abs=1e-12), k
+    assert 0.0 <= estimation_bias(bundle, 3.16e38).avg_bias_in_favor <= 1.0
 
 
 def test_favor_prob_curve_is_unimodal_with_peak_at_zero():
@@ -234,6 +264,21 @@ def test_finite_bias_functionals_match_oracle():
             assert bias_in_favor_e(bundle, 1.0).value == pytest.approx(
                 oracle.avg_bias_in_favor(), abs=1e-12
             )
+
+
+def test_finite_hypothesis_biases_refuse_a_label_below_the_floor_or_a_delta_above_one():
+    """A label below the prior floor has no ratio to assess, and under the
+    discrete metric no label lies further than 1 from another."""
+    bundle = make_finite(FiniteModelSpec(
+        theta_labels=["t0", "t1", "t2"], prior=[0.0, 0.5, 0.5],
+        likelihood=[[0.5, 0.5], [0.2, 0.8], [0.7, 0.3]], x_labels=["x0", "x1"],
+    ))
+    assert 0.0 <= bias_against_h(bundle, "t1").value <= 1.0
+    with pytest.raises(DomainError, match="'t0' has prior content below"):
+        bias_against_h(bundle, "t0")
+    assert 0.0 <= bias_in_favor_h(bundle, "t1", 1.0).value <= 1.0
+    with pytest.raises(DomainError, match="distance >= 1.5"):
+        bias_in_favor_h(bundle, "t1", 1.5)
 
 
 def test_finite_mc_agrees_with_enumeration():
@@ -703,6 +748,8 @@ def test_design_rejects_impossible_targets():
         design_sample_size(family, 0.0, 0.5, {"max_bias_against": 0.0}, [5, 10])
     with pytest.raises(DomainError, match="at least one"):
         design_sample_size(family, 0.0, 0.5, {}, [5, 10])
+    with pytest.raises(DomainError, match="unknown design targets"):
+        design_sample_size(family, 0.0, 0.5, {"max_bias": 0.1}, [5, 10])
     with pytest.raises(DomainError, match="ascending"):
         design_sample_size(family, 0.0, 0.5, {"max_bias_against": 0.5}, [10, 5])
 

@@ -417,6 +417,25 @@ def test_wrong_value_types_are_config_errors(tmp_path):
     assert code == 2
 
 
+_ANALYZE = {"bundle": LOCNORMAL_20, "data": {"xbar": 0.3}, "discretization": {"delta": 0.05}}
+
+
+@pytest.mark.parametrize(
+    "command, config, named",
+    [("analyze", {"bundle": LOCNORMAL_20, "data": {"xbar": 0.3}}, "'discretization' section is required"),
+     ("bias", {"bundle": LOCNORMAL_20, "delta": 0.5}, "hypothesis bias requires 'psi0'"),
+     ("analyze", [_ANALYZE], "config root must be a JSON object"),
+     ("analyze", dict(_ANALYZE, data={"xbar": 0.3, "sample": [0.3]}), "'data' must carry exactly one entry"),
+     ("analyze", dict(_ANALYZE, bundle=dict(LOCNORMAL_20, mu_star=10**400)), "'bundle.mu_star' is out of range")],
+    ids=["no-discretization", "no-psi0", "array-root", "xbar-and-sample", "401-digit-mu_star"],
+)
+def test_config_refusals_exit_2_and_name_their_cause(tmp_path, capsys, command, config, named):
+    code, out = run(tmp_path, config, command)
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 REPRODUCE_DIGESTS = json.loads(
     (Path(__file__).parents[1] / "perfbench" / "reproduce_digests.json").read_text()
 )

@@ -151,6 +151,8 @@ def test_gamma_above_plausible_content_is_rejected():
     limit = estimate(profile).pl_posterior_content
     with pytest.raises(DomainError, match="exceeds plausible-region posterior content"):
         estimate(profile, gamma=min(0.999, limit + 0.05))
+    with pytest.raises(DomainError, match="credible level must lie in"):
+        estimate(profile, gamma=1.5)
 
 
 # -- strength and assessment -----------------------------------------------------
@@ -395,6 +397,17 @@ def test_reparam_decreasing_map_moves_the_anchor_with_its_cell():
     assert mapped.centers[j] == -profile.centers[i]
     for field in ("prior_content", "posterior_content", "rb"):
         assert getattr(mapped, field)[j] == getattr(profile, field)[i]
+
+
+@pytest.mark.parametrize("lam", [np.exp, lambda x: -x], ids=["increasing", "decreasing"])
+def test_profile_arrays_are_read_only_and_reparam_shares_them(lam):
+    profile = _profile_for_reparam()
+    mapped = reparam_profile(profile, lam)
+    for field in ("prior_content", "posterior_content", "rb", "usable", "edges", "centers"):
+        assert not getattr(profile, field).flags.writeable and not getattr(mapped, field).flags.writeable
+    for field in ("prior_content", "posterior_content", "rb", "usable"):
+        assert np.shares_memory(getattr(mapped, field), getattr(profile, field))
+    assert (mapped.data_digest, mapped.excluded_cells) == (profile.data_digest, profile.excluded_cells)
 
 
 def test_reparam_takes_a_map_of_scalars_only():
