@@ -181,18 +181,18 @@ def _check_grid(disc: Optional[Discretization], psi0=None) -> None:
 
 
 def _worst_case(bundle, psi0, cases, disc, mc, how, against: bool) -> BiasComponent:
-    """Largest probability of the ratio event at ``psi0`` (one value, or one
-    per case) -- ratio <= 1 when ``against``, else >= 1 -- over ``cases``,
-    (stream key, true value) pairs.  Exact unless Monte Carlo was asked for;
-    then the largest per-case Monte Carlo estimate."""
+    """Largest probability of the ratio event at ``psi0`` -- ratio <= 1 when
+    ``against``, else >= 1 -- over ``cases``, (stream key, true value)
+    pairs.  Exact unless Monte Carlo was asked for; then the largest
+    per-case Monte Carlo estimate."""
     if how == EXACT:
         probs = bundle.region_prob(psi0, np.array([truth for _, truth in cases]), disc, against)
         return BiasComponent(value=min(float(np.max(probs)), 1.0), se=0.0, method=EXACT)
     mc = mc or McConfig()
     best, best_se = -1.0, 0.0
-    for (key, truth), p0 in zip(cases, np.broadcast_to(psi0, len(cases))):
+    for key, truth in cases:
         stat = bundle.sample_stat(substream(mc.seed, *key), truth, size=mc.n_sim)
-        log_rb = bundle.log_rb(p0, stat, disc)
+        log_rb = bundle.log_rb(psi0, stat, disc)
         p, se = _mc_probability(log_rb <= 0.0 if against else log_rb >= 0.0)
         if p > best:
             best, best_se = p, se

@@ -119,11 +119,12 @@ def rb_profile(bundle, data, disc: Optional[Discretization] = None) -> EvidenceP
     usable = prior >= PRIOR_CONTENT_FLOOR
     rb = np.full(prior.shape, np.nan)
     rb[usable] = posterior[usable] / prior[usable]
-    if prior.sum() > 1.0 + 1e-9 or posterior.sum() > 1.0 + 1e-9:
-        raise DomainError("cell contents exceed total probability; grid construction is broken")
+    # each refusal is written so that a NaN fails it
     if not usable.any():
         raise DomainError("no grid cell carries usable prior content; widen delta or the range")
-    if float(np.max(rb[usable])) < 1.0 - 1e-9:
+    if not (prior.sum() <= 1.0 + 1e-9 and posterior.sum() <= 1.0 + 1e-9):
+        raise DomainError("cell contents are NaN or sum past 1: the posterior overflows, or the grid is broken")
+    if not (float(np.max(rb[usable])) >= 1.0 - 1e-9):
         raise DomainError(
             "no cell attains a relative belief ratio of 1; the grid range misses the "
             "posterior mass (check for prior-data conflict or widen the range)"

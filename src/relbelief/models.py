@@ -336,7 +336,10 @@ class _ContinuousBundle:
     ``_favor_region(psi0, disc)`` builds it, ``_region_mass(region, psi0,
     truths, against)`` is the probability of it (or of its complement with
     ties, ratio <= 1) under each true value, and ``_peak(psi0, region)`` the
-    true value where that probability peaks."""
+    true value where that probability peaks.  Its data reduce by two rules:
+    ``_sample_statistic(sample)``, the statistic of a raw sample, and
+    ``_statistic(t)``, the statistic checked and returned as a Python
+    number."""
 
     def interest(self, psi0, disc: Optional[Discretization] = None) -> float:
         """The hypothesized value ``psi0``; with ``disc``, refused when its
@@ -433,6 +436,23 @@ class _ContinuousBundle:
             lambda m: -float(g(m)), bounds=(grid[max(k - 1, 0)], grid[min(k + 1, points - 1)]), method="bounded"
         )
         return max(float(-res.fun), float(vals[k]))
+
+    def reduce_data(self, data):
+        """Reduce data to the minimal sufficient statistic: the statistic
+        itself, an ``(n, statistic)`` pair, or a raw sample of length ``n``,
+        read as floats (an entry that is not a number is refused)."""
+        if isinstance(data, tuple) and len(data) == 2:
+            n, data = data
+            if n != self.n:  # a fractional n is refused, not truncated
+                raise DomainError(f"statistic reports n={n}, bundle expects n={self.n}")
+        if not isinstance(data, (int, float, np.integer, np.floating)):
+            sample = _float_array(data, "raw sample")
+            if sample.ndim != 1 or sample.size != self.n:
+                raise DomainError(
+                    f"raw sample must be one-dimensional with length n={self.n}, got shape {sample.shape}"
+                )
+            data = self._sample_statistic(sample)
+        return self._statistic(data)
 
     def profile_cells(self, data, disc: Optional[Discretization]):
         """(prior contents, posterior contents, data digest, layout) of the
@@ -570,25 +590,18 @@ class LocationNormalBundle(_ContinuousBundle):
         s = self.spec
         return f"location_normal(n={s.n},sigma0_sq={s.sigma0_sq!r},mu_star={s.mu_star!r},tau_star_sq={s.tau_star_sq!r})"
 
-    def reduce_data(self, data) -> float:
-        """Reduce data to the sufficient statistic, the sample mean.
+    def _sample_statistic(self, sample):
+        """The sample mean; a sum that overflows leaves an infinite or NaN
+        mean for ``_statistic`` to refuse."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sample.mean()
 
-        Accepts the mean itself, an ``(n, mean)`` pair, or a raw sample of
-        length ``n``.
-        """
-        if isinstance(data, (int, float, np.floating, np.integer)):
-            return float(data)
-        if isinstance(data, tuple) and len(data) == 2:
-            n, xbar = data
-            if n != self.spec.n:  # a fractional n is refused, not truncated
-                raise DomainError(f"statistic reports n={n}, bundle expects n={self.spec.n}")
-            return float(xbar)
-        sample = np.asarray(data, dtype=float)
-        if sample.ndim != 1 or sample.size != self.spec.n:
-            raise DomainError(
-                f"raw sample must be one-dimensional with length n={self.spec.n}, got shape {sample.shape}"
-            )
-        return float(sample.mean())
+    def _statistic(self, xbar) -> float:
+        """The data mean as a finite float."""
+        xbar = float(xbar)
+        if not math.isfinite(xbar):
+            raise DomainError(f"the data mean must be finite, got {xbar}")
+        return xbar
 
     def posterior_params(self, t: float) -> Tuple[float, float]:
         s = self.spec
@@ -766,26 +779,17 @@ class BetaBinomialBundle(_ContinuousBundle):
     def digest(self) -> str:
         return f"beta_binomial(n={self.n},alpha={self.alpha!r},beta={self.beta!r})"
 
-    def reduce_data(self, data) -> int:
-        """Reduce data to the success count; accepts the count, an ``(n,
-        count)`` pair, or a 0/1 sample of length ``n``.  Fractions are refused."""
-        if isinstance(data, tuple) and len(data) == 2:
-            n, data = data
-            if n != self.n:
-                raise DomainError(f"statistic reports n={n}, bundle expects n={self.n}")
-        if isinstance(data, (int, float, np.integer, np.floating)):
-            if not float(data).is_integer():
-                raise DomainError(f"success count must be a whole number, got {data!r}")
-            s = int(data)
-        else:
-            sample = np.asarray(data)
-            if sample.ndim != 1 or sample.size != self.n:
-                raise DomainError(
-                    f"raw sample must be one-dimensional with length n={self.n}, got shape {sample.shape}"
-                )
-            if not np.isin(sample, (0, 1)).all():
-                raise DomainError("raw binomial sample entries must be 0 or 1")
-            s = int(sample.sum())
+    def _sample_statistic(self, sample):
+        """The success count of a 0/1 sample."""
+        if not np.isin(sample, (0, 1)).all():
+            raise DomainError("raw binomial sample entries must be 0 or 1")
+        return sample.sum()
+
+    def _statistic(self, s) -> int:
+        """The success count as a whole int in [0, n]; fractions are refused."""
+        if not (isinstance(s, (int, np.integer)) or float(s).is_integer()):
+            raise DomainError(f"success count must be a whole number, got {s!r}")
+        s = int(s)
         if not (0 <= s <= self.n):
             raise DomainError(f"success count must lie in [0, {self.n}], got {s}")
         return s

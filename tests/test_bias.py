@@ -1,6 +1,7 @@
 """Bias functionals: exact values, Monte Carlo agreement, design search."""
 
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -8,11 +9,19 @@ import numpy as np
 import pytest
 
 from relbelief import (
+    BiasComponent,
+    BiasEReport,
+    BiasHReport,
+    ConflictReport,
+    ConflictVerdict,
     DesignSearchError,
     DomainError,
+    EvidenceVerdict,
     FiniteModelSpec,
+    HypothesisAssessment,
     LocationNormalSpec,
     McConfig,
+    Verdict,
     bias_against_e,
     bias_against_h,
     bias_in_favor_e,
@@ -907,3 +916,37 @@ def test_bias_against_h_on_a_delta_only_grid_is_the_anchored_cell_value():
 def test_only_the_documented_method_names_are_accepted(method):
     with pytest.raises(DomainError, match="unknown method"):
         bias_against_h(locnormal(5, 0.0, 1.0), 0.0, method=method)
+
+
+# -- report invariants ---------------------------------------------------------------
+
+
+_H_REPORT = dict(psi0=0.0, delta=0.5, bias_against=0.2, bias_in_favor=0.3, se_against=0.0, se_in_favor=0.0,
+                 method="Exact")
+_E_REPORT = dict(avg_bias_against=0.2, sup_bias_against=0.4, avg_bias_in_favor=0.3, implied_coverage=0.8,
+                 delta=0.5, se_avg_against=0.0, se_sup_against=0.0, se_avg_in_favor=0.0, method="Exact")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: BiasComponent(value=1.5, se=0.0, method="Exact"), "bias probability out of [0, 1]: 1.5"),
+        (lambda: BiasComponent(value=0.5, se=0.01, method="Exact"), "exact components must carry zero standard error"),
+        (lambda: BiasHReport(**dict(_H_REPORT, bias_in_favor=-0.5)), "bias probability out of [0, 1]: -0.5"),
+        (lambda: BiasHReport(**dict(_H_REPORT, se_in_favor=0.01)), "exact reports must carry zero standard errors"),
+        (lambda: BiasEReport(**dict(_E_REPORT, implied_coverage=0.7)),
+         "implied coverage must equal 1 - average bias against"),
+        (lambda: BiasEReport(**dict(_E_REPORT, sup_bias_against=0.1)),
+         "average bias against (0.2) exceeds its upper bound (0.1)"),
+        (lambda: ConflictReport(tail_prob=1.5, t_obs=0.0, threshold=0.05, verdict=ConflictVerdict.NO_CONFLICT),
+         "tail probability out of [0, 1]: 1.5"),
+        (lambda: EvidenceVerdict(kind=Verdict.AGAINST, rb=-1.0), "relative belief ratio must be nonnegative, got -1.0"),
+        (lambda: HypothesisAssessment(psi0=0.0, rb0=0.5, strength=0.9, verdict=EvidenceVerdict.from_rb(0.5),
+                                      markov_lower=0.95, markov_upper=0.5), "strength 0.9 violates its bounds"),
+    ],
+    ids=["component-value", "component-exact-se", "h-value", "h-exact-se", "e-coverage", "e-average-above-sup",
+         "conflict-tail", "verdict-rb", "strength-bounds"],
+)
+def test_reports_refuse_impossible_values(make, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        make()

@@ -426,8 +426,9 @@ _ANALYZE = {"bundle": LOCNORMAL_20, "data": {"xbar": 0.3}, "discretization": {"d
      ("bias", {"bundle": LOCNORMAL_20, "delta": 0.5}, "hypothesis bias requires 'psi0'"),
      ("analyze", [_ANALYZE], "config root must be a JSON object"),
      ("analyze", dict(_ANALYZE, data={"xbar": 0.3, "sample": [0.3]}), "'data' must carry exactly one entry"),
-     ("analyze", dict(_ANALYZE, bundle=dict(LOCNORMAL_20, mu_star=10**400)), "'bundle.mu_star' is out of range")],
-    ids=["no-discretization", "no-psi0", "array-root", "xbar-and-sample", "401-digit-mu_star"],
+     ("analyze", dict(_ANALYZE, bundle=dict(LOCNORMAL_20, mu_star=10**400)), "'bundle.mu_star' is out of range"),
+     ("analyze", dict(_ANALYZE, discretization={"delta": -0.05}), "delta must be positive and finite, got -0.05")],
+    ids=["no-discretization", "no-psi0", "array-root", "xbar-and-sample", "401-digit-mu_star", "negative-delta"],
 )
 def test_config_refusals_exit_2_and_name_their_cause(tmp_path, capsys, command, config, named):
     code, out = run(tmp_path, config, command)
@@ -790,12 +791,52 @@ def test_sample_size_beyond_the_domain_is_a_domain_error(tmp_path, capsys, comma
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("threads", ["0", "-1"])
-def test_threads_below_one_is_refused_when_parsed(tmp_path, capsys, threads):
+@pytest.mark.parametrize("threads, named", [("0", "must be an integer >= 1, got 0"),
+                                             ("-1", "must be an integer >= 1, got -1"),
+                                             ("abc", "invalid int value: 'abc'")], ids=["0", "-1", "abc"])
+def test_threads_below_one_is_refused_when_parsed(tmp_path, capsys, threads, named):
     out = tmp_path / "out"
     assert main(["reproduce", "table1", "--out", str(out), "--threads", threads]) == 2
-    assert "argument --threads" in capsys.readouterr().err
+    assert f"argument --threads: {named}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# n * xbar / sigma0_sq + mu_star / tau_star_sq is inf - inf: the posterior mean is NaN
+_NAN_POSTERIOR = {
+    "bundle": {"kind": "location_normal", "n": 1, "sigma0_sq": 1e-300, "mu_star": -1e10, "tau_star_sq": 1e-300},
+    "data": {"xbar": 1e10},
+    "discretization": {"delta": 1e9, "range": [-2e10, 2e10]},
+}
+# a sample of finite numbers whose sum overflows: its mean is NaN
+_OVERFLOWING_SAMPLE = {
+    "bundle": {"kind": "location_normal", "n": 400, "sigma0_sq": 1.0, "mu_star": 0.0, "tau_star_sq": 1.0},
+    "data": {"sample": [1e308] * 200 + [-1e308] * 200},
+    "discretization": {"delta": 0.1},
+}
+_NAN_CONTENTS = "cell contents are NaN or sum past 1: the posterior overflows"
+
+
+@pytest.mark.parametrize(
+    "command, config, named",
+    [("analyze", _NAN_POSTERIOR, _NAN_CONTENTS),
+     ("assess", dict(_NAN_POSTERIOR, psi0=-1e10), _NAN_CONTENTS),
+     ("analyze", dict(_NAN_POSTERIOR, discretization={"delta": 1e-151}),
+      "no grid cell carries usable prior content"),
+     ("analyze", _OVERFLOWING_SAMPLE, "the data mean must be finite, got nan"),
+     ("assess", dict(_OVERFLOWING_SAMPLE, psi0=0.0), "the data mean must be finite, got nan"),
+     ("check", {key: _OVERFLOWING_SAMPLE[key] for key in ("bundle", "data")},
+      "the data mean must be finite, got nan")],
+    ids=["nan-posterior-analyze", "nan-posterior-assess", "empty-cell", "overflowing-sample-analyze",
+         "overflowing-sample-assess", "overflowing-sample-check"],
+)
+def test_finite_configs_whose_arithmetic_overflows_are_domain_errors(tmp_path, capsys, command, config, named):
+    # analyze exited 1 with an IndexError, assess named a NaN ratio and check
+    # a NaN tail probability
+    code, out = run(tmp_path, config, command)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert named in err and len(err) < 200
+    assert not any(out.iterdir())
 
 
 def test_repeated_calls_in_one_process_share_no_state(tmp_path):

@@ -104,6 +104,9 @@ def test_space_validation():
         FiniteProbSpace(["a", "b"], [0.6, 0.6])
     with pytest.raises(DomainError, match="unique"):
         FiniteProbSpace(["a", "a"], [0.5, 0.5])
+    with pytest.raises(DomainError, match="outcomes and weights must have equal length"):
+        FiniteProbSpace(["a", "b"], [1.0])
+    assert len(FiniteProbSpace(["a", "b"], [0.5, 0.5]).event(["a", "b", "a"])) == 2  # a set of labels
     with pytest.raises(DomainError, match="unknown outcomes"):
         space = FiniteProbSpace(["a", "b"], [0.5, 0.5])
         space.prob(Event(["zzz"]))

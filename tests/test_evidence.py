@@ -194,6 +194,8 @@ def test_prosecutor_assessment():
     assert report.pl_posterior_content == pytest.approx(1 / m, abs=1e-12)
     assert result.markov_lower == pytest.approx(1 / m, abs=1e-12)
     assert result.strength == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(DomainError, match="profiles over labeled parameters have no continuous reparameterization"):
+        reparam_profile(profile, lambda x: x)
 
 
 def test_small_rb_bounds_strength():

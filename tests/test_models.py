@@ -77,6 +77,9 @@ def test_beta_binomial_validation():
         make_beta_binomial(10, -1.0, 1.0)
     with pytest.raises(DomainError):
         make_beta_binomial(10, 1.0, 0.0)
+    for rate in (0.0, 1.0):
+        with pytest.raises(DomainError, match=r"success rate must lie strictly inside \(0, 1\)"):
+            make_beta_binomial(10, 1.0, 1.0).log_rb_point(rate, 3)
 
 
 @pytest.mark.parametrize("n", [2**1024, 10**400], ids=["2**1024", "10**400"])
@@ -153,6 +156,8 @@ def test_reduce_data_accepts_statistic_and_sample():
     assert bundle.reduce_data(0.3) == 0.3
     assert bundle.reduce_data((4, 0.3)) == 0.3
     assert bundle.reduce_data([1.0, 2.0, 3.0, 4.0]) == pytest.approx(2.5)
+    # check.csv writes t_obs from the statistic: a Python float, and a Python int below
+    assert type(bundle.reduce_data([1.0, 2.0, 3.0, 4.0])) is float and type(bundle.reduce_data(2)) is float
     with pytest.raises(DomainError):
         bundle.reduce_data([1.0, 2.0])
     with pytest.raises(DomainError):
@@ -163,6 +168,7 @@ def test_reduce_data_accepts_statistic_and_sample():
     bb = make_beta_binomial(4, 1.0, 1.0)
     assert bb.reduce_data(3) == 3
     assert bb.reduce_data([1, 0, 1, 1]) == 3
+    assert type(bb.reduce_data([1, 0, 1, 1])) is int and type(bb.reduce_data(np.float64(3.0))) is int
     with pytest.raises(DomainError):
         bb.reduce_data(7)
     with pytest.raises(DomainError):
@@ -178,6 +184,32 @@ def test_reduce_data_accepts_statistic_and_sample():
         bb.reduce_data((4.9, 3))  # it passed as n=4
     with pytest.raises(DomainError, match="success count must be a whole number, got 2.5"):
         bb.reduce_data(2.5)  # it was named a raw sample
+
+
+@pytest.mark.parametrize(
+    "kind, data, message",
+    [
+        ("location_normal", [1e308] * 200 + [-1e308] * 200, "the data mean must be finite, got nan"),
+        ("location_normal", [1e308] * 400, "the data mean must be finite, got inf"),
+        ("location_normal", (400, math.nan), "the data mean must be finite, got nan"),
+        ("location_normal", -math.inf, "the data mean must be finite, got -inf"),
+        ("location_normal", [1.0, "x", 2.0, 3.0], "raw sample cannot be read as an array of floats"),
+        ("beta_binomial", [1, 0, "x", 1], "raw sample cannot be read as an array of floats"),
+        ("beta_binomial", [1, 0, math.nan, 1], "raw binomial sample entries must be 0 or 1"),
+        ("beta_binomial", math.nan, "success count must be a whole number, got nan"),
+        ("beta_binomial", 10**400, "success count must lie in [0, 4], got 1000"),
+    ],
+    ids=["mean-overflows-to-nan", "mean-overflows-to-inf", "pair-nan", "minus-inf", "ln-not-a-number",
+         "bb-not-a-number", "bb-nan-entry", "bb-nan", "bb-huge-int"],
+)
+def test_continuous_reduce_data_refuses_what_is_no_statistic(kind, data, message):
+    # a sample mean that overflowed passed as NaN, and a non-numeric entry
+    # raised ValueError
+    bundle = (make_location_normal(LocationNormalSpec(n=400, sigma0_sq=1.0, mu_star=0.0, tau_star_sq=1.0))
+              if kind == "location_normal" else make_beta_binomial(4, 1.0, 1.0))
+    with np.errstate(all="raise"):  # the reducer itself leaves no floating-point warning
+        with pytest.raises(DomainError, match=re.escape(message)):
+            bundle.reduce_data(data)
 
 
 def test_finite_bundle_refuses_a_discretization():
@@ -197,6 +229,11 @@ def test_finite_reduce_data():
     assert bundle.reduce_data(1) == 1
     with pytest.raises(DomainError):
         bundle.reduce_data("nope")
+    with pytest.raises(DomainError, match="finite-model data must be a label or an index"):
+        bundle.reduce_data(0.5)
+    certain = make_finite(FiniteModelSpec(["t0", "t1"], [1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], ["x0", "x1"]))
+    with pytest.raises(DomainError, match="observed outcome 'x1' has zero prior predictive probability"):
+        certain.reduce_data("x1")
 
 
 # -- sampler vs density consistency -------------------------------------------
@@ -255,6 +292,8 @@ def test_finite_predictive_given_psi_is_a_row_of_the_cached_table():
         assert not table.flags.writeable
     with pytest.raises(DomainError, match="zero prior probability"):
         bundle.predictive_given_psi(0)
+    with pytest.raises(DomainError, match="interest value 'q0' has zero prior probability"):
+        bundle.cond_prior_given_psi(0)
     assert np.all(np.isnan(bundle.rb_psi_table()[0]))
     for j in range(1, len(bundle.psi_labels)):
         direct = bundle.cond_prior_given_psi(j) @ bundle.like
@@ -386,6 +425,12 @@ def test_finite_joint_draw_allocates_no_size_by_outcomes_array():
         assert peak < size * 400 * 8 / 10
 
 
+def test_substream_path_parts_are_ints_or_strings():
+    assert substream(1, "a", 2).random() == substream(1, "a", np.int64(2)).random()
+    with pytest.raises(TypeError, match="substream path parts must be int or str"):
+        substream(1, 0.5)
+
+
 @pytest.mark.parametrize("n, theta", [(20, 0.2), (40, 0.5), (7, 0.93)])
 def test_beta_binomial_scalar_draw_matches_an_array_of_rates(n, theta):
     bundle = make_beta_binomial(n, 2.0, 3.0)
@@ -470,9 +515,12 @@ def test_finite_spec_tables_are_read_only_float64_arrays_the_bundle_shares():
         (dict(likelihood=[[0.5, 0.5], [0.5, 0.4]]), "likelihood row for 't1' must be nonnegative and sum to 1"),
         (dict(likelihood=[[0.5, 0.6], [0.5, 0.4]]), "likelihood row for 't0' must be nonnegative and sum to 1"),
         (dict(likelihood=[[0.5, 0.5], [math.inf, -math.inf]]), "likelihood row for 't1' must be nonnegative"),
+        (dict(theta_labels=["t0", "t0"]), "theta labels must be unique"),
+        (dict(x_labels=["x0", "x0"]), "data labels must be unique"),
     ],
     ids=["prior-long", "prior-2d", "psi-short", "prior-negative", "prior-sum", "rows-short", "rows-wide",
-         "rows-1d", "row-negative", "row-sum-low", "first-row-sum-high", "row-infinite"],
+         "rows-1d", "row-negative", "row-sum-low", "first-row-sum-high", "row-infinite", "theta-duplicate",
+         "x-duplicate"],
 )
 def test_finite_spec_refusal_names_the_table_and_row(change, message):
     fields = dict(theta_labels=["t0", "t1"], prior=[0.5, 0.5], likelihood=[[0.5, 0.5], [0.2, 0.8]],
