@@ -70,6 +70,12 @@ _WINDOW_BISECTIONS = 64
 # Cells per intermediate array in the blocked bias-in-favor tables, so memory
 # stays bounded whatever n_sim or the number of interest values.
 _BLOCK_CELLS = 1 << 18
+# numpy's binomial sampler inverts one uniform per draw while n * min(p, 1 - p)
+# is at most this (Kachitvichyanukul & Schmeiser's BINV), and runs BTPE above.
+_INVERSION_MAX_MEAN = 30.0
+# Buckets of the guide table that starts each lookup of a uniform among the
+# inversion thresholds (Devroye, Non-Uniform Random Variate Generation, 1986).
+_GUIDE_BUCKETS = 4096
 
 __all__ = [
     "Discretization",
@@ -358,6 +364,15 @@ class _ContinuousBundle:
     def stat_label(self, t):
         return t
 
+    @staticmethod
+    def _truths(truths, size) -> np.ndarray:
+        """The true values of a ``sample_stat`` as floats; an array of them
+        draws one statistic each, so a ``size`` that disagrees is refused."""
+        truths = np.asarray(truths, dtype=float)
+        if truths.ndim and size is not None and truths.shape != tuple(np.atleast_1d(size)):
+            raise DomainError(f"size {size} disagrees with the shape {truths.shape} of the true values")
+        return truths
+
     def sample_joint(self, rng: np.random.Generator, size: int):
         """Draw (true value, statistic) pairs from the prior predictive."""
         psi = self.sample_prior(rng, size)
@@ -598,7 +613,10 @@ class LocationNormalBundle(_ContinuousBundle):
 
     def _statistic(self, xbar) -> float:
         """The data mean as a finite float."""
-        xbar = float(xbar)
+        try:
+            xbar = float(xbar)
+        except OverflowError:
+            raise DomainError("the data mean must be finite, got a number beyond the float range") from None
         if not math.isfinite(xbar):
             raise DomainError(f"the data mean must be finite, got {xbar}")
         return xbar
@@ -713,8 +731,9 @@ class LocationNormalBundle(_ContinuousBundle):
         return self.spec.mu_star + self._tau_star * rng.standard_normal(size)
 
     def sample_stat(self, rng: np.random.Generator, mu, size: Optional[int] = None) -> np.ndarray:
-        """Draw sample means given the true mean(s) ``mu``."""
-        mu = np.asarray(mu, dtype=float)
+        """Draw sample means: ``size`` at one true mean ``mu``, or one per
+        mean of an array."""
+        mu = self._truths(mu, size)
         shape = mu.shape if size is None else (size,)
         return mu + self._stat_sd * rng.standard_normal(shape)
 
@@ -744,6 +763,84 @@ def make_location_normal(spec: LocationNormalSpec) -> LocationNormalBundle:
 
 # ---------------------------------------------------------------------------
 # beta binomial
+
+
+def _inversion_thresholds(n: int, p: float) -> Optional[np.ndarray]:
+    """The uniforms at which numpy's binomial inversion loop at ``n`` trials
+    and rate ``p`` <= 1/2 steps from count j to j + 1, for j = 0..bound: the
+    smallest double on the 2^-53 lattice of ``Generator.random`` whose chain
+    passes steps 0..j, inf where none does.  None if a search window fails to
+    bracket its threshold.
+
+    The loop (numpy's ``random_binomial_inversion``) starts at X = 0 and
+    px = (1 - p)^n; while U > px it sets X += 1, restarts with a new uniform
+    once X exceeds bound, and otherwise sets U -= px and steps px to the next
+    pmf term.  Each rounded subtraction is monotone in U, so the count never
+    falls as U grows: a uniform draws the number of thresholds at or below
+    it, and bound + 1 means a restart.  Each subtraction errs by at most
+    2^-54, so threshold j lies within bound + 4 lattice points of the float
+    cumulative sum of px; the chain runs, with the loop's own arithmetic, on
+    that window for every j at once."""
+    q = 1.0 - p
+    px = math.exp(n * math.log1p(-p))
+    mean = n * p
+    bound = int(min(float(n), mean + 10.0 * math.sqrt(mean * q + 1.0)))
+    steps = np.empty(bound + 1)
+    steps[0] = px
+    for x in range(1, bound + 1):
+        px = ((n - x + 1) * p * px) / (x * q)
+        steps[x] = px
+    top = (1 << 53) - 1
+    width = bound + 4
+    centers = np.rint(np.minimum(np.cumsum(steps), 1.0) * 2.0**53).astype(np.int64)
+    lattice = np.clip(centers[:, None] + np.arange(-width, width + 1), 0, top)
+    u = lattice * 2.0**-53
+    passed = np.ones(u.shape, dtype=bool)
+    for x, px in enumerate(steps):  # row j takes steps 0..j
+        passed[x:] &= u[x:] > px
+        u[x:] -= px
+    if not ((~passed[:, 0] | (lattice[:, 0] == 0)).all() and (passed[:, -1] | (lattice[:, -1] == top)).all()):
+        return None
+    rows = np.arange(bound + 1)
+    first = passed.argmax(axis=1)
+    return np.where(passed[rows, first], lattice[rows, first] * 2.0**-53, np.inf)
+
+
+def _binomial(rng: np.random.Generator, n: int, p: float, size) -> np.ndarray:
+    """``rng.binomial(n, p, size)``: the same counts and the same stream state
+    after them.  Where numpy inverts (n * min(p, 1 - p) <= 30, p > 0), each
+    draw reads its one uniform from ``rng.random`` and looks it up among the
+    :func:`_inversion_thresholds`, from a guide table of the count at each
+    bucket start; a rate above 1/2 draws n minus a count at 1 - p, as numpy
+    does.  A uniform that would make numpy's loop restart rewinds the stream
+    to numpy's own sampler, as do BTPE's rates, p = 0 (no uniform is read),
+    a rate outside [0, 1] (numpy's error) and a window that fails."""
+    if not (0.0 < p <= 1.0) or min(p, 1.0 - p) * n > _INVERSION_MAX_MEAN:
+        return rng.binomial(n, p, size)
+    flip = p > 0.5
+    thresholds = _inversion_thresholds(n, 1.0 - p if flip else p)
+    if thresholds is None:
+        return rng.binomial(n, p, size)
+    saved = rng.bit_generator.state
+    u = rng.random(size)
+    if u.size and u.max() >= thresholds[-1]:
+        rng.bit_generator.state = saved
+        return rng.binomial(n, p, size)
+    guide = np.searchsorted(thresholds, np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS, side="right").astype(np.int64)
+    counts = guide[(u * _GUIDE_BUCKETS).astype(np.intp)]
+    thresholds = np.append(thresholds, np.inf)
+    # a threshold inside a uniform's bucket and below it is rare: the first
+    # step takes every draw, the later ones only those that moved
+    flat, u = counts.reshape(-1), u.reshape(-1)
+    up = thresholds[flat] <= u
+    flat += up
+    todo = np.flatnonzero(up)
+    while todo.size:
+        at = flat[todo]
+        up = thresholds[at] <= u[todo]
+        flat[todo] = at + up
+        todo = todo[up]
+    return np.subtract(n, counts, out=counts) if flip else counts
 
 
 class BetaBinomialBundle(_ContinuousBundle):
@@ -903,9 +1000,11 @@ class BetaBinomialBundle(_ContinuousBundle):
         return rng.beta(self.alpha, self.beta, size)
 
     def sample_stat(self, rng: np.random.Generator, theta, size: Optional[int] = None) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
+        """Draw success counts: ``size`` at one true rate ``theta`` (by
+        :func:`_binomial`), or one per rate of an array."""
+        theta = self._truths(theta, size)
         if size is not None and theta.ndim == 0:
-            return rng.binomial(self.n, float(theta), size)
+            return _binomial(rng, self.n, float(theta), size)
         return rng.binomial(self.n, theta)
 
     def sample_predictive(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -928,11 +1027,15 @@ def make_beta_binomial(n: int, alpha: float, beta: float) -> BetaBinomialBundle:
 
 def _float_array(values, what: str) -> np.ndarray:
     """``values`` as a new read-only float64 array; a table numpy cannot
-    read as floats (ragged rows, a non-numeric entry) is a domain error."""
+    read as an array of numbers (ragged rows; a string, bool or other
+    non-numeric entry) is a domain error."""
     try:
-        array = np.array(values, dtype=float)
+        array = np.array(values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{what} cannot be read as an array of floats: {exc}") from None
+    if array.dtype.kind not in "iuf":
+        raise DomainError(f"{what} cannot be read as an array of floats: entries of type {array.dtype}")
+    array = array.astype(float, copy=False)
     array.setflags(write=False)
     return array
 

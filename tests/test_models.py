@@ -25,7 +25,10 @@ from relbelief import (
     rb_profile,
 )
 from relbelief import models
-from relbelief.models import _cumulative_rows, _inverse_cdf, beta_interval_prob, build_cells, normal_interval_prob
+from relbelief.models import (
+    _binomial, _cumulative_rows, _inverse_cdf, _inversion_thresholds, beta_interval_prob, build_cells,
+    normal_interval_prob,
+)
 from relbelief.rng import substream
 
 from oracle import random_finite_spec
@@ -198,9 +201,14 @@ def test_reduce_data_accepts_statistic_and_sample():
         ("beta_binomial", [1, 0, math.nan, 1], "raw binomial sample entries must be 0 or 1"),
         ("beta_binomial", math.nan, "success count must be a whole number, got nan"),
         ("beta_binomial", 10**400, "success count must lie in [0, 4], got 1000"),
+        ("location_normal", 10**400, "the data mean must be finite, got a number beyond the float range"),
+        ("location_normal", ["1.0", "2.0", "3.0", "4.0"], "raw sample cannot be read as an array of floats"),
+        ("beta_binomial", ["1", "0", "1", "1"], "raw sample cannot be read as an array of floats"),
+        ("beta_binomial", [True, False, True, True], "raw sample cannot be read as an array of floats"),
     ],
     ids=["mean-overflows-to-nan", "mean-overflows-to-inf", "pair-nan", "minus-inf", "ln-not-a-number",
-         "bb-not-a-number", "bb-nan-entry", "bb-nan", "bb-huge-int"],
+         "bb-not-a-number", "bb-nan-entry", "bb-nan", "bb-huge-int", "ln-huge-int", "ln-numeric-strings",
+         "bb-numeric-strings", "bb-bools"],
 )
 def test_continuous_reduce_data_refuses_what_is_no_statistic(kind, data, message):
     # a sample mean that overflowed passed as NaN, and a non-numeric entry
@@ -438,6 +446,135 @@ def test_beta_binomial_scalar_draw_matches_an_array_of_rates(n, theta):
     np.testing.assert_array_equal(got, np.random.default_rng(5).binomial(n, np.full(5000, theta)))
 
 
+@st.composite
+def fixed_rate_cases(draw):
+    """(n, p, size) for one fixed-rate binomial draw: rates anywhere in
+    [0, 1], rates where numpy switches from inversion to BTPE (n * min(p,
+    1 - p) just below, at and above 30, on both sides of 1/2), and n near
+    2^59 with rates so small that 1 - p rounds to 1."""
+    kind = draw(st.sampled_from(["any", "switch", "huge"]))
+    if kind == "huge":
+        n, p = draw(st.integers(2**59 - 1024, 2**59 + 1024)), draw(st.floats(1e-19, 5e-17))
+    elif kind == "switch":
+        n = draw(st.integers(61, 400))
+        p = draw(st.sampled_from([np.nextafter(30.0 / n, 0.0), 30.0 / n, np.nextafter(30.0 / n, 1.0)]))
+        p = 1.0 - p if draw(st.booleans()) else p
+    else:
+        n = draw(st.integers(1, 400))
+        p = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0) | st.floats(0.0, min(1.0, 30.0 / n)))
+    return n, float(p), draw(st.integers(1, 5000))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=fixed_rate_cases(), seed=st.integers(0, 2**32 - 1))
+@example(case=(1, 0.5, 1), seed=0)
+@example(case=(400, 0.07, 5000), seed=1)
+@example(case=(400, 0.0, 10), seed=2)
+@example(case=(400, 1.0, 10), seed=3)
+@example(case=(60, 0.5, 100), seed=4)
+@example(case=(2**59, 1e-17, 2000), seed=5)
+def test_fixed_rate_binomial_is_numpys_draw_for_draw(case, seed):
+    """The threshold-table sampler returns ``Generator.binomial``'s counts
+    and dtype, and leaves the stream where numpy leaves it."""
+    n, p, size = case
+    got_rng, want_rng = substream(seed, "binomial"), substream(seed, "binomial")
+    got, want = _binomial(got_rng, n, p, size), want_rng.binomial(n, p, size)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+
+
+def test_fixed_rate_binomial_without_a_bracketed_table_is_numpys(monkeypatch):
+    monkeypatch.setattr(models, "_inversion_thresholds", lambda n, p: None)
+    got_rng, want_rng = substream(1, "binomial"), substream(1, "binomial")
+    np.testing.assert_array_equal(models._binomial(got_rng, 20, 0.3, 500), want_rng.binomial(20, 0.3, 500))
+    np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("p", [math.nan, -0.1, 1.5])
+def test_fixed_rate_binomial_keeps_numpys_error(p):
+    with pytest.raises(ValueError) as want:
+        substream(1, "binomial").binomial(20, p, 10)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        _binomial(substream(1, "binomial"), 20, p, 10)
+
+
+# PCG64 steps its 128-bit state S to S * mult + inc and outputs
+# rotr64(hi ^ lo, hi >> 58) of the new state; Generator.random takes the top
+# 53 bits of that output.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_INC = 0xDA3E39CB94B95BDB  # any odd increment
+_MASK64 = 2**64 - 1
+
+
+def _first_uniform(u: float) -> np.random.Generator:
+    """A generator whose first uniform is ``u``, a multiple of 2^-53 in
+    [0, 1): set the new state's high word freely, its low word so that the
+    output is ``u``'s bits, and step the state back once."""
+    t = int(u * 2.0**53) << 11
+    hi = 0x9E3779B97F4A7C15
+    r = hi >> 58
+    lo = (((t << r) | (t >> (64 - r))) & _MASK64) ^ hi  # rotl64(t, r), 0 < r < 64
+    state = (((hi << 64) | lo) - _PCG_INC) * pow(_PCG_MULT, -1, 2**128) % 2**128
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": _PCG_INC}, "has_uint32": 0, "uinteger": 0,
+    }
+    return np.random.Generator(bit_generator)
+
+
+THRESHOLD_CASES = [
+    (1, 0.5), (1, 1e-3), (7, 0.07), (20, 0.3), (40, 0.5), (60, 0.5), (86, 0.348), (400, 0.07), (1000, 0.03),
+    (10**6, 3e-5), (2**59, 1e-17), (5, 1e-300),
+] + [(int(n), float(u) * min(0.5, 30.0 / n)) for n, u in zip([3, 12, 25, 33, 48, 75, 150, 260, 333, 399],
+                                                              np.random.default_rng(7).uniform(size=10))]
+
+
+@pytest.mark.parametrize("n, p", THRESHOLD_CASES)
+def test_inversion_thresholds_are_where_numpys_own_sampler_steps(n, p):
+    """Fed a chosen first uniform, numpy's binomial draws at least j + 1 at
+    the threshold T_j and at most j one lattice point below it, for every
+    threshold below T_bound (a uniform there makes numpy restart)."""
+    for u in (0.0, 0.5, 1.0 - 2.0**-53):
+        assert _first_uniform(u).random() == u
+    thresholds = _inversion_thresholds(n, p)
+    assert thresholds is not None and np.all(thresholds[1:] >= thresholds[:-1])
+    restart = thresholds[-1]
+    for j, at in enumerate(thresholds[:-1]):
+        if at < restart:
+            assert _first_uniform(at).binomial(n, p) >= j + 1
+            assert at == 0.0 or _first_uniform(at - 2.0**-53).binomial(n, p) <= j
+
+
+def test_a_restarting_uniform_rewinds_to_numpys_sampler():
+    """At n = 400, p = 0.07 numpy's loop gives up past count 80, and the 20
+    largest uniforms make it draw again: a table draw that meets one returns
+    numpy's draws and stream state.  One lattice point below, a table draw
+    returns 79: T_79 = T_80, so no uniform draws 80 without a restart."""
+    thresholds = _inversion_thresholds(400, 0.07)
+    assert len(thresholds) == 81 and thresholds[-1] == 1.0 - 20 * 2.0**-53
+    for u in (thresholds[-1] - 2.0**-53, thresholds[-1], 1.0 - 2.0**-53):
+        got_rng, want_rng = _first_uniform(u), _first_uniform(u)
+        got, want = _binomial(got_rng, 400, 0.07, 50), want_rng.binomial(400, 0.07, 50)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+        if u < thresholds[-1]:
+            assert got[0] == np.count_nonzero(thresholds <= u) == 79
+
+
+def test_sample_stat_refuses_a_size_that_disagrees_with_an_array_of_truths():
+    # the beta binomial dropped ``size`` and drew one count per rate, and the
+    # location normal raised numpy's broadcasting ValueError
+    rng = np.random.default_rng(1)
+    spec = LocationNormalSpec(n=4, sigma0_sq=1.0, mu_star=0.0, tau_star_sq=1.0)
+    for bundle in (make_beta_binomial(10, 2.0, 3.0), make_location_normal(spec)):
+        with pytest.raises(DomainError, match="size 5"):
+            bundle.sample_stat(rng, np.array([0.3, 0.4]), size=5)
+        assert bundle.sample_stat(rng, np.array([0.3, 0.4]), size=2).shape == (2,)
+        assert bundle.sample_stat(rng, np.array([0.3, 0.4])).shape == (2,)
+        assert bundle.sample_stat(rng, 0.3, size=5).shape == (5,)
+
+
 # -- non-finite numbers --------------------------------------------------------
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -537,8 +674,12 @@ def test_finite_spec_refusal_names_the_table_and_row(change, message):
         ([0.5, 0.5], [[0.5, {}], [0.5, 0.5]], "likelihood table"),
         ([0.5, "half"], [[0.5, 0.5], [0.5, 0.5]], "prior weights"),
         ([10**400, 0], [[0.5, 0.5], [0.5, 0.5]], "prior weights"),
+        (["0.5", "0.5"], [[1.0, 0.0], [0.0, 1.0]], "prior weights"),
+        ([0.5, 0.5], [["1", "0"], ["0", "1"]], "likelihood table"),
+        ([0.5, 0.5], [[True, False], [False, True]], "likelihood table"),
     ],
-    ids=["ragged", "string", "object", "prior-string", "prior-huge-int"],
+    ids=["ragged", "string", "object", "prior-string", "prior-huge-int", "prior-numeric-strings",
+         "numeric-strings", "bools"],
 )
 def test_finite_spec_refuses_a_table_numpy_cannot_read(prior, likelihood, named):
     with pytest.raises(DomainError, match=f"{named} cannot be read as an array of floats"):

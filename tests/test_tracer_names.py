@@ -18,10 +18,11 @@ import pytest
 
 import relbelief.bias
 import relbelief.models
-from relbelief.bias import BiasComponent, McConfig
+from relbelief.bias import BiasComponent, McConfig, design_sample_size, hypothesis_bias
 from relbelief.checking import conflict_check
 from relbelief.models import (
-    FiniteBundle, FiniteModelSpec, LocationNormalSpec, make_beta_binomial, make_finite, make_location_normal,
+    BetaBinomialBundle, FiniteBundle, FiniteModelSpec, LocationNormalSpec, make_beta_binomial, make_finite,
+    make_location_normal,
 )
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -116,3 +117,39 @@ def test_finite_draws_pass_through_the_traced_sample_joint(monkeypatch, run, cal
     monkeypatch.setattr(FiniteBundle, "sample_joint", counted)
     run(BUNDLES["finite"][0], McConfig(n_sim=300, seed=1))
     assert seen == [300] * calls
+
+
+def _hypothesis_bias(bundle, mc):
+    """One hypothesis bias, so one evaluated."""
+    hypothesis_bias(bundle, 0.4, 0.1, mc=mc, method="mc")
+    return 1
+
+
+def _design_search(bundle, mc):
+    """A beta-binomial design search that meets its target at the third
+    sample size; the number of hypothesis biases it evaluated."""
+    result = design_sample_size(
+        lambda n: make_beta_binomial(n, bundle.alpha, bundle.beta), 0.4, 0.1, {"max_bias_in_favor": 0.72},
+        [5, 10, 20, 40], mc=mc, method="mc",
+    )
+    return len(result.evaluated)
+
+
+@pytest.mark.parametrize("run", [_hypothesis_bias, _design_search], ids=["hypothesis_bias", "design_sample_size"])
+def test_beta_binomial_draws_pass_through_the_traced_sample_stat(monkeypatch, run):
+    """The tracer counts ``models.sample`` and ``models.draws`` on
+    ``BetaBinomialBundle.sample_stat``, so every fixed-rate draw must go
+    through it: three calls of n_sim per hypothesis bias (against, and in
+    favor at either side), so three per sample size a design search
+    evaluates."""
+    seen = []
+    sample_stat = BetaBinomialBundle.sample_stat
+
+    def counted(self, *args, **kwargs):
+        result = sample_stat(self, *args, **kwargs)
+        seen.append(np.size(result))
+        return result
+
+    monkeypatch.setattr(BetaBinomialBundle, "sample_stat", counted)
+    evaluated = run(BUNDLES["beta_binomial"][0], McConfig(n_sim=300, seed=1))
+    assert seen == [300] * 3 * evaluated
