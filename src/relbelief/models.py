@@ -11,8 +11,9 @@ Three builtin bundles cover the package's needs:
   table, interest map).  Every quantity is computable by exact enumeration,
   which makes it the reference oracle for the rest of the package.
 
-A bundle is immutable after construction and safe to share across threads;
-samplers take an explicit generator instead of hidden state.
+A bundle is immutable after construction, but for a one-entry memo of the
+last favor region it built, and safe to share across threads; samplers take
+an explicit generator instead of hidden state.
 
 Every bundle also offers the small primitive the bias engine is built on:
 ``interest`` (the internal coordinate of a hypothesized value, refused when
@@ -63,10 +64,16 @@ QUAD_DOUBLING_RTOL = 1e-6
 # Gauss-Hermite node counts tried in turn: the first doubling within
 # QUAD_DOUBLING_RTOL is accepted.  hermegauss(512) returns NaN weights.
 _QUAD_NODES = (64, 128, 256)
-# Halvings of the bracket [0, delta + 40 posterior sds] that locate the edge of
-# a location-normal cell's favor window: the bracket shrinks to below one part
-# in 1e19, past double precision.
-_WINDOW_BISECTIONS = 64
+# Newton steps allowed to the offset of a location-normal cell's favor window;
+# from its start each offset takes a few, and halves its distance to a root
+# near 0 at worst, so no offset reaches this.
+_WINDOW_NEWTON_CAP = 100
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# A Newton step below this share of the offset ends its steps: the error left
+# is about its square.
+_NEWTON_RTOL = 2.0**-26
+# The bit pattern of +inf, above that of every finite nonnegative float.
+_INF_BITS = np.float64(np.inf).view(np.int64)
 # Cells per intermediate array in the blocked bias-in-favor tables, so memory
 # stays bounded whatever n_sim or the number of interest values.
 _BLOCK_CELLS = 1 << 18
@@ -122,10 +129,9 @@ def normal_interval_prob(edges, mean, sd):
         lo, hi = edges
         zlo = (np.asarray(lo, dtype=float) - mean) / sd
         zhi = (np.asarray(hi, dtype=float) - mean) / sd
-        upper = special.ndtr(-zlo) - special.ndtr(-zhi)
-        lower = special.ndtr(zhi) - special.ndtr(zlo)
         # In the upper tail the CDF saturates at 1; use survival values there.
-        return np.where(zlo >= 0.0, upper, lower)
+        return _one_side(zlo >= 0.0, lambda: special.ndtr(-zlo) - special.ndtr(-zhi),
+                         lambda: special.ndtr(zhi) - special.ndtr(zlo))
     z = (np.asarray(edges, dtype=float) - mean) / sd
     upper = z[:-1] >= 0.0
     stop, start = _tail_spans(upper)
@@ -154,10 +160,9 @@ def beta_interval_prob(edges, a, b):
         lo = np.clip(np.asarray(lo, dtype=float), 0.0, 1.0)
         hi = np.clip(np.asarray(hi, dtype=float), 0.0, 1.0)
         cdf_lo = special.betainc(a, b, lo)
-        direct = special.betainc(a, b, hi) - cdf_lo
-        flipped = special.betainc(b, a, 1.0 - lo) - special.betainc(b, a, 1.0 - hi)
         # Past the median the CDF saturates at 1; use survival values there.
-        return np.where(cdf_lo >= 0.5, flipped, direct)
+        return _one_side(cdf_lo >= 0.5, lambda: special.betainc(b, a, 1.0 - lo) - special.betainc(b, a, 1.0 - hi),
+                         lambda: special.betainc(a, b, hi) - cdf_lo)
     x = np.clip(np.asarray(edges, dtype=float), 0.0, 1.0)
     n = x.size
     if np.all(x[1:] >= x[:-1]):
@@ -172,6 +177,16 @@ def beta_interval_prob(edges, a, b):
     upper[n:] = True
     start = _tail_spans(upper)[1]
     return _edge_cells(upper, cdf, _on_edges(lambda v: special.betainc(b, a, 1.0 - v), x, slice(start, None)))
+
+
+def _one_side(upper, survival, cdf):
+    """Single-cell contents: the difference ``survival()`` where ``upper``,
+    else ``cdf()``.  A side no cell takes is not evaluated."""
+    if not upper.any():
+        return np.asarray(cdf())
+    if upper.all():
+        return np.asarray(survival())
+    return np.where(upper, survival(), cdf())
 
 
 def _tail_spans(upper):
@@ -347,6 +362,23 @@ class _ContinuousBundle:
     ``_statistic(t)``, the statistic checked and returned as a Python
     number."""
 
+    # ((psi0, disc), region): the favor region of the last float value asked
+    # for, so a hypothesis bias against and in favor, and its alternatives,
+    # build one region.  One tuple, replaced whole: a thread sharing the
+    # bundle reads a key and its own region.
+    _last_region = ((None, None), None)
+
+    def _region(self, psi0, disc: Optional[Discretization]):
+        """``_favor_region(psi0, disc)``; a float's is kept until the next
+        float's is built (an array's never is)."""
+        if not isinstance(psi0, float):
+            return self._favor_region(psi0, disc)
+        key, region = self._last_region
+        if key != (psi0, disc):
+            region = self._favor_region(psi0, disc)
+            self._last_region = ((psi0, disc), region)
+        return region
+
     def interest(self, psi0, disc: Optional[Discretization] = None) -> float:
         """The hypothesized value ``psi0``; with ``disc``, refused when its
         anchored cell has prior content below PRIOR_CONTENT_FLOOR."""
@@ -382,7 +414,7 @@ class _ContinuousBundle:
         """Exact probability that the ratio at ``psi0`` (of the point, or of
         the cell anchored there) is <= 1 (``against``) or >= 1 when the
         statistic comes from each true value (broadcast)."""
-        return self._region_mass(self._favor_region(psi0, disc), psi0, truths, against)
+        return self._region_mass(self._region(psi0, disc), psi0, truths, against)
 
     def _candidates(self, psi0, delta: float, region=None) -> list:
         """The true values a bias in favor of ``psi0`` ranges over: the values
@@ -413,7 +445,7 @@ class _ContinuousBundle:
         its ``_candidates``, numbered after any are dropped."""
         if np.ndim(psi0) == 0:
             psi0 = float(psi0)
-        region = None if boundary_only else self._favor_region(psi0, disc)
+        region = None if boundary_only else self._region(psi0, disc)
         return list(enumerate(self._candidates(psi0, delta, region)))
 
     def favor_sup(self, delta: float, disc: Optional[Discretization] = None, boundary_only: bool = True):
@@ -425,7 +457,7 @@ class _ContinuousBundle:
         float takes no array of its own."""
 
         def worst(p0):
-            region = self._favor_region(p0, disc)
+            region = self._region(p0, disc)
             truths = self._candidates(p0, delta, None if boundary_only else region)
             if isinstance(p0, float):  # as fmax from 0 would, a NaN never wins
                 return max([0.0, *(self._region_mass(region, p0, truth, False) for truth in truths)])
@@ -568,6 +600,82 @@ def _window_prob(spec: LocationNormalSpec, window, mu0, mu_true):
     return norm_cdf(r - d - shift) - norm_cdf(-r - d - shift)
 
 
+def _window_offset(delta: float, sd: float, target):
+    """The offset u* > 0 of a normal mean, sd ``sd``, at which the content
+    P(u) of the cell (-delta, delta] falls to ``target`` (an array, each
+    entry positive and below P(0)): a float at the root at which the content
+    as ``normal_interval_prob`` computes it is >= ``target`` while at the
+    next float up it is not.
+
+    f(u) = log P(u) - log target is concave and decreasing for u >= 0, the
+    normal being log-concave.  Newton's method, in posterior sds, starts at
+    u0 = delta - sd * ndtri(target (1 - 2^-40)), where P(u0) <= ndtr((delta
+    - u0) / sd), just below the target (the margin covers the rounding of
+    ndtri, and keeps u0 finite for a target that rounds to 1), so u0 is
+    right of the root, and falls from there monotonically to it.  Each
+    entry stops on its own once a step is below ``_NEWTON_RTOL`` of it (the
+    next would be below an ulp), so no offset depends on the others it is
+    solved with; :func:`_last_inside` then settles the last ulps on the
+    computed content itself."""
+    target = np.asarray(target, dtype=float)
+    flat = target.reshape(-1)
+    # Newton solves for half an ulp below ``target``: the computed content
+    # rounds up to it from there, and near 1, where it is a coarse step
+    # function of u, that rounding edge is the crossing
+    log_target = np.log(flat) + np.log1p(-0.5 * (flat - np.nextafter(flat, 0.0)) / flat)
+    h = delta / sd
+    w = np.maximum(h - special.ndtri(flat * (1.0 - 2.0**-40)), 0.0)
+    todo = np.arange(w.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_WINDOW_NEWTON_CAP):
+            if not todo.size:
+                break
+            v = w[todo]
+            b = h - v
+            log_b = special.log_ndtr(b)
+            log_p = log_b + np.log1p(-np.exp(special.log_ndtr(-h - v) - log_b))
+            # f'(w) = -(pdf(b) - pdf(a)) / P, and pdf(a) / pdf(b) = exp(-2 h w)
+            slope = np.exp(-0.5 * b * b - log_p) * np.expm1(-2.0 * h * v)
+            nxt = np.maximum(v - (log_p - log_target[todo]) * _SQRT_2PI / slope, 0.0)
+            w[todo] = np.fmin(nxt, v)  # no step up, and none to NaN
+            todo = todo[v - nxt > _NEWTON_RTOL * v]
+    inside = lambda x, at: normal_interval_prob((-delta, delta), x, sd) >= flat[at]
+    return _last_inside(inside, w * sd).reshape(target.shape)
+
+
+def _last_inside(inside, u) -> np.ndarray:
+    """For each float u >= 0 of a 1-D array, a float lo near it at which
+    ``inside(x, at)`` (for the values ``x`` of the entries ``at``) holds and
+    at the next float up does not; 0 where even 0 is not inside.  Ulps are
+    taken on the bit patterns, which order nonnegative floats.  One call
+    probes the ulps from u - 2 to u + 2, and the highest crossing among them
+    is taken: a Newton solution lies that close wherever the computed
+    content decides its side ulp by ulp.  Elsewhere a search doubles its
+    step away from them until the side changes, then halves the bracket to
+    one ulp."""
+    rows = np.arange(u.size)
+    ladder = np.maximum(u.view(np.int64)[:, None] + np.arange(-2, 3), 0)
+    ins = inside(ladder.view(float), rows[:, None])
+    cross = ins[:, :-1] & ~ins[:, 1:]
+    found, top = cross.any(axis=1), ins[:, -1]
+    # lo: the last ulp known inside (-1: none yet); hi: the first known
+    # outside above it (_INF_BITS: none yet)
+    lo = np.where(found, ladder[rows, 3 - cross[:, ::-1].argmax(axis=1)], np.where(top, ladder[:, -1], -1))
+    hi = np.where(found, lo + 1, np.where(top, _INF_BITS, ladder[:, 0]))
+    span = 1
+    todo = rows[(hi - lo != 1) & (hi != 0)]
+    while todo.size:
+        low, high = lo[todo], hi[todo]
+        at = np.where(high == _INF_BITS, low + np.minimum(span, _INF_BITS - 1 - low),
+                      np.where(low < 0, np.maximum(high - span, 0), low + (high - low) // 2))
+        ins = inside(at.view(float), todo)
+        lo[todo] = low = np.where(ins, at, low)
+        hi[todo] = high = np.where(ins, high, at)
+        span = min(2 * span, 1 << 62)
+        todo = todo[(high - low != 1) & (high != 0)]
+    return np.maximum(lo, 0).view(float)
+
+
 def _real(x):
     """A float as it is (float arithmetic rounds as float64 does); anything
     else as a float array."""
@@ -657,21 +765,15 @@ class LocationNormalBundle(_ContinuousBundle):
         posterior mean from ``psi0`` and falls strictly in |u|; at u = 0 it
         exceeds the prior content, the posterior being narrower.  So the
         posterior means with a ratio >= 1 are [psi0 - u*, psi0 + u*], where u*
-        solves "posterior content = prior content"; it is found by a fixed
-        count of halvings of [0, delta + 40 posterior sds] for every ``psi0``
-        at once, and mapped back to data means."""
+        solves "posterior content = prior content"; :func:`_window_offset`
+        finds it for every ``psi0`` at once, and it is mapped back to data
+        means."""
         psi0 = np.asarray(psi0, dtype=float)
         target = _prior_cell_content(self, self._cell(psi0, delta))
-        lo = np.zeros_like(target)
-        hi = np.full_like(target, delta + 40.0 * self._post_sd)
-        for _ in range(_WINDOW_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            inside = normal_interval_prob((-delta, delta), mid, self._post_sd) >= target
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
+        u = _window_offset(delta, self._post_sd, target)
         # the posterior mean moves by ``_shrink`` per unit of data mean
         m = self.spec.mu_star
-        return m + (psi0 - lo - m) / self._shrink, m + (psi0 + lo - m) / self._shrink
+        return m + (psi0 - u - m) / self._shrink, m + (psi0 + u - m) / self._shrink
 
     def _favor_region(self, psi0, disc: Optional[Discretization] = None):
         """The favor region of ``psi0`` as (window, cell): for the point the

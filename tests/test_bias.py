@@ -358,6 +358,92 @@ def test_beta_binomial_exterior_average_favor_builds_one_region_per_block(monkey
     assert tables == [(4000, 1)]
 
 
+@pytest.mark.parametrize("kind", ["location_normal", "beta_binomial"])
+def test_a_cell_hypothesis_builds_its_favor_region_once(monkeypatch, kind):
+    """Bias against and in favor of a value on a grid cell are probabilities
+    of one favor region, and an exterior bias in favor reads its peak and
+    its probabilities off it too: each builds the region once (a
+    location-normal cell, one window solve)."""
+    from relbelief import Discretization
+    from relbelief.models import BetaBinomialBundle, LocationNormalBundle
+
+    cls = LocationNormalBundle if kind == "location_normal" else BetaBinomialBundle
+    built, favor_region = [], cls._favor_region
+
+    def counted(self, psi0, disc=None):
+        built.append(psi0)
+        return favor_region(self, psi0, disc)
+
+    monkeypatch.setattr(cls, "_favor_region", counted)
+    if kind == "location_normal":
+        make, psi0, delta, disc = lambda: locnormal(10, 0.3, 1.5, sigma0_sq=2.0), 0.5, 0.5, Discretization(0.1)
+    else:
+        make, psi0, delta, disc = lambda: make_beta_binomial(20, 3.0, 6.0), 0.3, 0.1, Discretization(0.02)
+    for boundary_only in (True, False):
+        built.clear()
+        assert hypothesis_bias(make(), psi0, delta, disc=disc, boundary_only=boundary_only).method == "Exact"
+        assert built == [psi0]
+    built.clear()
+    assert bias_in_favor_h(make(), psi0, delta, disc=disc, boundary_only=False).method == "Exact"
+    assert built == [psi0]
+
+
+@pytest.mark.parametrize("kind", ["location_normal", "beta_binomial"])
+def test_the_kept_favor_region_is_that_of_the_value_and_grid_asked_for(kind):
+    """A bundle keeps the favor region of the last float value it built one
+    for; a call at another value or grid, or at an array, gets its own: one
+    bundle asked in turn gives every value's own probabilities, bit for bit."""
+    from relbelief import Discretization
+
+    if kind == "location_normal":
+        make, values, grids = lambda: locnormal(10, 0.3, 1.5, sigma0_sq=2.0), (0.5, -0.2), (0.1, 0.3)
+    else:
+        make, values, grids = lambda: make_beta_binomial(20, 3.0, 6.0), (0.3, 0.45), (0.02, 0.05)
+    truths = np.array([values[0] - 0.1, values[0], values[1] + 0.1])
+    shared = make()
+    asks = [(values[0], grids[0]), (values[0], grids[0]), (values[0], grids[1]), (values[0], None),
+            (values[1], grids[0]), (np.array(values), grids[0]), (values[0], grids[0])]
+    for psi0, grid in asks:
+        disc = None if grid is None else Discretization(grid)
+        for against in (True, False):
+            want = make().region_prob(psi0, truths if np.ndim(psi0) == 0 else truths[:2], disc, against)
+            got = shared.region_prob(psi0, truths if np.ndim(psi0) == 0 else truths[:2], disc, against)
+            np.testing.assert_array_equal(got, want, strict=True)
+
+
+def test_threads_sharing_a_bundle_each_get_their_own_value_s_region():
+    """Threads that share a bundle and ask at different values, with the
+    interpreter switching threads every microsecond, each read a kept
+    region whole: every probability is the one a fresh bundle gives."""
+    import threading
+    from relbelief import Discretization
+
+    make = lambda: locnormal(10, 0.3, 1.5, sigma0_sq=2.0)
+    disc, truths = Discretization(0.1), np.array([0.2, 0.5, 0.8])
+    values = [0.5, -0.2, 1.1, 0.3, 0.9, -0.6]
+    want = {v: make().region_prob(v, truths, disc, False) for v in values}
+    shared, wrong = make(), []
+
+    def ask(offset):
+        for k in range(60):
+            v = values[(k + offset) % len(values)]
+            if not np.array_equal(shared.region_prob(v, truths, disc, False), want[v]):
+                wrong.append(v)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
 def test_beta_binomial_exterior_refuses_a_favor_region_of_two_pieces(monkeypatch):
     """The peak is read off one interval of counts; a favor region of two
     pieces is refused, never searched some other way.  The two values at

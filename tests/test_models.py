@@ -945,6 +945,211 @@ def test_cell_favor_prob_approaches_the_point_as_the_cell_shrinks(case, offset):
     assert gaps[-1] <= gaps[0] + 1e-12
 
 
+def _brentq_cell_window(spec, psi0, c):
+    """Data means (lo, hi) between which the ratio of [psi0 - c, psi0 + c] is
+    >= 1: the offset of the posterior mean from ``psi0`` at which the
+    posterior content falls to the prior content, by ``brentq``, mapped to
+    data means."""
+    post_var = 1.0 / (spec.n / spec.sigma0_sq + 1.0 / spec.tau_star_sq)
+    post_sd = math.sqrt(post_var)
+
+    def content(lo, hi, mean, sd):
+        if lo >= mean:
+            return special.ndtr((mean - lo) / sd) - special.ndtr((mean - hi) / sd)
+        return special.ndtr((hi - mean) / sd) - special.ndtr((lo - mean) / sd)
+
+    target = content(psi0 - c, psi0 + c, spec.mu_star, math.sqrt(spec.tau_star_sq))
+    u = optimize.brentq(lambda u: content(-c, c, u, post_sd) - target, 0.0, c + 40.0 * post_sd, xtol=1e-15, rtol=1e-15)
+    return tuple((mp - post_var * spec.mu_star / spec.tau_star_sq) / (post_var * spec.n / spec.sigma0_sq)
+                 for mp in (psi0 - u, psi0 + u))
+
+
+def test_cell_estimation_biases_match_a_brentq_window():
+    """The exact estimation biases of a grid cell solve one window per
+    quadrature node and supremum point; they equal the same ``prior_mean``
+    and ``supremum`` over windows found by ``brentq`` within 1e-9."""
+    from relbelief import bias_against_e, bias_in_favor_e
+
+    spec = LocationNormalSpec(n=10, sigma0_sq=2.0, mu_star=0.3, tau_star_sq=1.5)
+    bundle, c, delta = make_location_normal(spec), 0.1, 0.5
+    sd = math.sqrt(spec.sigma0_sq / spec.n)
+
+    def favor(psi0, truths):
+        lo, hi = _brentq_cell_window(spec, psi0, c)
+        return special.ndtr((hi - truths) / sd) - special.ndtr((lo - truths) / sd)
+
+    def each(f):
+        return lambda psi: np.array([f(p) for p in psi]) if np.ndim(psi) else f(float(psi))
+
+    in_favor = each(lambda p: float(np.max(favor(p, np.array([p - delta, p + delta])))))
+    against = each(lambda p: 1.0 - float(favor(p, p)))
+    got_favor = bias_in_favor_e(bundle, delta, disc=Discretization(delta=c))
+    got_avg, got_sup = bias_against_e(bundle, disc=Discretization(delta=c))
+    assert got_favor.method == got_avg.method == got_sup.method == "Exact"
+    assert got_favor.value == pytest.approx(bundle.prior_mean(in_favor, smooth=False), rel=0.0, abs=1e-9)
+    assert got_avg.value == pytest.approx(bundle.prior_mean(against, smooth=True), rel=0.0, abs=1e-9)
+    assert got_sup.value == pytest.approx(bundle.supremum(against), rel=0.0, abs=1e-9)
+
+
+# -- location-normal cell window by Newton's method --------------------------------
+
+
+def _reference():
+    """The benchmark's ``reference`` module, imported without writing
+    bytecode under ``perfbench/``."""
+    from pathlib import Path
+
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.append(perfbench)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import reference
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(perfbench)
+    return reference
+
+
+def _bisection_offset(delta, sd, target):
+    """The window offset as 64 halvings of [0, delta + 40 sds] found it
+    before Newton's method: the last midpoint whose content reached
+    ``target``."""
+    lo, hi = np.zeros_like(target), np.full_like(target, delta + 40.0 * sd)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        inside = normal_interval_prob((-delta, delta), mid, sd) >= target
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return lo
+
+
+def _crosses(delta, sd, target, u):
+    """Whether the computed content of (-delta, delta] under N(u, sd^2) is
+    >= ``target`` at u and below it at the next float up."""
+    inside = lambda x: normal_interval_prob((-delta, delta), x, sd) >= target
+    return inside(u) & ~inside(np.nextafter(u, np.inf))
+
+
+def _rounding_band(delta, sd, psi0, u):
+    """Offsets within which double rounding decides the side of a window's
+    end at offset ``u``: 4 units of roundoff of each normal CDF term of the
+    content, and of the standardized cell edges as taken from the posterior
+    mean psi0 +- u (a reference that works in posterior means rounds those),
+    over the content's slope."""
+    b, a = (delta - u) / sd, (-delta - u) / sd
+    pdf_b, pdf_a = stats.norm.pdf(b), stats.norm.pdf(a)
+    error = 4.0 * 2.0**-52 * (special.ndtr(b) + special.ndtr(a) + (np.abs(psi0) + delta + u) / sd * pdf_b)
+    with np.errstate(divide="ignore"):
+        return error * sd / (pdf_b - pdf_a)
+
+
+@st.composite
+def window_cases(draw):
+    """A location-normal spec (n from 1 to 10^4, sigma0^2 and tau*^2 from
+    1e-3 to 1e3), one to four values out to 6 prior sds, and a cell
+    half-width: from 1e-4 to 2 prior sds, from 2 to 12 (contents near 1), or
+    one whose cell at the first value holds 1 to 100 times the
+    prior-content floor.  The half-width is a power of two and the values
+    are multiples of it, so the cell edges are exact and the program and the
+    reference solve the same equation."""
+    spec = LocationNormalSpec(
+        n=round(10.0 ** draw(st.floats(0.0, 4.0))),
+        sigma0_sq=10.0 ** draw(st.floats(-3.0, 3.0)),
+        mu_star=draw(st.floats(-5.0, 5.0)),
+        tau_star_sq=10.0 ** draw(st.floats(-3.0, 3.0)),
+    )
+    tau = math.sqrt(spec.tau_star_sq)
+    ks = draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4))
+    kind = draw(st.sampled_from(["cell", "wide", "floor"]))
+    if kind == "cell":
+        delta = tau * 10.0 ** draw(st.floats(-4.0, math.log10(2.0)))
+    elif kind == "wide":
+        delta = tau * 10.0 ** draw(st.floats(math.log10(2.0), math.log10(12.0)))
+    else:  # a small cell holds about 2 delta pdf(k) / tau
+        delta = models.PRIOR_CONTENT_FLOOR * 10.0 ** draw(st.floats(0.0, 2.0)) * tau / (2.0 * stats.norm.pdf(ks[0]))
+    delta = 2.0 ** round(math.log2(delta))
+    psi = np.round((spec.mu_star + tau * np.array(ks)) / delta) * delta
+    return spec, psi, delta
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=window_cases())
+def test_cell_window_by_newton_is_a_crossing_of_the_computed_content(case):
+    """Each window offset is a crossing of the content as computed: at it the
+    content reaches the prior content, and at the next float up it does not.
+    Newton's method leaves every offset within rounding of that crossing,
+    each in fewer than ``_WINDOW_NEWTON_CAP`` steps, and on its own: a float
+    and an array, in any order, give the same bits.  The data means match
+    the benchmark's ``brentq`` reference within 1e-12 of their terms, beyond
+    the band where rounding decides the side."""
+    spec, psi, delta = case
+    bundle = make_location_normal(spec)
+    sd, shrink = bundle._post_sd, bundle._shrink
+    target = models._prior_cell_content(bundle, bundle._cell(psi, delta))
+    solved, settle = [], models._last_inside
+    counted = mock.Mock(wraps=special.log_ndtr)
+
+    def last_inside(inside, u):
+        solved.append(u.copy())
+        return settle(inside, u)
+
+    with mock.patch.object(models, "_last_inside", last_inside), mock.patch.object(models.special, "log_ndtr", counted):
+        u = models._window_offset(delta, sd, target)
+    assert counted.call_count // 2 < models._WINDOW_NEWTON_CAP  # two per step
+    assert _crosses(delta, sd, target, u).all()
+    band = _rounding_band(delta, sd, psi, u)
+    assert (np.abs(solved[0] - u) <= band + 4.0 * np.spacing(u)).all()
+
+    lo, hi = bundle._cell_window(psi, delta)
+    np.testing.assert_array_equal(bundle._cell_window(psi[::-1], delta)[0], lo[::-1], strict=True)
+    ref = _reference().LocNormal(dict(n=spec.n, sigma0_sq=spec.sigma0_sq, mu_star=spec.mu_star,
+                                      tau_star_sq=spec.tau_star_sq))
+    m = spec.mu_star
+    for k, p0 in enumerate(psi.tolist()):
+        assert bundle._cell_window(p0, delta) == (lo[k], hi[k])
+        want = ref.cell_window(p0, delta)
+        for got, end in zip((lo[k], hi[k]), want):
+            scale = abs(m) + abs(end - m)
+            assert abs(got - end) <= 1e-12 * scale + band[k] / shrink, (got, end)
+
+
+@pytest.mark.parametrize("delta", [5.0, 8.0, 9.0, 10.0, 50.0, 1000.0])
+def test_a_wide_cell_window_settles_on_its_first_probes(delta):
+    """Where both contents are near 1 the computed content is a step
+    function of the offset, constant over up to 10^13 ulps; Newton's method
+    aims at the rounding edge where it reaches the prior content, so one
+    interval probability over the ulps around it finds the crossing (two
+    where the content steps within them)."""
+    bundle = make_location_normal(LocationNormalSpec(n=10, sigma0_sq=2.0, mu_star=0.3, tau_star_sq=1.5))
+    sd, psi = bundle._post_sd, np.array([0.3, 2.0])
+    target = models._prior_cell_content(bundle, bundle._cell(psi, delta))
+    counted = mock.Mock(wraps=models.normal_interval_prob)
+    with mock.patch.object(models, "normal_interval_prob", counted):
+        u = models._window_offset(delta, sd, target)
+    assert counted.call_count <= 2
+    assert _crosses(delta, sd, target, u).all()
+
+
+def test_cell_windows_by_newton_keep_most_bisection_bits():
+    """A window that differs from the 64-halving one is another crossing of
+    the computed content within rounding of it (the content is not monotone
+    at the scale of an ulp); most keep the bisection's bits."""
+    rng = np.random.default_rng(23)
+    same = total = 0
+    for _ in range(60):
+        spec = LocationNormalSpec(n=int(10.0 ** rng.uniform(0.0, 4.0)), sigma0_sq=10.0 ** rng.uniform(-3.0, 3.0),
+                                  mu_star=rng.uniform(-5.0, 5.0), tau_star_sq=10.0 ** rng.uniform(-3.0, 3.0))
+        bundle, tau = make_location_normal(spec), math.sqrt(spec.tau_star_sq)
+        psi, delta = spec.mu_star + tau * rng.uniform(-6.0, 6.0, 8), tau * 10.0 ** rng.uniform(-4.0, 0.3)
+        target = models._prior_cell_content(bundle, bundle._cell(psi, delta))
+        old = _bisection_offset(delta, bundle._post_sd, target)
+        new = models._window_offset(delta, bundle._post_sd, target)
+        assert _crosses(delta, bundle._post_sd, target, old).all()
+        assert (np.abs(new - old) <= _rounding_band(delta, bundle._post_sd, psi, new) + 4.0 * np.spacing(new)).all()
+        same += int(np.count_nonzero(new == old))
+        total += new.size
+    assert same / total > 0.6, same / total
+
+
 # -- one worst case in favor for both continuous bundles ---------------------------
 
 
