@@ -36,7 +36,7 @@ from typing import Callable, ClassVar, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DesignSearchError, DomainError
-from .models import Discretization, favor_prob_locnormal
+from .models import Discretization, _real_arg, favor_prob_locnormal
 from .rng import substream
 
 __all__ = [
@@ -161,7 +161,7 @@ def _resolve_method(method: str) -> str:
 
 
 def _check_delta(delta) -> None:
-    if delta is None or not (delta > 0.0):
+    if delta is None or not _real_arg(delta, "delta") > 0.0:
         raise DomainError(f"a positive difference-that-matters is required, got {delta!r}")
 
 

@@ -35,6 +35,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import scipy
 
 from . import __version__
@@ -130,15 +131,59 @@ def _require_keys(section: dict, required: set, optional: set, where: str) -> No
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
+# orjson reads an integer literal outside [-2**63, 2**64) as a float where
+# json keeps an int; a float of smaller magnitude is the same in both.
+_ORJSON_INT_RANGE = 2.0**63
+# json refuses nesting deeper than what is left of the recursion limit, where
+# orjson reads any depth; no config nests past 4.
+_ORJSON_DEPTH = 64
+
+
+def _json_would_agree(value) -> bool:
+    """Whether json reads the text orjson read as ``value`` the same way: no
+    float of magnitude ``_ORJSON_INT_RANGE`` or more, and no nesting deeper
+    than ``_ORJSON_DEPTH``.  A list of numbers takes one ``math.hypot`` pass,
+    which is at least the magnitude of each entry."""
+    level = [value]
+    for _ in range(_ORJSON_DEPTH):
+        inner = []
+        for item in level:
+            if isinstance(item, list):
+                try:
+                    if math.hypot(*item) < _ORJSON_INT_RANGE:
+                        continue
+                except TypeError:  # an entry that is no number
+                    pass
+                inner.extend(item)
+            elif isinstance(item, dict):
+                inner.extend(item.values())
+            elif isinstance(item, float) and not abs(item) < _ORJSON_INT_RANGE:
+                return False
+        if not inner:
+            return True
+        level = inner
+    return False
+
+
 def _load_config(path: str) -> tuple[dict, str]:
+    """The config object and the digest of its bytes.  orjson parses them;
+    json decides every text orjson refuses or might read differently (see
+    :func:`_json_would_agree`), so a config has json's value or json's
+    error."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        config = json.loads(raw)
-    except ValueError as exc:  # a JSONDecodeError, or an integer beyond the digit limit
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        config = orjson.loads(raw)
+        decided = _json_would_agree(config)
+    except orjson.JSONDecodeError:
+        decided = False
+    if not decided:
+        try:
+            config = json.loads(raw)
+        except ValueError as exc:  # a JSONDecodeError, or an integer beyond the digit limit
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     return config, hashlib.sha256(raw).hexdigest()

@@ -273,20 +273,34 @@ def build_cells(disc: Discretization, default_range: Tuple[float, float]):
     return edges, None
 
 
-def _prior_cell_content(bundle, cell):
-    """Prior content of the cells ``cell`` = (lo, hi], refused where it
-    underflows to 0: the cell ratio is then 0/0."""
-    prior = bundle.prior_interval(cell)
+def _real_arg(value, name: str) -> float:
+    """``value`` as a float: a finite real number (a Python or numpy int or
+    float; not a bool).  Anything else is a domain error naming ``name``."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:  # an int beyond the float range
+            real = math.inf
+        if math.isfinite(real):
+            return real
+    raise DomainError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _prior_cell_content(bundle, psi0, delta: float):
+    """Prior content of the cells of half-width ``delta`` anchored at
+    ``psi0``, refused where it underflows to 0: the cell ratio is then 0/0."""
+    prior = bundle._cell_prior(psi0, delta)
     if not np.all(prior > 0.0):
         raise DomainError("a cell's prior content underflows to 0, so its ratio cannot be computed")
     return prior
 
 
-def _log_cell_rb(bundle, cell, t):
-    """log ratio of the cells ``cell`` = (lo, hi] for statistic values ``t``."""
-    prior = _prior_cell_content(bundle, cell)
+def _log_cell_rb(bundle, psi0, delta: float, t):
+    """log ratio of the cells of half-width ``delta`` anchored at ``psi0``
+    for statistic values ``t``."""
+    prior = _prior_cell_content(bundle, psi0, delta)
     with np.errstate(divide="ignore"):
-        return np.log(bundle.posterior_interval(cell, t)) - np.log(prior)
+        return np.log(bundle.posterior_interval(bundle._cell(psi0, delta), t)) - np.log(prior)
 
 
 def refuse_grid(disc: Optional[Discretization]) -> None:
@@ -362,28 +376,41 @@ class _ContinuousBundle:
     ``_statistic(t)``, the statistic checked and returned as a Python
     number."""
 
-    # ((psi0, disc), region): the favor region of the last float value asked
-    # for, so a hypothesis bias against and in favor, and its alternatives,
-    # build one region.  One tuple, replaced whole: a thread sharing the
-    # bundle reads a key and its own region.
+    # (key, value) memos of the last float value asked for: ``_last_region``
+    # holds ((psi0, disc), favor region) and ``_last_prior`` ((psi0, delta),
+    # prior content of its cell), so a hypothesis bias against and in favor,
+    # and its alternatives, build one region from one prior content.  Each is
+    # one tuple, replaced whole: a thread sharing the bundle reads a key and
+    # its own value.
     _last_region = ((None, None), None)
+    _last_prior = ((None, None), None)
+
+    def _kept(self, memo: str, psi0, arg, build):
+        """``build(psi0, arg)``; for a float ``psi0`` kept in the attribute
+        ``memo`` until another key's is built (an array's never is)."""
+        if not isinstance(psi0, float):
+            return build(psi0, arg)
+        key, value = getattr(self, memo)
+        if key != (psi0, arg):
+            value = build(psi0, arg)
+            setattr(self, memo, ((psi0, arg), value))
+        return value
 
     def _region(self, psi0, disc: Optional[Discretization]):
-        """``_favor_region(psi0, disc)``; a float's is kept until the next
-        float's is built (an array's never is)."""
-        if not isinstance(psi0, float):
-            return self._favor_region(psi0, disc)
-        key, region = self._last_region
-        if key != (psi0, disc):
-            region = self._favor_region(psi0, disc)
-            self._last_region = ((psi0, disc), region)
-        return region
+        """``_favor_region(psi0, disc)``, a float's kept."""
+        return self._kept("_last_region", psi0, disc, self._favor_region)
+
+    def _cell_prior(self, psi0, delta: float):
+        """Prior content of the cell of half-width ``delta`` anchored at
+        ``psi0`` (broadcast), a float's kept."""
+        return self._kept("_last_prior", psi0, delta, lambda p0, d: self.prior_interval(self._cell(p0, d)))
 
     def interest(self, psi0, disc: Optional[Discretization] = None) -> float:
-        """The hypothesized value ``psi0``; with ``disc``, refused when its
-        anchored cell has prior content below PRIOR_CONTENT_FLOOR."""
-        psi0 = float(psi0)
-        if disc is not None and self.prior_interval(self._cell(psi0, disc.delta)) < PRIOR_CONTENT_FLOOR:
+        """The hypothesized value ``psi0``, a finite real number; with
+        ``disc``, refused when its anchored cell has prior content below
+        PRIOR_CONTENT_FLOOR."""
+        psi0 = _real_arg(psi0, "psi0")
+        if disc is not None and self._cell_prior(psi0, disc.delta) < PRIOR_CONTENT_FLOOR:
             raise DomainError(
                 f"a cell anchored at the hypothesized value has prior content below {PRIOR_CONTENT_FLOOR}"
             )
@@ -755,7 +782,7 @@ class LocationNormalBundle(_ContinuousBundle):
         cell of half-width ``disc.delta`` anchored there (broadcast)."""
         if disc is None:
             return self.log_rb_point(psi0, t)
-        return _log_cell_rb(self, self._cell(psi0, disc.delta), t)
+        return _log_cell_rb(self, psi0, disc.delta, t)
 
     def _cell_window(self, psi0, delta: float):
         """Data means (lo, hi) between which the ratio of the cell of
@@ -768,8 +795,8 @@ class LocationNormalBundle(_ContinuousBundle):
         solves "posterior content = prior content"; :func:`_window_offset`
         finds it for every ``psi0`` at once, and it is mapped back to data
         means."""
+        target = _prior_cell_content(self, psi0, delta)
         psi0 = np.asarray(psi0, dtype=float)
-        target = _prior_cell_content(self, self._cell(psi0, delta))
         u = _window_offset(delta, self._post_sd, target)
         # the posterior mean moves by ``_shrink`` per unit of data mean
         m = self.spec.mu_star
@@ -1032,7 +1059,7 @@ class BetaBinomialBundle(_ContinuousBundle):
         if disc is None:
             out = self.log_rb_point(psi0, s)
         else:
-            out = _log_cell_rb(self, self._cell(np.asarray(psi0, dtype=float), disc.delta), s)
+            out = _log_cell_rb(self, _real(psi0), disc.delta, s)
         return out[t] if one else out
 
     def _favor_region(self, psi0, disc: Optional[Discretization] = None):
@@ -1040,7 +1067,9 @@ class BetaBinomialBundle(_ContinuousBundle):
         counts 0..n, one row per value of an array ``psi0``: the counts in
         favor are where it is >= 0, those against where it is <= 0, so a tie
         at a ratio of exactly 1 counts in both."""
-        return self.log_rb(np.asarray(psi0, dtype=float)[..., None], self._counts, disc)
+        if not isinstance(psi0, float):
+            psi0 = np.asarray(psi0, dtype=float)[..., None]
+        return self.log_rb(psi0, self._counts, disc)
 
     def _region_mass(self, region, psi0, truths, against: bool):
         """Binomial probability of the counts in favor of ``psi0`` (against

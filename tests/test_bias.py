@@ -388,6 +388,82 @@ def test_a_cell_hypothesis_builds_its_favor_region_once(monkeypatch, kind):
     assert built == [psi0]
 
 
+@pytest.mark.parametrize("kind, calls", [("location_normal", 4), ("beta_binomial", 2)])
+def test_a_cell_hypothesis_takes_its_prior_content_once(monkeypatch, kind, calls):
+    """One prior content of the cell serves the floor check of both biases
+    and their favor region.  A location-normal pair takes 4 interval
+    probabilities: that content, one for the window's last ulps and one
+    region probability per bias.  A beta-binomial pair takes 2: that content
+    and the posterior contents over the counts.  Its values are those of a
+    fresh bundle per bias, bit for bit, and a cell below the floor is still
+    refused before any draw."""
+    from relbelief import Discretization, models
+
+    name = "normal_interval_prob" if kind == "location_normal" else "beta_interval_prob"
+    if kind == "location_normal":
+        make, psi0, delta, disc = lambda: locnormal(10, 0.3, 1.5, sigma0_sq=2.0), 0.5, 0.5, Discretization(0.1)
+        low, low_disc = 0.3 + 10.0 * math.sqrt(1.5), disc
+    else:
+        make, psi0, delta, disc = lambda: make_beta_binomial(20, 3.0, 6.0), 0.3, 0.1, Discretization(0.02)
+        low, low_disc = 0.998, Discretization(0.001)
+    want = (bias_against_h(make(), psi0, disc=disc).value, bias_in_favor_h(make(), psi0, delta, disc=disc).value)
+    interval_prob, calls_made, draws = getattr(models, name), [], []
+
+    def counted(*args):
+        calls_made.append(args)
+        return interval_prob(*args)
+
+    monkeypatch.setattr(models, name, counted)
+    report = hypothesis_bias(make(), psi0, delta, disc=disc)
+    assert len(calls_made) == calls
+    assert (report.bias_against, report.bias_in_favor) == want
+
+    bundle = make()
+    monkeypatch.setattr(bundle, "sample_stat", lambda *args, **kwargs: draws.append(args))
+    for method in ("exact", "mc"):
+        with pytest.raises(DomainError, match="a cell anchored at the hypothesized value has prior content below"):
+            hypothesis_bias(bundle, low, delta, disc=low_disc, mc=McConfig(n_sim=100, seed=1), method=method)
+    assert draws == []
+
+
+@pytest.mark.parametrize(
+    "psi0, delta, named",
+    [("0.3", 0.1, "psi0"), (True, 0.1, "psi0"), (np.bool_(True), 0.1, "psi0"), (math.nan, 0.1, "psi0"),
+     (math.inf, 0.1, "psi0"), (-math.inf, 0.1, "psi0"), (10**400, 0.1, "psi0"), (None, 0.1, "psi0"),
+     (0.3, "0.1", "delta"), (0.3, True, "delta"), (0.3, math.nan, "delta"), (0.3, math.inf, "delta"),
+     (0.3, 10**400, "delta"), (0.3, [0.1], "delta")],
+    ids=lambda value: repr(value)[:12],
+)
+def test_a_hypothesized_value_and_delta_are_finite_real_numbers(psi0, delta, named):
+    """A string, a bool, NaN, an infinity or an int beyond the float range,
+    as ``psi0`` or ``delta``, is a domain error that names the argument,
+    on either continuous bundle and under any method."""
+    for bundle in (locnormal(10, 0.3, 1.5), make_beta_binomial(20, 3.0, 6.0)):
+        for method in ("exact", "mc"):
+            with pytest.raises(DomainError, match=f"^{named} must be a finite real number, got "):
+                hypothesis_bias(bundle, psi0, delta, method=method, mc=McConfig(n_sim=100, seed=1))
+    with pytest.raises(DomainError, match="^psi0 must be a finite real number"):
+        bias_against_h(locnormal(10, 0.3, 1.5), "0.3")
+
+
+def test_numpy_and_integer_hypothesized_values_keep_their_bits():
+    """The gate reads a valid ``psi0`` as ``float`` did, so a Python or
+    numpy int or float gives the biases of its float, bit for bit; a numpy
+    ``delta`` is taken as given."""
+    from relbelief import Discretization
+
+    cases = [
+        (locnormal(10, 0.3, 1.5), None, [0, np.int64(0), np.float32(0.0), np.float64(0.0)]),
+        (locnormal(10, 0.3, 1.5), Discretization(0.1), [1, np.int64(1), np.float32(1.0)]),
+        (make_beta_binomial(20, 3.0, 6.0), Discretization(0.02), [np.float64(0.3)]),
+    ]
+    for bundle, disc, values in cases:
+        want = hypothesis_bias(bundle, float(values[0]), 0.25, disc=disc)
+        for psi0, delta in [(value, 0.25) for value in values] + [(values[0], np.float64(0.25))]:
+            got = hypothesis_bias(bundle, psi0, delta, disc=disc)
+            assert (got.bias_against, got.bias_in_favor) == (want.bias_against, want.bias_in_favor)
+
+
 @pytest.mark.parametrize("kind", ["location_normal", "beta_binomial"])
 def test_the_kept_favor_region_is_that_of_the_value_and_grid_asked_for(kind):
     """A bundle keeps the favor region of the last float value it built one

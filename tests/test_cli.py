@@ -953,3 +953,120 @@ def test_awkward_finite_labels_are_one_csv_field_each(tmp_path):
     for psi0 in _AWKWARD:
         bias = rows({"bundle": bundle, "psi0": psi0, "delta": 1.0, "method": "exact"}, "bias", "bias.csv")
         assert [len(r) for r in bias] == [7, 7] and bias[1][bias[0].index("psi0")] == psi0
+
+
+# -- the config reader ----------------------------------------------------------
+
+
+def _same_json(a, b) -> bool:
+    """Equal JSON values of the same types, float bits and key order."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, dict):
+            if list(a) != list(b):
+                return False
+            pairs.extend((a[key], b[key]) for key in a)
+        elif isinstance(a, list):
+            if len(a) != len(b):
+                return False
+            pairs.extend(zip(a, b))
+        elif a.hex() != b.hex() if isinstance(a, float) else a != b:
+            return False
+    return True
+
+
+def _assert_read_as_json_reads(path, raw: bytes):
+    """``_load_config`` gives json's value of ``raw``, or json's error: its
+    message as a config error, or a ``RecursionError`` as it is."""
+    path.write_bytes(raw)
+    try:
+        want = json.loads(raw)
+    except ValueError as exc:
+        with pytest.raises(cli.ConfigError) as err:
+            cli._load_config(str(path))
+        assert str(err.value) == f"config file {path} is not valid JSON: {exc}"
+        return
+    except RecursionError:
+        with pytest.raises(RecursionError):
+            cli._load_config(str(path))
+        return
+    if not isinstance(want, dict):
+        with pytest.raises(cli.ConfigError, match="^config root must be a JSON object$"):
+            cli._load_config(str(path))
+        return
+    config, digest = cli._load_config(str(path))
+    assert _same_json(config, want)
+    assert digest == hashlib.sha256(raw).hexdigest()
+
+
+_INT64_EDGES = [-2**63 - 1, -2**63, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1, -10**25, 10**25]
+_FLOAT_EDGES = [5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 9.223372036854775e18, 2.0**63, -2.0**63, 2.0**64,
+                1e19, 1e300, 1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0]
+# a float literal in each form that keeps its bits, some with long mantissas;
+# "%.25g" of a float of 1e25 or more with no fraction writes an integer literal
+_FLOAT_FORMS = (repr, "%.17e".__mod__, "%.25g".__mod__, "%.40e".__mod__, "%.60f".__mod__)
+_KEY_TEXT = st.text(max_size=4).map(json.dumps)
+_SCALAR_TEXT = st.one_of(
+    st.sampled_from(["null", "true", "false"]),
+    st.one_of(st.integers(-10**30, 10**30), st.sampled_from(_INT64_EDGES)).map(str),
+    st.builds(lambda x, form: form(x), st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                                 st.sampled_from(_FLOAT_EDGES)), st.sampled_from(_FLOAT_FORMS)),
+    st.builds(lambda s, ascii: json.dumps(s, ensure_ascii=ascii), st.text(max_size=6), st.booleans()),
+)
+
+
+def _object_text(members) -> str:
+    return "{" + ", ".join(f"{key}: {value}" for key, value in members) + "}"
+
+
+# keys may repeat, as a text may repeat them
+_JSON_TEXT = st.recursive(_SCALAR_TEXT, lambda inner: st.one_of(
+    st.lists(inner, max_size=6).map(lambda items: "[" + ", ".join(items) + "]"),
+    st.lists(st.tuples(_KEY_TEXT, inner), max_size=4).map(_object_text),
+), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.lists(st.tuples(_KEY_TEXT, _JSON_TEXT), max_size=4).map(_object_text), _JSON_TEXT))
+def test_a_config_is_read_as_json_reads_it(tmp_path_factory, text):
+    """orjson reads a config and json decides what orjson refuses or might
+    read otherwise: every text gives json's value (its types, float bits
+    and key order) or json's error message."""
+    _assert_read_as_json_reads(tmp_path_factory.getbasetemp() / "read_as_json.json", text.encode("utf-8"))
+
+
+def _nested(depth: int) -> bytes:
+    return b'{"a": ' + b"[" * depth + b"]" * depth + b"}"
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"a": NaN}', b'{"a": [1.5, -Infinity]}', b'{"a": Infinity}', b'{"a": 1e400}', b'{"a": -1e400}',
+    b'{"n": 1' + b"0" * 4299 + b"}", b'{"n": 1' + b"0" * 4300 + b"}",
+    b'\xef\xbb\xbf{"a": 1}', '{"a": [1.5, "é"]}'.encode("utf-16"), '{"a": 1}'.encode("utf-16-le"),
+    b'{"a": "\\ud800"}', b'{"a": "\xed\xa0\x80"}', b'{"a": "\xff"}',
+    b'{"a": 1, "b": 2, "a": 3}',
+    b'{"a": [-9223372036854775809, -9223372036854775808, 9223372036854775807, 9223372036854775808]}',
+    b'{"a": [18446744073709551615, 18446744073709551616, 18446744073709551617, 1e19, 9.2233720368547758e18]}',
+    b'{"labels": ["a", 10000000000000000000000000]}', b'{"x": -10000000000000000000000000}',
+    _nested(64), _nested(65), _nested(500), _nested(1000), _nested(1024), _nested(1100),
+    b"[1, 2]", b'"config"', b"null", b"", b"{} x", b"{not json",
+], ids=lambda raw: repr(raw[:24]))
+def test_configs_that_orjson_refuses_or_reads_otherwise_are_read_as_json_reads_them(tmp_path, raw):
+    """NaN and the infinities, 1e400, an integer of more than 4,300 digits,
+    a byte order mark or UTF-16, a lone surrogate, repeated keys, integers
+    beyond int64 and uint64, deep nesting and a root that is no object: each
+    has json's value or json's error, whatever that is."""
+    _assert_read_as_json_reads(tmp_path / "config.json", raw)
+
+
+def test_a_label_beyond_64_bits_is_an_integer_label(tmp_path):
+    """json reads an integer label of 10**25 as an int, which a label may
+    be; orjson's float would be refused."""
+    bundle = {"kind": "finite", "theta_labels": [10**25, "b"], "prior": [0.5, 0.5],
+              "likelihood": [[0.9, 0.1], [0.2, 0.8]], "x_labels": ["x0", "x1"]}
+    code, out = run(tmp_path, {"bundle": bundle, "data": {"outcome": "x0"}}, "analyze")
+    assert code == 0
+    assert read_csv(out / "profile.csv")[0]["label"] == str(10**25)

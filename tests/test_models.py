@@ -1084,7 +1084,7 @@ def test_cell_window_by_newton_is_a_crossing_of_the_computed_content(case):
     spec, psi, delta = case
     bundle = make_location_normal(spec)
     sd, shrink = bundle._post_sd, bundle._shrink
-    target = models._prior_cell_content(bundle, bundle._cell(psi, delta))
+    target = models._prior_cell_content(bundle, psi, delta)
     solved, settle = [], models._last_inside
     counted = mock.Mock(wraps=special.log_ndtr)
 
@@ -1107,9 +1107,38 @@ def test_cell_window_by_newton_is_a_crossing_of_the_computed_content(case):
     for k, p0 in enumerate(psi.tolist()):
         assert bundle._cell_window(p0, delta) == (lo[k], hi[k])
         want = ref.cell_window(p0, delta)
+        if want[0] == want[1]:
+            # The reference's contents both compute to 1 at p0, so its brentq
+            # starts on a root and returns p0's data mean as both ends: it has
+            # no window to compare.  The program's window there is pinned by
+            # test_a_cell_window_whose_prior_content_computes_to_one.
+            assert target[k] == 1.0
+            continue
         for got, end in zip((lo[k], hi[k]), want):
             scale = abs(m) + abs(end - m)
             assert abs(got - end) <= 1e-12 * scale + band[k] / shrink, (got, end)
+
+
+@pytest.mark.xfail(strict=True, reason="a cell whose prior content computes to exactly 1 has a window "
+                   "decided by rounding (FOUND in CHANGES.md)")
+def test_a_cell_window_whose_prior_content_computes_to_one():
+    """n=1, sigma0^2 = tau*^2 = 1, mu* = 0, psi0 = 0, delta = 16: the cell's
+    prior content is 1 - 1.3e-57, which computes to 1.  The exact window is
+    where the posterior's mass outside the cell equals the prior's, solved
+    on log tails: data means +-9.43."""
+    spec = LocationNormalSpec(n=1, sigma0_sq=1.0, mu_star=0.0, tau_star_sq=1.0)
+    bundle = make_location_normal(spec)
+    sd, delta = bundle._post_sd, 16.0
+    assert models._prior_cell_content(bundle, 0.0, delta) == 1.0
+    log_prior_tail = math.log(2.0) + special.log_ndtr(-delta)
+
+    def excess(u):  # log tail of the posterior centred u from psi0, less the prior's
+        return np.logaddexp(special.log_ndtr((-delta - u) / sd), special.log_ndtr((u - delta) / sd)) - log_prior_tail
+
+    u = optimize.brentq(excess, 0.0, delta, xtol=1e-15, rtol=1e-15)
+    want = -u / bundle._shrink, u / bundle._shrink
+    assert want[1] == pytest.approx(9.43, abs=0.01)
+    assert bundle._cell_window(0.0, delta) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("delta", [5.0, 8.0, 9.0, 10.0, 50.0, 1000.0])
@@ -1121,7 +1150,7 @@ def test_a_wide_cell_window_settles_on_its_first_probes(delta):
     where the content steps within them)."""
     bundle = make_location_normal(LocationNormalSpec(n=10, sigma0_sq=2.0, mu_star=0.3, tau_star_sq=1.5))
     sd, psi = bundle._post_sd, np.array([0.3, 2.0])
-    target = models._prior_cell_content(bundle, bundle._cell(psi, delta))
+    target = models._prior_cell_content(bundle, psi, delta)
     counted = mock.Mock(wraps=models.normal_interval_prob)
     with mock.patch.object(models, "normal_interval_prob", counted):
         u = models._window_offset(delta, sd, target)
@@ -1140,7 +1169,7 @@ def test_cell_windows_by_newton_keep_most_bisection_bits():
                                   mu_star=rng.uniform(-5.0, 5.0), tau_star_sq=10.0 ** rng.uniform(-3.0, 3.0))
         bundle, tau = make_location_normal(spec), math.sqrt(spec.tau_star_sq)
         psi, delta = spec.mu_star + tau * rng.uniform(-6.0, 6.0, 8), tau * 10.0 ** rng.uniform(-4.0, 0.3)
-        target = models._prior_cell_content(bundle, bundle._cell(psi, delta))
+        target = models._prior_cell_content(bundle, psi, delta)
         old = _bisection_offset(delta, bundle._post_sd, target)
         new = models._window_offset(delta, bundle._post_sd, target)
         assert _crosses(delta, bundle._post_sd, target, old).all()
