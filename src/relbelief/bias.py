@@ -35,8 +35,8 @@ from typing import Callable, ClassVar, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DesignSearchError, DomainError
-from .models import Discretization, _real_arg, favor_prob_locnormal
+from .errors import DesignSearchError, DomainError, _real_arg, _whole_arg
+from .models import Discretization, favor_prob_locnormal
 from .rng import substream
 
 __all__ = [
@@ -75,10 +75,9 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.n_sim, (int, np.integer)) and self.n_sim >= 2):
-            raise DomainError(f"n_sim must be an integer >= 2 (a standard error needs two draws), got {self.n_sim!r}")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
-            raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        # a standard error needs two draws; the stream key is 64 bits
+        object.__setattr__(self, "n_sim", _whole_arg(self.n_sim, "n_sim", 2))
+        object.__setattr__(self, "seed", _whole_arg(self.seed, "seed", 0, 2**64))
 
 
 @dataclass(frozen=True)
@@ -160,11 +159,6 @@ def _resolve_method(method: str) -> str:
     return MONTE_CARLO if method == "mc" else EXACT
 
 
-def _check_delta(delta) -> None:
-    if delta is None or not _real_arg(delta, "delta") > 0.0:
-        raise DomainError(f"a positive difference-that-matters is required, got {delta!r}")
-
-
 def _check_grid(disc: Optional[Discretization], psi0=None) -> None:
     """A bias reads only the ``delta`` of a discretization: its one cell is
     anchored at the hypothesized value ``psi0``, or in estimation (``psi0``
@@ -244,7 +238,7 @@ def bias_in_favor_h(
     favor probability decays with distance; pass ``boundary_only=False`` to
     search the whole exterior.
     """
-    _check_delta(delta)
+    delta = _real_arg(delta, "delta", 0.0)
     how = _resolve_method(method)
     _check_grid(disc, psi0)
     coord = bundle.interest(psi0, disc)
@@ -328,7 +322,7 @@ def bias_in_favor_e(
     bundle has a prior rule, else the mean over seeded prior draws.  A finite
     model refuses a discretization, as its labels have no cells.
     """
-    _check_delta(delta)
+    delta = _real_arg(delta, "delta", 0.0)
     how = _resolve_method(method)
     _check_grid(disc)
     mc = mc or McConfig()
@@ -411,15 +405,9 @@ def design_sample_size(
         raise DomainError(f"unknown design targets: {sorted(unknown)}")
     if not targets:
         raise DomainError("at least one design target is required")
-    for name, value in targets.items():
-        if not (0.0 < value < 1.0):
-            raise DomainError(f"target {name} must lie strictly inside (0, 1), got {value}")
-    for n in n_grid:
-        whole = isinstance(n, (int, np.integer)) or (isinstance(n, (float, np.floating)) and float(n).is_integer())
-        if isinstance(n, (bool, np.bool_)) or not whole:
-            raise DomainError(f"n_grid entries must be whole sample sizes, got {n!r}")
-    n_grid = [int(n) for n in n_grid]
-    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
+    targets = {name: _real_arg(value, f"target {name}", 0.0, 1.0) for name, value in targets.items()}
+    n_grid = [_whole_arg(n, "n_grid entry", 1) for n in n_grid]
+    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be a strictly ascending sequence of sizes >= 1")
 
     evaluated = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bias import MONTE_CARLO, McConfig, _resolve_method
-from .errors import DomainError
+from .errors import DomainError, _real_arg
 from .models import locnormal_tail_prob
 from .rng import substream
 
@@ -60,8 +60,7 @@ def conflict_check(
     enumeration over the finite data spaces); ``method='mc'`` estimates the
     same probability from prior-predictive draws of the statistic.
     """
-    if not (0.0 < threshold < 1.0):
-        raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
+    threshold = _real_arg(threshold, "threshold", 0.0, 1.0)
     sampled = _resolve_method(method) == MONTE_CARLO
     t = bundle.reduce_data(data)
     draws = None

@@ -53,7 +53,7 @@ from .bias import (
     meets_targets,
 )
 from .checking import DEFAULT_THRESHOLD, conflict_check
-from .errors import DesignSearchError, DomainError
+from .errors import DesignSearchError, DomainError, _real_arg, _whole_arg
 from .evidence import assess, estimate, rb_profile
 from .models import (
     Discretization,
@@ -202,19 +202,14 @@ def _list(value, where: str) -> list:
 
 
 def _number(value, where: str, kind=float):
-    """A JSON number as ``kind`` (float or int).  Booleans, strings, the
-    non-finite ``NaN``/``Infinity``/``-Infinity`` and, for an int,
-    fractional values are refused rather than cast."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{where}' must be a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"'{where}' must be a finite number, got {value!r}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"'{where}' must be an integer, got {value!r}")
+    """A JSON number as ``kind`` (float or int), read by the library's one
+    rule (``_real_arg`` or ``_whole_arg``): a boolean, a string, the
+    non-finite ``NaN``/``Infinity``/``-Infinity``, an int beyond the float
+    range for a float and a fraction for an int are refused, not cast."""
     try:
-        return kind(value)
-    except OverflowError:
-        raise ConfigError(f"'{where}' is out of range, got {value!r}") from None
+        return _real_arg(value, where) if kind is float else _whole_arg(value, where, -math.inf)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _numbers(value, where: str, kind=float) -> list:

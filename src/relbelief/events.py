@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import DomainError, _real_arg
 
 WEIGHT_TOL = 1e-12
 
@@ -71,12 +71,12 @@ class FiniteProbSpace:
 
     def __init__(self, outcomes: Iterable[str], weights: Iterable[float]):
         outcomes = tuple(outcomes)
-        weights = tuple(float(w) for w in weights)
+        weights = tuple(_real_arg(w, "atom weight") for w in weights)
         if len(outcomes) != len(weights):
             raise DomainError("outcomes and weights must have equal length")
         if len(set(outcomes)) != len(outcomes):
             raise DomainError("outcome labels must be unique")
-        if not all(0.0 <= w <= 1.0 for w in weights):  # also refuses NaN
+        if not all(0.0 <= w <= 1.0 for w in weights):
             raise DomainError("atom weights must lie in [0, 1]")
         total = math.fsum(weights)
         if abs(total - 1.0) > WEIGHT_TOL:

@@ -16,15 +16,16 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+from scipy import special
 
-from .errors import DomainError
+from .errors import DomainError, _real_arg
 from .events import EvidenceVerdict
 from .models import (
     PRIOR_CONTENT_FLOOR,
     Discretization,
     LocationNormalSpec,
+    label_index,
     locnormal_log_rb,
-    norm_cdf,
 )
 
 __all__ = [
@@ -91,11 +92,8 @@ class EvidenceProfile:
     def cell_index_of(self, psi) -> int:
         """Locate the cell containing ``psi`` (a value, or a label)."""
         if self.is_labeled:
-            try:
-                return self.labels.index(psi)
-            except ValueError:
-                raise DomainError(f"unknown interest value {psi!r}") from None
-        psi = float(psi)
+            return label_index(self.labels, psi)
+        psi = _real_arg(psi, "interest value")
         if psi < self.edges[0] or psi > self.edges[-1]:
             raise DomainError(
                 f"interest value {psi} lies outside the grid range "
@@ -185,8 +183,7 @@ def estimate(profile: EvidenceProfile, gamma: Optional[float] = None) -> Estimat
 
     credible = None
     if gamma is not None:
-        if not (0.0 < gamma < 1.0):
-            raise DomainError(f"credible level must lie in (0, 1), got {gamma}")
+        gamma = _real_arg(gamma, "credible level", 0.0, 1.0)
         if gamma > pl_post + 1e-12:
             raise DomainError(
                 f"credible level exceeds plausible-region posterior content "
@@ -281,7 +278,7 @@ def assess(profile: EvidenceProfile, psi0) -> HypothesisAssessment:
 def rb_locnormal_exact(spec: LocationNormalSpec, xbar: float, mu0: float) -> float:
     """Exact relative belief ratio at ``mu0`` for the location-normal model
     (the zero-width-cell limit of the grid profile)."""
-    return float(np.exp(locnormal_log_rb(spec, xbar, mu0)))
+    return float(np.exp(locnormal_log_rb(spec, _real_arg(xbar, "xbar"), _real_arg(mu0, "mu0"))))
 
 
 def tail_difference_locnormal(spec: LocationNormalSpec, xbar: float, mu0: float) -> float:
@@ -294,11 +291,12 @@ def tail_difference_locnormal(spec: LocationNormalSpec, xbar: float, mu0: float)
     (sigma0/sqrt(n)), which makes the sign agree exactly with the relative
     belief ratio's position relative to 1.
     """
+    xbar, mu0 = _real_arg(xbar, "xbar"), _real_arg(mu0, "mu0")
     a = spec.n * spec.tau_star_sq / spec.sigma0_sq
     z = math.sqrt(spec.n) * abs(xbar - mu0) / math.sqrt(spec.sigma0_sq)
     u_sq = spec.n * (xbar - spec.mu_star) ** 2 / spec.sigma0_sq
     w = math.sqrt(math.log1p(a) + u_sq / (1.0 + a))
-    return 2.0 * (1.0 - float(norm_cdf(z))) - 2.0 * (1.0 - float(norm_cdf(w)))
+    return 2.0 * (1.0 - float(special.ndtr(z))) - 2.0 * (1.0 - float(special.ndtr(w)))
 
 
 def _image(lam: Callable[[float], float], values: np.ndarray) -> np.ndarray:

@@ -49,7 +49,7 @@ import numpy as np
 import scipy  # scipy.integrate and scipy.optimize load on first use, which post-data jobs never reach
 from scipy import special
 
-from .errors import DomainError
+from .errors import DomainError, _real_arg, _whole_arg
 
 # Cells whose prior content falls below this are excluded from inference, and
 # a hypothesized value whose cell (or label) falls below it is refused.  Prior
@@ -94,8 +94,6 @@ __all__ = [
     "make_location_normal",
     "make_beta_binomial",
     "make_finite",
-    "norm_cdf",
-    "norm_quantile",
     "normal_interval_prob",
     "beta_interval_prob",
     "locnormal_log_rb",
@@ -106,15 +104,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # numerical helpers
-
-
-def norm_cdf(z):
-    """Standard normal CDF via the error function (absolute error < 1e-13)."""
-    return special.ndtr(z)
-
-
-def norm_quantile(p):
-    return special.ndtri(p)
 
 
 def normal_interval_prob(edges, mean, sd):
@@ -237,14 +226,13 @@ class Discretization:
     anchor: Optional[float] = None
 
     def __post_init__(self):
-        if not (0.0 < self.delta < math.inf):
-            raise DomainError(f"delta must be positive and finite, got {self.delta}")
+        object.__setattr__(self, "delta", _real_arg(self.delta, "delta", 0.0))
         if self.range is not None:
             lo, hi = self.range
-            if not (-math.inf < lo < hi < math.inf):
-                raise DomainError(f"range must satisfy lo < hi and be finite, got {self.range}")
-        if self.anchor is not None and not math.isfinite(self.anchor):
-            raise DomainError(f"anchor must be finite, got {self.anchor}")
+            lo = _real_arg(lo, "range lo")
+            object.__setattr__(self, "range", (lo, _real_arg(hi, "range hi", lo)))
+        if self.anchor is not None:
+            object.__setattr__(self, "anchor", _real_arg(self.anchor, "anchor"))
 
 
 def build_cells(disc: Discretization, default_range: Tuple[float, float]):
@@ -273,19 +261,6 @@ def build_cells(disc: Discretization, default_range: Tuple[float, float]):
     return edges, None
 
 
-def _real_arg(value, name: str) -> float:
-    """``value`` as a float: a finite real number (a Python or numpy int or
-    float; not a bool).  Anything else is a domain error naming ``name``."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        try:
-            real = float(value)
-        except OverflowError:  # an int beyond the float range
-            real = math.inf
-        if math.isfinite(real):
-            return real
-    raise DomainError(f"{name} must be a finite real number, got {value!r}")
-
-
 def _prior_cell_content(bundle, psi0, delta: float):
     """Prior content of the cells of half-width ``delta`` anchored at
     ``psi0``, refused where it underflows to 0: the cell ratio is then 0/0."""
@@ -301,6 +276,17 @@ def _log_cell_rb(bundle, psi0, delta: float, t):
     prior = _prior_cell_content(bundle, psi0, delta)
     with np.errstate(divide="ignore"):
         return np.log(bundle.posterior_interval(bundle._cell(psi0, delta), t)) - np.log(prior)
+
+
+def label_index(labels: tuple, psi) -> int:
+    """Index of the interest label ``psi`` among ``labels``; a bool, which
+    compares equal to 0 or 1, is no label."""
+    if not isinstance(psi, (bool, np.bool_)):
+        try:
+            return labels.index(psi)
+        except ValueError:
+            pass
+    raise DomainError(f"unknown interest value {psi!r}")
 
 
 def refuse_grid(disc: Optional[Discretization]) -> None:
@@ -406,10 +392,14 @@ class _ContinuousBundle:
         return self._kept("_last_prior", psi0, delta, lambda p0, d: self.prior_interval(self._cell(p0, d)))
 
     def interest(self, psi0, disc: Optional[Discretization] = None) -> float:
-        """The hypothesized value ``psi0``, a finite real number; with
+        """The hypothesized value ``psi0``, a finite real number on the
+        support or its edge (a true value outside it draws no data); with
         ``disc``, refused when its anchored cell has prior content below
         PRIOR_CONTENT_FLOOR."""
         psi0 = _real_arg(psi0, "psi0")
+        lo, hi = self._support
+        if not lo <= psi0 <= hi:
+            raise DomainError(f"psi0 must lie in [{lo!r}, {hi!r}], got {psi0!r}")
         if disc is not None and self._cell_prior(psi0, disc.delta) < PRIOR_CONTENT_FLOOR:
             raise DomainError(
                 f"a cell anchored at the hypothesized value has prior content below {PRIOR_CONTENT_FLOOR}"
@@ -517,7 +507,7 @@ class _ContinuousBundle:
         read as floats (an entry that is not a number is refused)."""
         if isinstance(data, tuple) and len(data) == 2:
             n, data = data
-            if n != self.n:  # a fractional n is refused, not truncated
+            if _whole_arg(n, "the statistic's n", 1) != self.n:
                 raise DomainError(f"statistic reports n={n}, bundle expects n={self.n}")
         if not isinstance(data, (int, float, np.integer, np.floating)):
             sample = _float_array(data, "raw sample")
@@ -556,14 +546,9 @@ class LocationNormalSpec:
     tau_star_sq: float
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise DomainError(f"sample size n must be an integer >= 1, got {self.n!r}")
-        if not (0.0 < self.sigma0_sq < math.inf):
-            raise DomainError(f"sigma0_sq must be positive and finite, got {self.sigma0_sq}")
-        if not math.isfinite(self.mu_star):
-            raise DomainError(f"mu_star must be finite, got {self.mu_star}")
-        if not (0.0 < self.tau_star_sq < math.inf):
-            raise DomainError(f"tau_star_sq must be positive and finite, got {self.tau_star_sq}")
+        object.__setattr__(self, "n", _whole_arg(self.n, "sample size n", 1))
+        for name, lo in (("sigma0_sq", 0.0), ("mu_star", -math.inf), ("tau_star_sq", 0.0)):
+            object.__setattr__(self, name, _real_arg(getattr(self, name), name, lo))
         # the favor window divides by the precision ratio a, so outside this
         # range it is not finite (the bound on a^2 is stricter than it needs)
         try:
@@ -624,7 +609,7 @@ def _window_prob(spec: LocationNormalSpec, window, mu0, mu_true):
     favor ``window`` (r, d) of ``mu0`` (floats or arrays, broadcast)."""
     r, d = window
     shift = math.sqrt(spec.n) * (mu_true - mu0) / math.sqrt(spec.sigma0_sq)
-    return norm_cdf(r - d - shift) - norm_cdf(-r - d - shift)
+    return special.ndtr(r - d - shift) - special.ndtr(-r - d - shift)
 
 
 def _window_offset(delta: float, sd: float, target):
@@ -741,20 +726,18 @@ class LocationNormalBundle(_ContinuousBundle):
         return f"location_normal(n={s.n},sigma0_sq={s.sigma0_sq!r},mu_star={s.mu_star!r},tau_star_sq={s.tau_star_sq!r})"
 
     def _sample_statistic(self, sample):
-        """The sample mean; a sum that overflows leaves an infinite or NaN
-        mean for ``_statistic`` to refuse."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return sample.mean()
+        """The sample mean.  Where the sum of finite entries overflows, the
+        mean is the sum of the entries each divided by n; an infinite or NaN
+        entry leaves a mean for ``_statistic`` to refuse."""
+        with np.errstate(all="ignore"):
+            mean = sample.mean()
+            if not np.isfinite(mean) and np.isfinite(sample).all():
+                mean = (sample / sample.size).sum()
+        return mean
 
     def _statistic(self, xbar) -> float:
         """The data mean as a finite float."""
-        try:
-            xbar = float(xbar)
-        except OverflowError:
-            raise DomainError("the data mean must be finite, got a number beyond the float range") from None
-        if not math.isfinite(xbar):
-            raise DomainError(f"the data mean must be finite, got {xbar}")
-        return xbar
+        return _real_arg(xbar, "the data mean")
 
     def posterior_params(self, t: float) -> Tuple[float, float]:
         s = self.spec
@@ -763,7 +746,7 @@ class LocationNormalBundle(_ContinuousBundle):
         return post_mean, post_var
 
     def default_psi_range(self) -> Tuple[float, float]:
-        z = norm_quantile(0.5 + DEFAULT_RANGE_MASS / 2.0)
+        z = special.ndtri(0.5 + DEFAULT_RANGE_MASS / 2.0)
         s = self.spec
         return (s.mu_star - z * self._tau_star, s.mu_star + z * self._tau_star)
 
@@ -878,7 +861,7 @@ class LocationNormalBundle(_ContinuousBundle):
         or the share of ``draws``."""
         mean, var = self.prior_predictive_params()
         if draws is None:
-            return 2.0 * (1.0 - float(norm_cdf(abs(t - mean) / math.sqrt(var))))
+            return 2.0 * (1.0 - float(special.ndtr(abs(t - mean) / math.sqrt(var))))
         return float(np.mean(np.abs(draws - mean) >= abs(t - mean)))
 
 
@@ -980,16 +963,10 @@ class BetaBinomialBundle(_ContinuousBundle):
     _support = (0.0, 1.0)
 
     def __init__(self, n: int, alpha: float, beta: float):
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
-            raise DomainError(f"number of trials must be an integer >= 1, got {n!r}")
-        limit = np.iinfo(np.intp).max // 8  # the n + 1 counts 0..n must fit an array of 8-byte entries
-        if n >= limit:
-            raise DomainError(f"number of trials n must be below {limit}, got an integer of {int(n).bit_length()} bits")
-        if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
-            raise DomainError(f"beta prior shapes must be positive and finite, got ({alpha}, {beta})")
-        self.n = int(n)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
+        # the n + 1 counts 0..n must fit an array of 8-byte entries
+        self.n = _whole_arg(n, "number of trials n", 1, np.iinfo(np.intp).max // 8)
+        self.alpha = _real_arg(alpha, "alpha", 0.0)
+        self.beta = _real_arg(beta, "beta", 0.0)
         self._counts = np.arange(self.n + 1)
         self._cells_per_value = self.n + 1  # a favor region is a log ratio per count
         # the count-only terms of the pmfs and the point ratio, so no call
@@ -1013,12 +990,7 @@ class BetaBinomialBundle(_ContinuousBundle):
 
     def _statistic(self, s) -> int:
         """The success count as a whole int in [0, n]; fractions are refused."""
-        if not (isinstance(s, (int, np.integer)) or float(s).is_integer()):
-            raise DomainError(f"success count must be a whole number, got {s!r}")
-        s = int(s)
-        if not (0 <= s <= self.n):
-            raise DomainError(f"success count must lie in [0, {self.n}], got {s}")
-        return s
+        return _whole_arg(s, "success count", 0, self.n + 1)
 
     def posterior_params(self, s: int) -> Tuple[float, float]:
         return self.alpha + s, self.beta + self.n - s
@@ -1290,18 +1262,15 @@ class FiniteBundle:
         )
 
     def reduce_data(self, data) -> int:
-        """Index of the observed outcome ``data``: a label, else an integer
-        index.  A label always wins, so with integer labels ``[1, 0]`` the
-        outcome 0 is the label 0 (index 1)."""
-        idx = self._x_index.get(data) if isinstance(data, (str, int, np.integer)) else None
+        """Index of the observed outcome ``data``: a label, else a whole
+        index (a bool is neither).  A label always wins, so with integer
+        labels ``[1, 0]`` the outcome 0 is the label 0 (index 1)."""
+        label = isinstance(data, (str, int, float, np.integer, np.floating)) and not isinstance(data, bool)
+        idx = self._x_index.get(data) if label else None
         if idx is None:
             if isinstance(data, str):
                 raise DomainError(f"unknown data label {data!r}")
-            if not isinstance(data, (int, np.integer)):
-                raise DomainError("finite-model data must be a label or an index")
-            idx = int(data)
-            if not (0 <= idx < len(self.x_labels)):
-                raise DomainError(f"data index {idx} out of range")
+            idx = _whole_arg(data, "finite-model data index", 0, len(self.x_labels))
         if self.predictive[idx] <= 0.0:
             raise DomainError(
                 f"observed outcome {self.x_labels[idx]!r} has zero prior predictive probability"
@@ -1310,10 +1279,7 @@ class FiniteBundle:
 
     def psi_index(self, psi) -> int:
         """Index of the interest label ``psi`` (a label, never an index)."""
-        try:
-            return self.psi_labels.index(psi)
-        except ValueError:
-            raise DomainError(f"unknown interest value {psi!r}") from None
+        return label_index(self.psi_labels, psi)
 
     def interest(self, psi0, disc: Optional[Discretization] = None) -> int:
         """Index of the interest value ``psi0``, which must clear the prior

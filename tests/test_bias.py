@@ -141,9 +141,9 @@ def test_diffuse_prior_kills_bias_against_and_maxes_bias_in_favor():
 
 
 def test_bias_in_favor_requires_delta():
-    with pytest.raises(DomainError, match="difference-that-matters"):
+    with pytest.raises(DomainError, match="^delta must be a finite real number, got None$"):
         bias_in_favor_h(locnormal(5, 0.0, 1.0), 0.0, None)
-    with pytest.raises(DomainError, match="difference-that-matters"):
+    with pytest.raises(DomainError, match=re.escape("delta must lie in (0.0, inf), got -0.5")):
         bias_in_favor_h(locnormal(5, 0.0, 1.0), 0.0, -0.5)
 
 
@@ -915,7 +915,7 @@ def test_design_meets_against_target_at_fifty():
 
 
 def test_design_rejects_impossible_targets():
-    with pytest.raises(DomainError, match="strictly inside"):
+    with pytest.raises(DomainError, match=re.escape("target max_bias_against must lie in (0.0, 1.0), got 0.0")):
         design_sample_size(family, 0.0, 0.5, {"max_bias_against": 0.0}, [5, 10])
     with pytest.raises(DomainError, match="at least one"):
         design_sample_size(family, 0.0, 0.5, {}, [5, 10])
@@ -1007,7 +1007,7 @@ def test_weak_data_average_bias_against_is_exact_off_the_node_ladder(sigma0_sq):
     assert _within_3se(est.value, est.se, avg.value)
 
 
-@pytest.mark.parametrize("n_sim", [1, 0, 2.0])
+@pytest.mark.parametrize("n_sim", [1, 0])
 def test_mc_config_needs_two_replications_for_a_standard_error(n_sim):
     with pytest.raises(DomainError, match="n_sim"):
         McConfig(n_sim=n_sim)

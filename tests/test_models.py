@@ -165,7 +165,7 @@ def test_reduce_data_accepts_statistic_and_sample():
         bundle.reduce_data([1.0, 2.0])
     with pytest.raises(DomainError):
         bundle.reduce_data((5, 0.3))
-    with pytest.raises(DomainError, match="n=4.7"):  # it passed as n=4
+    with pytest.raises(DomainError, match="the statistic's n must be a whole number, got 4.7"):  # it passed as n=4
         bundle.reduce_data((4.7, 0.3))
 
     bb = make_beta_binomial(4, 1.0, 1.0)
@@ -183,7 +183,7 @@ def test_reduce_data_accepts_statistic_and_sample():
     # fractional entries are refused, never truncated
     with pytest.raises(DomainError, match="success count must be a whole number, got 2.5"):
         bb.reduce_data((4, 2.5))  # it returned 2
-    with pytest.raises(DomainError, match="n=4.9"):
+    with pytest.raises(DomainError, match="the statistic's n must be a whole number, got 4.9"):
         bb.reduce_data((4.9, 3))  # it passed as n=4
     with pytest.raises(DomainError, match="success count must be a whole number, got 2.5"):
         bb.reduce_data(2.5)  # it was named a raw sample
@@ -192,21 +192,21 @@ def test_reduce_data_accepts_statistic_and_sample():
 @pytest.mark.parametrize(
     "kind, data, message",
     [
-        ("location_normal", [1e308] * 200 + [-1e308] * 200, "the data mean must be finite, got nan"),
-        ("location_normal", [1e308] * 400, "the data mean must be finite, got inf"),
-        ("location_normal", (400, math.nan), "the data mean must be finite, got nan"),
-        ("location_normal", -math.inf, "the data mean must be finite, got -inf"),
+        ("location_normal", [1e308] * 399 + [math.inf], "the data mean must be a finite real number, got inf"),
+        ("location_normal", [math.inf, -math.inf] * 200, "the data mean must be a finite real number, got nan"),
+        ("location_normal", (400, math.nan), "the data mean must be a finite real number, got nan"),
+        ("location_normal", -math.inf, "the data mean must be a finite real number, got -inf"),
         ("location_normal", [1.0, "x", 2.0, 3.0], "raw sample cannot be read as an array of floats"),
         ("beta_binomial", [1, 0, "x", 1], "raw sample cannot be read as an array of floats"),
         ("beta_binomial", [1, 0, math.nan, 1], "raw binomial sample entries must be 0 or 1"),
         ("beta_binomial", math.nan, "success count must be a whole number, got nan"),
-        ("beta_binomial", 10**400, "success count must lie in [0, 4], got 1000"),
-        ("location_normal", 10**400, "the data mean must be finite, got a number beyond the float range"),
+        ("beta_binomial", 10**400, "success count must be a whole number in [0, 5), got an integer of 1329 bits"),
+        ("location_normal", 10**400, "the data mean must be a finite real number, got an integer of 1329 bits"),
         ("location_normal", ["1.0", "2.0", "3.0", "4.0"], "raw sample cannot be read as an array of floats"),
         ("beta_binomial", ["1", "0", "1", "1"], "raw sample cannot be read as an array of floats"),
         ("beta_binomial", [True, False, True, True], "raw sample cannot be read as an array of floats"),
     ],
-    ids=["mean-overflows-to-nan", "mean-overflows-to-inf", "pair-nan", "minus-inf", "ln-not-a-number",
+    ids=["inf-entry", "inf-and-minus-inf-entries", "pair-nan", "minus-inf", "ln-not-a-number",
          "bb-not-a-number", "bb-nan-entry", "bb-nan", "bb-huge-int", "ln-huge-int", "ln-numeric-strings",
          "bb-numeric-strings", "bb-bools"],
 )
@@ -218,6 +218,22 @@ def test_continuous_reduce_data_refuses_what_is_no_statistic(kind, data, message
     with np.errstate(all="raise"):  # the reducer itself leaves no floating-point warning
         with pytest.raises(DomainError, match=re.escape(message)):
             bundle.reduce_data(data)
+
+
+def test_a_sample_whose_sum_overflows_keeps_its_finite_mean():
+    # every entry is finite, so the mean is: these were refused as an
+    # infinite or NaN data mean
+    def bundle(n):
+        return make_location_normal(LocationNormalSpec(n=n, sigma0_sq=1.0, mu_star=0.0, tau_star_sq=1.0))
+
+    with np.errstate(all="raise"):  # the reducer itself leaves no floating-point warning
+        assert bundle(2).reduce_data([1e308, 1e308]) == 1e308
+        assert bundle(400).reduce_data([1e308] * 200 + [-1e308] * 200) == 0.0
+        assert bundle(400).reduce_data([1e308] * 400) == pytest.approx(1e308, rel=1e-15)
+        assert bundle(2).reduce_data([1.7976931348623157e308] * 2) == 1.7976931348623157e308
+    # a sum that does not overflow is taken as before, to the bit
+    sample = np.random.default_rng(3).normal(size=400) * 1e3
+    assert bundle(400).reduce_data(sample.tolist()) == float(sample.mean())
 
 
 def test_finite_bundle_refuses_a_discretization():
@@ -237,7 +253,7 @@ def test_finite_reduce_data():
     assert bundle.reduce_data(1) == 1
     with pytest.raises(DomainError):
         bundle.reduce_data("nope")
-    with pytest.raises(DomainError, match="finite-model data must be a label or an index"):
+    with pytest.raises(DomainError, match="finite-model data index must be a whole number, got 0.5"):
         bundle.reduce_data(0.5)
     certain = make_finite(FiniteModelSpec(["t0", "t1"], [1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], ["x0", "x1"]))
     with pytest.raises(DomainError, match="observed outcome 'x1' has zero prior predictive probability"):
@@ -591,7 +607,7 @@ def test_location_normal_spec_refuses_non_finite_numbers(field, value):
 @pytest.mark.parametrize("value", NON_FINITE)
 def test_beta_binomial_refuses_non_finite_shapes(value):
     for shapes in ((value, 2.0), (2.0, value)):
-        with pytest.raises(DomainError, match="shapes"):
+        with pytest.raises(DomainError, match=r"^(alpha|beta) must be a finite real number, got "):
             make_beta_binomial(10, *shapes)
 
 
@@ -795,7 +811,7 @@ def test_finite_outcome_is_a_label_before_an_index():
     assert _two_by_two(["a", "b"]).reduce_data(1) == 1
     numbered = _two_by_two(["a", "b"], x_labels=[1, 0])
     assert (numbered.reduce_data(0), numbered.reduce_data(1)) == (1, 0)
-    with pytest.raises(DomainError, match="out of range"):
+    with pytest.raises(DomainError, match=re.escape("finite-model data index must be a whole number in [0, 2), got 2")):
         numbered.reduce_data(2)
 
 
