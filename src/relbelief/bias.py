@@ -35,7 +35,7 @@ from typing import Callable, ClassVar, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DesignSearchError, DomainError, _real_arg, _whole_arg
+from .errors import DesignSearchError, DomainError, _bool_arg, _real_arg, _whole_arg
 from .models import Discretization, favor_prob_locnormal
 from .rng import substream
 
@@ -238,6 +238,7 @@ def bias_in_favor_h(
     favor probability decays with distance; pass ``boundary_only=False`` to
     search the whole exterior.
     """
+    boundary_only = _bool_arg(boundary_only, "boundary_only")
     delta = _real_arg(delta, "delta", 0.0)
     how = _resolve_method(method)
     _check_grid(disc, psi0)
@@ -257,6 +258,7 @@ def hypothesis_bias(
     method: str = "auto",
     boundary_only: bool = True,
 ) -> BiasHReport:
+    boundary_only = _bool_arg(boundary_only, "boundary_only")
     against = bias_against_h(bundle, psi0, disc=disc, mc=mc, method=method)
     in_favor = bias_in_favor_h(
         bundle, psi0, delta, disc=disc, mc=mc, method=method, boundary_only=boundary_only
@@ -322,6 +324,7 @@ def bias_in_favor_e(
     bundle has a prior rule, else the mean over seeded prior draws.  A finite
     model refuses a discretization, as its labels have no cells.
     """
+    boundary_only = _bool_arg(boundary_only, "boundary_only")
     delta = _real_arg(delta, "delta", 0.0)
     how = _resolve_method(method)
     _check_grid(disc)
@@ -343,6 +346,7 @@ def estimation_bias(
     method: str = "auto",
     boundary_only: bool = True,
 ) -> BiasEReport:
+    boundary_only = _bool_arg(boundary_only, "boundary_only")
     avg, sup = bias_against_e(bundle, disc=disc, mc=mc, method=method)
     favor = bias_in_favor_e(
         bundle, delta, disc=disc, mc=mc, method=method, boundary_only=boundary_only
@@ -399,6 +403,7 @@ def design_sample_size(
     hypothesis bias.  Raises :class:`DesignSearchError` carrying the full
     table when no candidate qualifies.
     """
+    boundary_only = _bool_arg(boundary_only, "boundary_only")
     known = {"max_bias_against", "max_bias_in_favor"}
     unknown = set(targets) - known
     if unknown:

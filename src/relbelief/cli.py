@@ -11,7 +11,9 @@ Subcommands::
 
 Configs are JSON with a fixed schema (see README); unknown keys are errors,
 not warnings, so a typo cannot silently change a study.  Every config value
-is checked and cast here, once, before the library sees it.  Every
+is read once: a bundle's fields and a data entry by one typed reader over
+the schema tables ``_BUNDLES`` and ``_DATA``, the ``discretization`` and
+``mc`` sections by the library's ``Discretization`` and ``McConfig``.  Every
 subcommand, ``reproduce`` included, takes one path: parse the config (none
 for ``reproduce``) and the Monte Carlo settings, run the command, write the
 manifest.  Exit codes: 0 on success, 2 for config errors, 3 for domain
@@ -31,6 +33,7 @@ import functools
 import hashlib
 import json
 import math
+import reprlib
 import sys
 from pathlib import Path
 
@@ -195,12 +198,6 @@ def _object(value, where: str) -> dict:
     return value
 
 
-def _list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"'{where}' must be a list, got {value!r}")
-    return value
-
-
 def _number(value, where: str, kind=float):
     """A JSON number as ``kind`` (float or int), read by the library's one
     rule (``_real_arg`` or ``_whole_arg``): a boolean, a string, the
@@ -212,140 +209,125 @@ def _number(value, where: str, kind=float):
         raise ConfigError(str(exc)) from None
 
 
-def _numbers(value, where: str, kind=float) -> list:
-    """A JSON list of numbers, each checked and cast as by :func:`_number`.
-    A list already of type ``kind`` passes with one type test per entry and,
-    for floats, one C-level ``sum`` (NaN or an infinity anywhere makes it
-    non-finite): finite tables run to tens of thousands of entries."""
-    values = _list(value, where)
-    if set(map(type, values)) <= {kind} and (kind is int or math.isfinite(sum(values))):
-        return values
-    return [_number(v, f"{where}[{i}]", kind) for i, v in enumerate(values)]
+# The kind of a finite-model label or index: a string or an integer.  A kind
+# that _read takes is float, int, _LABEL, or [kind] for a list of that kind.
+_LABEL = (str, int)
+# scalar kind -> the exact types of the values it takes unchanged
+_EXACT = {float: {float}, int: {int}, _LABEL: set(_LABEL)}
 
 
-def _label(value, where: str):
-    """A finite-model label or index: a string or an integer."""
-    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+def _read(value, where: str, kind):
+    """``value`` read as ``kind``: a number by :func:`_number`, a label as
+    itself (a bool is none), a list entry by entry.  Anything else is a
+    config error naming ``where``, with the index of each entry.  A list
+    already of a scalar kind passes with one type test per entry and, for
+    floats, one C-level ``sum`` (NaN or an infinity anywhere makes it
+    non-finite): finite tables run to tens of thousands of entries.  A value
+    of the wrong type is shown abridged, as ``reprlib`` shows it."""
+    if type(kind) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"'{where}' must be a list, got {reprlib.repr(value)}")
+        (entry,) = kind
+        if type(entry) is not list and set(map(type, value)) <= _EXACT[entry]:
+            if entry is not float or math.isfinite(sum(value)):
+                return value
+        return [_read(v, f"{where}[{i}]", entry) for i, v in enumerate(value)]
+    if kind is not _LABEL:
+        return _number(value, where, kind)
+    if type(value) in _LABEL:
         return value
-    raise ConfigError(f"'{where}' must be a string or an integer, got {value!r}")
+    raise ConfigError(f"'{where}' must be a string or an integer, got {reprlib.repr(value)}")
 
 
-def _labels(value, where: str) -> list:
-    values = _list(value, where)
-    if set(map(type, values)) <= {str}:
-        return values
-    return [_label(v, f"{where}[{i}]") for i, v in enumerate(values)]
+# bundle kind -> (builder, called with the fields as keywords; each field's
+# kind; the fields that may be omitted or null).  A builder calls its make_*
+# function by name, so the one bound in this module when it runs is used.
+_BUNDLES = {
+    "location_normal": (
+        lambda **fields: make_location_normal(LocationNormalSpec(**fields)),
+        {"n": int, "sigma0_sq": float, "mu_star": float, "tau_star_sq": float},
+        set(),
+    ),
+    "beta_binomial": (
+        lambda **fields: make_beta_binomial(**fields),
+        {"n": int, "alpha": float, "beta": float},
+        set(),
+    ),
+    "finite": (
+        lambda **fields: make_finite(FiniteModelSpec(**fields)),
+        {"theta_labels": [_LABEL], "prior": [float], "likelihood": [[float]], "x_labels": [_LABEL],
+         "psi_of_theta": [_LABEL]},
+        {"psi_of_theta"},
+    ),
+}
+# the kinds a design searches over: those with a sample size
+_SIZED_KINDS = tuple(kind for kind, (_, fields, _) in _BUNDLES.items() if "n" in fields)
+# bundle kind -> the kind of each data key; a config's data carries one
+_DATA = {
+    "location_normal": {"xbar": float, "sample": [float]},
+    "beta_binomial": {"successes": int, "sample": [int]},
+    "finite": {"outcome": _LABEL},
+}
 
 
 def _build_bundle(section) -> object:
     section = _object(section, "bundle")
     kind = section.get("kind")
-    if kind == "location_normal":
-        _require_keys(section, {"kind", "n", "sigma0_sq", "mu_star", "tau_star_sq"}, set(), "bundle")
-        return make_location_normal(
-            LocationNormalSpec(
-                n=_number(section["n"], "bundle.n", int),
-                sigma0_sq=_number(section["sigma0_sq"], "bundle.sigma0_sq"),
-                mu_star=_number(section["mu_star"], "bundle.mu_star"),
-                tau_star_sq=_number(section["tau_star_sq"], "bundle.tau_star_sq"),
-            )
-        )
-    if kind == "beta_binomial":
-        _require_keys(section, {"kind", "n", "alpha", "beta"}, set(), "bundle")
-        return make_beta_binomial(
-            _number(section["n"], "bundle.n", int),
-            _number(section["alpha"], "bundle.alpha"),
-            _number(section["beta"], "bundle.beta"),
-        )
-    if kind == "finite":
-        _require_keys(
-            section,
-            {"kind", "theta_labels", "prior", "likelihood", "x_labels"},
-            {"psi_of_theta"},
-            "bundle",
-        )
-        likelihood = _list(section["likelihood"], "bundle.likelihood")
-        psi_of_theta = section.get("psi_of_theta")
-        return make_finite(
-            FiniteModelSpec(
-                theta_labels=_labels(section["theta_labels"], "bundle.theta_labels"),
-                prior=_numbers(section["prior"], "bundle.prior"),
-                likelihood=[_numbers(row, f"bundle.likelihood[{i}]") for i, row in enumerate(likelihood)],
-                x_labels=_labels(section["x_labels"], "bundle.x_labels"),
-                psi_of_theta=None if psi_of_theta is None else _labels(psi_of_theta, "bundle.psi_of_theta"),
-            )
-        )
-    raise ConfigError(f"unknown bundle kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _BUNDLES:
+        raise ConfigError(f"unknown bundle kind {kind!r}")
+    build, fields, optional = _BUNDLES[kind]
+    _require_keys(section, {"kind", *fields} - optional, optional, "bundle")
+    return build(**{key: _read(section[key], f"bundle.{key}", field) for key, field in fields.items()
+                    if key not in optional or section.get(key) is not None})
 
 
 def _parse_data(section, bundle) -> object:
     section = _object(section, "data")
-    kind = bundle.kind
-    if kind == "location_normal":
-        _require_keys(section, set(), {"xbar", "sample"}, "data")
-        keys = set(section)
-        if keys == {"xbar"}:
-            return _number(section["xbar"], "data.xbar")
-        if keys == {"sample"}:
-            return _numbers(section["sample"], "data.sample")
-    elif kind == "beta_binomial":
-        _require_keys(section, set(), {"successes", "sample"}, "data")
-        keys = set(section)
-        if keys == {"successes"}:
-            return _number(section["successes"], "data.successes", int)
-        if keys == {"sample"}:
-            return _numbers(section["sample"], "data.sample", int)
-    else:
-        _require_keys(section, set(), {"outcome"}, "data")
-        if set(section) == {"outcome"}:
-            return _label(section["outcome"], "data.outcome")
-    raise ConfigError(f"'data' must carry exactly one entry appropriate for a {kind} bundle")
+    fields = _DATA[bundle.kind]
+    _require_keys(section, set(), set(fields), "data")
+    if len(section) != 1:
+        raise ConfigError(f"'data' must carry exactly one entry appropriate for a {bundle.kind} bundle")
+    ((key, value),) = section.items()
+    return _read(value, f"data.{key}", fields[key])
 
 
 def _parse_psi0(value, bundle):
-    return _label(value, "psi0") if bundle.kind == "finite" else _number(value, "psi0")
+    return _read(value, "psi0", _LABEL if bundle.kind == "finite" else float)
+
+
+def _read_section(where: str, build, fields: dict):
+    """``build(**fields)``, a library constructor that checks its own
+    arguments; its domain error is a config error that names ``where``."""
+    try:
+        return build(**fields)
+    except DomainError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_disc(config, kind: str, optional: frozenset = frozenset()):
     """The config's grid, or ``None`` without one.  Its ``delta`` is required
-    and the keys in ``optional`` are allowed.  A finite bundle refuses a grid:
-    its interest labels have no cells."""
+    and the keys in ``optional`` are allowed; :class:`Discretization` reads
+    them.  A finite bundle refuses a grid: its interest labels have no
+    cells."""
     if "discretization" not in config:
         return None
     if kind == "finite":
         raise ConfigError("a finite bundle takes no 'discretization': its interest labels have no cells")
     section = _object(config["discretization"], "discretization")
     _require_keys(section, {"delta"}, optional, "discretization")
-    rng = section.get("range")
-    if rng is not None:
-        rng = _numbers(rng, "discretization.range")
-        if len(rng) != 2:
-            raise ConfigError("'discretization.range' must be a [lo, hi] pair")
-    anchor = section.get("anchor")
-    try:
-        return Discretization(
-            delta=_number(section["delta"], "discretization.delta"),
-            range=None if rng is None else tuple(rng),
-            anchor=None if anchor is None else _number(anchor, "discretization.anchor"),
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _read_section("discretization", Discretization, section)
 
 
 def _parse_mc(config, args) -> McConfig:
+    """The ``mc`` section, with ``--sims`` and ``--seed`` over it, read by
+    :class:`McConfig`."""
     section = {} if config.get("mc") is None else dict(_object(config["mc"], "mc"))
     _require_keys(section, set(), {"n_sim", "seed"}, "mc")
     if args.sims is not None:
         section["n_sim"] = args.sims
     if args.seed is not None:
         section["seed"] = args.seed
-    try:
-        return McConfig(
-            n_sim=_number(section.get("n_sim", McConfig.n_sim), "mc.n_sim", int),
-            seed=_number(section.get("seed", McConfig.seed), "mc.seed", int),
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _read_section("mc", McConfig, section)
 
 
 def _refuse_monte_carlo(config, args, why: str) -> None:
@@ -557,7 +539,7 @@ def cmd_design(config, mc: McConfig, args, out: Path) -> None:
     required = {"bundle", "psi0", "delta", "targets", "n_grid"}
     _require_keys(config, required, {"discretization", "mc", "method", "boundary_only"}, "config")
     section = _object(config["bundle"], "bundle")
-    if section.get("kind") not in ("location_normal", "beta_binomial"):
+    if section.get("kind") not in _SIZED_KINDS:
         raise ConfigError("design requires a bundle family parameterized by sample size")
     if "n" in section:
         raise ConfigError("a design bundle omits 'n'; 'n_grid' supplies the sample sizes")
@@ -565,7 +547,7 @@ def cmd_design(config, mc: McConfig, args, out: Path) -> None:
     _require_keys(targets, set(), {"max_bias_against", "max_bias_in_favor"}, "targets")
     targets = {k: _number(v, f"targets.{k}") for k, v in targets.items()}
     psi0, delta = _number(config["psi0"], "psi0"), _number(config["delta"], "delta")
-    n_grid = _numbers(config["n_grid"], "n_grid", int)
+    n_grid = _read(config["n_grid"], "n_grid", [int])
     options = _bias_options(config, section["kind"], mc)
     candidates = {n: _build_bundle({**section, "n": n}) for n in n_grid}
     header = ["n", *_DESIGN_COLUMNS, "admissible"]

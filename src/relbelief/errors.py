@@ -73,3 +73,11 @@ def _whole_arg(value, name: str, lo, hi=None) -> int:
         return whole
     bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
     raise DomainError(f"{name} must be a whole number {bounds}, got {_shown(value)}")
+
+
+def _bool_arg(value, name: str) -> bool:
+    """``value`` as a bool: a Python or numpy bool, nothing that merely has
+    a truth value.  Anything else is a domain error naming ``name``."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise DomainError(f"{name} must be a bool, got {_shown(value)}")

@@ -156,7 +156,9 @@ class UnionDecomposition:
     ``rb_union`` is the directly computed ratio for ``a | b``;
     ``threshold`` is the largest conditional share P(a | a or b) at which
     evidence in favor of ``a`` can coexist with evidence against the union
-    (undefined, NaN, when rb_a == rb_b).
+    (undefined, NaN, when rb_a == rb_b).  ``decomposition_holds`` says
+    whether ``rb_union`` is the share-weighted average of ``rb_a`` and
+    ``rb_b`` to within ``WEIGHT_TOL``, relative.
     """
 
     rb_union: float
@@ -166,9 +168,7 @@ class UnionDecomposition:
     decomposition_holds: bool
 
 
-def union_incoherence(
-    space: FiniteProbSpace, a: Event, b: Event, c: Event, tol: float = 1e-12
-) -> UnionDecomposition:
+def union_incoherence(space: FiniteProbSpace, a: Event, b: Event, c: Event) -> UnionDecomposition:
     """Decompose rb(a|b|c) over the disjoint parts and report the
     share threshold below which the union can show evidence against even
     though ``a`` shows evidence in favor."""
@@ -186,7 +186,7 @@ def union_incoherence(
     p_a_given_union = pa / (pa + pb)
     p_b_given_union = pb / (pa + pb)
     averaged = rb_a * p_a_given_union + rb_b * p_b_given_union
-    holds = abs(rb_union - averaged) <= tol * max(1.0, abs(rb_union))
+    holds = abs(rb_union - averaged) <= WEIGHT_TOL * max(1.0, abs(rb_union))
 
     if rb_a != rb_b:
         threshold = (1.0 - rb_b) / (rb_a - rb_b)

@@ -207,6 +207,10 @@ def _edge_cells(upper, cdf, sf):
 # ---------------------------------------------------------------------------
 # discretization
 
+# The longest 8-byte array numpy can represent: the bound on a grid's cells
+# and on the trials of a beta-binomial model.
+_MAX_ARRAY_LEN = np.iinfo(np.intp).max // 8
+
 
 @dataclass(frozen=True)
 class Discretization:
@@ -228,7 +232,10 @@ class Discretization:
     def __post_init__(self):
         object.__setattr__(self, "delta", _real_arg(self.delta, "delta", 0.0))
         if self.range is not None:
-            lo, hi = self.range
+            try:  # a string would unpack into its characters
+                lo, hi = () if isinstance(self.range, str) else self.range
+            except (TypeError, ValueError):  # no sequence, or one of another length
+                raise DomainError("range must be a (lo, hi) pair") from None
             lo = _real_arg(lo, "range lo")
             object.__setattr__(self, "range", (lo, _real_arg(hi, "range hi", lo)))
         if self.anchor is not None:
@@ -241,20 +248,30 @@ def build_cells(disc: Discretization, default_range: Tuple[float, float]):
     Cells have width 2*delta.  Without an anchor the grid starts at the lower
     end of the range and the last cell is shortened to end exactly at the
     upper end.  With an anchor the grid is aligned so the anchor is a cell
-    center, and the range is expanded outward to whole cells.
+    center, and the range is expanded outward to whole cells.  A cell count
+    that overflows, or that no array of 8-byte edges could hold, is a domain
+    error.
     """
     lo, hi = disc.range if disc.range is not None else default_range
     width = 2.0 * disc.delta
+
+    def cells(span: float) -> int:
+        count = span / width - 1e-12
+        if count < _MAX_ARRAY_LEN:  # refuses an infinity
+            return math.ceil(count)
+        raise DomainError(f"delta {disc.delta!r} on the range [{lo!r}, {hi!r}] makes more than "
+                          f"{_MAX_ARRAY_LEN} cells")
+
     if disc.anchor is not None:
         anchor = disc.anchor
         lo = min(lo, anchor - disc.delta)
         hi = max(hi, anchor + disc.delta)
-        m_left = max(0, math.ceil((anchor - disc.delta - lo) / width - 1e-12))
+        m_left = max(0, cells(anchor - disc.delta - lo))
         e0 = anchor - disc.delta - m_left * width
-        m_cells = max(1, math.ceil((hi - e0) / width - 1e-12))
+        m_cells = max(1, cells(hi - e0))
         edges = e0 + width * np.arange(m_cells + 1)
         return edges, m_left
-    n_cells = max(1, math.ceil((hi - lo) / width - 1e-12))
+    n_cells = max(1, cells(hi - lo))
     edges = lo + width * np.arange(n_cells + 1)
     if edges[-1] > hi:
         edges[-1] = hi
@@ -964,7 +981,7 @@ class BetaBinomialBundle(_ContinuousBundle):
 
     def __init__(self, n: int, alpha: float, beta: float):
         # the n + 1 counts 0..n must fit an array of 8-byte entries
-        self.n = _whole_arg(n, "number of trials n", 1, np.iinfo(np.intp).max // 8)
+        self.n = _whole_arg(n, "number of trials n", 1, _MAX_ARRAY_LEN)
         self.alpha = _real_arg(alpha, "alpha", 0.0)
         self.beta = _real_arg(beta, "beta", 0.0)
         self._counts = np.arange(self.n + 1)

@@ -19,9 +19,21 @@ that moves by design is listed there with its old value, its new value and
 the reason, as the golden cases are.  The file is never
 re-recorded wholesale.  ``python tests/test_bench_counts.py SEED`` prints
 the counts of one seed as JSON.
+
+``bench_outputs.json`` pins what every one of those jobs leaves behind: one
+sha256 per job of its exit code and of its output files, names and bytes in
+sorted order, ``run_manifest.json`` included.  It is keyed by workload, seed,
+job index and mix key, so a refactor that moves an exact value in its last
+digit, or a Monte Carlo estimate within its standard error, fails tier-1.  The
+digests hold only under the numpy, scipy and orjson versions that CI pins
+(the manifest records the first two, and the values depend on all three).  A
+job whose output moves by design is listed in ``MOVED_OUTPUTS`` with its old
+digest, its new digest and the reason; that file is never re-recorded
+wholesale either.
 """
 
 import collections
+import hashlib
 import json
 import multiprocessing
 import shutil
@@ -30,9 +42,12 @@ import tempfile
 import threading
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 COUNTS = Path(__file__).with_name("bench_counts.json")
+OUTPUTS = Path(__file__).with_name("bench_outputs.json")
 SEEDS = (1, 9001)
 WORKLOADS = ("post_data", "exact_bias", "mc_bias")
 
@@ -60,6 +75,8 @@ MOVED = {
         ("mc_bias", {"bias.favor_prob_locnormal.calls": (14, 0, _POINT)}),
     )
 }
+# "workload/seed" -> {"job index mix key": (old digest, new digest, reason)}
+MOVED_OUTPUTS = {}
 
 
 def _perfbench():
@@ -77,10 +94,22 @@ def _perfbench():
     return checks, tracer, workloads
 
 
+def _digest(code: int, result: Path) -> str:
+    """sha256 of an exit code and of the files in ``result``: each name,
+    size and bytes, in sorted order."""
+    digest = hashlib.sha256(b"exit %d\n" % code)
+    for path in sorted(result.iterdir()) if result.exists() else ():
+        data = path.read_bytes()
+        digest.update(b"%s %d\n" % (path.name.encode(), len(data)))
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def collect(seed: int) -> tuple:
-    """({"workload/seed": {metric: count}}, [(mix key, problems)]) of cycle 0
-    of every workload at ``seed``, run through ``cli.main`` with the layer
-    tracer installed: only in a process of its own, as the tracer cannot be
+    """({"workload/seed": {metric: count}}, [(mix key, problems)],
+    {"workload/seed": {"job index mix key": digest}}) of cycle 0 of every
+    workload at ``seed``, run through ``cli.main`` with the layer tracer
+    installed: only in a process of its own, as the tracer cannot be
     uninstalled.  The list names every job that exited nonzero or failed its
     own benchmark check."""
     checks, tracer_module, workloads = _perfbench()
@@ -88,19 +117,22 @@ def collect(seed: int) -> tuple:
 
     tracer = tracer_module.Tracer()
     tracer.install()  # replaces cli.main: read it from the module
-    out, failures = {}, []
+    out, failures, digests = {}, [], {}
     with tempfile.TemporaryDirectory() as tmp:
         config, result = Path(tmp) / "config.json", Path(tmp) / "out"
         for name in WORKLOADS:
             tracer.spans.clear()  # in place: the installed wrappers hold these two
             tracer.counts.clear()
             written = inexact = failed = 0
-            for job in workloads.Workload(name, seed).cycle(0):
+            jobs = digests[f"{name}/{seed}"] = {}
+            for index, job in enumerate(workloads.Workload(name, seed).cycle(0)):
                 if job.config is not None:
                     config.write_text(job.config_text(), encoding="utf-8")
                 shutil.rmtree(result, ignore_errors=True)
                 outcome = checks.Outcome()
-                if cli.main(job.argv(config, result)) == 0:
+                code = cli.main(job.argv(config, result))
+                jobs[f"{index:03d} {job.mix_key()}"] = _digest(code, result)
+                if code == 0:
                     job.check(result, outcome)
                 else:
                     outcome.fail("nonzero exit")
@@ -117,28 +149,54 @@ def collect(seed: int) -> tuple:
             for span, calls in collections.Counter(s[2] for s in tracer.spans).items():
                 counts.setdefault(f"{span}.calls", calls)
             out[f"{name}/{seed}"] = dict(sorted(counts.items()))
-    return out, failures
+    return out, failures, digests
 
 
-def test_the_benchmark_counts_are_pinned():
-    """One forked process per seed, each with the modules this one has
-    already imported, runs ``collect`` and is discarded with its tracer.
-    Forking is safe only from a process that runs one thread; a fresh
-    interpreter per seed would import scipy and the benchmark again."""
+@pytest.fixture(scope="module")
+def collected() -> tuple:
+    """``collect`` at every seed, merged.  One forked process per seed, each
+    with the modules this one has already imported, runs it and is discarded
+    with its tracer.  Forking is safe only from a process that runs one
+    thread; a fresh interpreter per seed would import scipy and the
+    benchmark again."""
     assert threading.active_count() == 1
     _perfbench()
     with multiprocessing.get_context("fork").Pool(len(SEEDS), maxtasksperchild=1) as pool:
         parts = pool.map(collect, SEEDS)
-    assert [failure for _, failures in parts for failure in failures] == []
-    got = {key: counts for part, _ in parts for key, counts in part.items()}
-    pinned = json.loads(COUNTS.read_text(encoding="utf-8"))
-    assert sorted(got) == sorted(pinned)
-    for key, counts in pinned.items():
-        want = dict(counts)
-        for metric, (old, new, _) in MOVED.get(key, {}).items():
-            assert want[metric] == old, (key, metric)
-            want[metric] = new
-        assert got[key] == want, key
+    counts, failures, digests = {}, [], {}
+    for part_counts, part_failures, part_digests in parts:
+        counts.update(part_counts)
+        failures += part_failures
+        digests.update(part_digests)
+    return counts, failures, digests
+
+
+def _pinned(path: Path, moved: dict) -> dict:
+    """The pinned file at ``path``, with the moves in ``moved`` applied once
+    each is checked to start from the pinned value."""
+    pinned = json.loads(path.read_text(encoding="utf-8"))
+    for key, moves in moved.items():
+        for name, (old, new, _) in moves.items():
+            assert pinned[key][name] == old, (key, name)
+            pinned[key][name] = new
+    return pinned
+
+
+def test_the_benchmark_counts_are_pinned(collected):
+    counts, failures, _ = collected
+    assert failures == []
+    pinned = _pinned(COUNTS, MOVED)
+    assert sorted(counts) == sorted(pinned)
+    for key, want in pinned.items():
+        assert counts[key] == want, key
+
+
+def test_every_benchmark_output_is_pinned(collected):
+    _, _, digests = collected
+    pinned = _pinned(OUTPUTS, MOVED_OUTPUTS)
+    assert {key: sorted(jobs) for key, jobs in digests.items()} == {key: sorted(jobs) for key, jobs in pinned.items()}
+    moved = [f"{key} {job}" for key, jobs in pinned.items() for job, want in jobs.items() if digests[key][job] != want]
+    assert moved == []
 
 
 if __name__ == "__main__":

@@ -155,6 +155,40 @@ def test_full_exterior_search_matches_boundary_when_monotone():
     assert b2 == pytest.approx(b1, abs=1e-9)
 
 
+def _no_family(n):
+    raise AssertionError("a design built a bundle before reading boundary_only")
+
+
+# each entry that takes boundary_only, with other arguments that fail the
+# moment the entry reads or uses them
+_BOUNDARY_ONLY_ENTRIES = {
+    "bias_in_favor_h": lambda flag: bias_in_favor_h(locnormal(5, 0.0, 1.0), math.nan, -0.5, boundary_only=flag),
+    "bias_in_favor_e": lambda flag: bias_in_favor_e(locnormal(5, 0.0, 1.0), -0.5, boundary_only=flag),
+    "hypothesis_bias": lambda flag: hypothesis_bias(locnormal(5, 0.0, 1.0), math.nan, -0.5, boundary_only=flag),
+    "estimation_bias": lambda flag: estimation_bias(locnormal(5, 0.0, 1.0), 0.5, method="none", boundary_only=flag),
+    "design_sample_size": lambda flag: design_sample_size(_no_family, 0.0, 0.5, {"max_bias_against": 0.5}, [5],
+                                                          boundary_only=flag),
+}
+
+
+@pytest.mark.parametrize("value, shown", [("no", "'no'"), ("False", "'False'"), (0, "0"), (1, "1"), (0.0, "0.0"),
+                                          (None, "None"), (np.int64(1), "1")])
+@pytest.mark.parametrize("entry", sorted(_BOUNDARY_ONLY_ENTRIES))
+def test_boundary_only_is_a_bool_read_before_any_work(entry, value, shown):
+    # "no" ran as True, and 0 and None were taken by their truth value
+    with pytest.raises(DomainError, match=f"^boundary_only must be a bool, got {shown}$"):
+        _BOUNDARY_ONLY_ENTRIES[entry](value)
+
+
+def test_a_numpy_bool_is_a_boundary_only():
+    bundle = locnormal(20, 1.0, 1.0)
+    for flag in (False, True):
+        numpy_flag = np.bool_(flag)
+        assert bias_in_favor_e(bundle, 0.5, boundary_only=numpy_flag) == bias_in_favor_e(bundle, 0.5, boundary_only=flag)
+        assert bias_in_favor_h(bundle, 0.0, 0.5, boundary_only=numpy_flag) == bias_in_favor_h(bundle, 0.0, 0.5,
+                                                                                                boundary_only=flag)
+
+
 # -- estimation bias --------------------------------------------------------------
 
 

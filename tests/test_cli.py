@@ -597,6 +597,54 @@ def test_wrong_json_types_never_escape_main(tmp_path, command, config, kind, pat
         assert code == 2, (path, value)
 
 
+# (FUZZ index, path, the message when a bool stands at that path)
+WRONG_VALUES = [
+    (4, "bundle.likelihood.1.0", "bundle.likelihood[1][0] must be a finite real number, got True"),
+    (4, "bundle.psi_of_theta.0", "'bundle.psi_of_theta[0]' must be a string or an integer, got True"),
+    (3, "data.sample.2", "data.sample[2] must be a whole number, got True"),
+    (4, "data.outcome", "'data.outcome' must be a string or an integer, got True"),
+    (9, "n_grid.1", "n_grid[1] must be a whole number, got True"),
+    (5, "psi0", "psi0 must be a finite real number, got True"),
+    (6, "psi0", "'psi0' must be a string or an integer, got True"),
+    (0, "discretization.delta", "discretization: delta must be a finite real number, got True"),
+    (0, "discretization.range", "discretization: range must be a (lo, hi) pair"),
+    (7, "mc.n_sim", "mc: n_sim must be a whole number, got True"),
+]
+
+
+@pytest.mark.parametrize("case, path, message", WRONG_VALUES, ids=[f"{case}-{path}" for case, path, _ in WRONG_VALUES])
+def test_a_wrong_value_names_its_path(tmp_path, capsys, case, path, message):
+    # a bool in place of the value at ``path`` in FUZZ[case]: a list entry is
+    # named by its index, a discretization or mc value by its section
+    command, config, _ = FUZZ[case]
+    assert run(tmp_path, _replaced(config, path, True), command)[0] == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_a_wrong_value_is_shown_abridged(tmp_path, capsys):
+    # a 20,000-entry object where a list or a label belongs was echoed whole
+    # (269 KB of stderr)
+    command, config, _ = FUZZ[4]
+    big = {str(i): 0.5 for i in range(20_000)}
+    for path in ("bundle.prior", "data.outcome"):
+        assert run(tmp_path, _replaced(config, path, big), command)[0] == 2
+        assert len(capsys.readouterr().err) < 200
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [{"delta": 0.1, "range": [-1e308, 1e308]}, {"delta": 0.1, "range": [-1e308, 1.0], "anchor": 0.0},
+     {"delta": 1e-300, "range": [0.0, 1.0]}],
+    ids=["overflow", "anchored-overflow", "too-many"],
+)
+def test_a_grid_whose_cell_count_overflows_exits_3(tmp_path, capsys, grid):
+    # these raised OverflowError or numpy's ValueError, a traceback (exit 1)
+    code, out = run(tmp_path, {"bundle": LOCNORMAL_4, "data": {"xbar": 0.3}, "discretization": grid}, "analyze")
+    assert code == 3
+    assert "cells" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def _float_fields():
     for case in _fuzz_cases():
         command, config, kind, path = case.values

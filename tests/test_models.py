@@ -825,6 +825,29 @@ def test_discretization_validation():
         Discretization(delta=0.1, range=(2.0, 1.0))
 
 
+@pytest.mark.parametrize("value", [(1.0, 2.0, 3.0), (1.0,), 5, [], {"lo": 1.0}, "ab"],
+                         ids=["three", "one", "int", "empty", "dict", "str"])
+def test_a_range_that_is_no_pair_is_a_domain_error(value):
+    # three entries and one raised ValueError, and an int TypeError
+    with pytest.raises(DomainError, match=re.escape("range must be a (lo, hi) pair")):
+        Discretization(delta=0.1, range=value)
+    assert Discretization(delta=0.1, range=[1, 2.0]).range == (1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "disc, named",
+    [(Discretization(delta=0.1, range=(-1e308, 1e308)), "delta 0.1 on the range [-1e+308, 1e+308]"),
+     (Discretization(delta=0.1, range=(-1e308, 1.0), anchor=0.0), "delta 0.1 on the range [-1e+308, 1.0]"),
+     (Discretization(delta=1e-300, range=(0.0, 1.0)), "delta 1e-300 on the range [0.0, 1.0]")],
+    ids=["overflow", "anchored-overflow", "too-many"],
+)
+def test_a_grid_whose_cell_count_overflows_is_a_domain_error(disc, named):
+    # the first two raised OverflowError from math.ceil, the third numpy's
+    # ValueError "Maximum allowed size exceeded"
+    with pytest.raises(DomainError, match=re.escape(named) + f" makes more than {np.iinfo(np.intp).max // 8} cells"):
+        build_cells(disc, (0.0, 1.0))
+
+
 def test_build_cells_partitions_range():
     disc = Discretization(delta=0.25)
     edges, anchor = build_cells(disc, (0.0, 2.0))
