@@ -17,12 +17,13 @@ One engine computes them all over the per-bundle primitive of
 the bundle's exact region probability, of a point or of a cell (normal-CDF
 windows in the location-normal model, enumeration over counts and finite
 tables); under ``mc`` it is seeded Monte Carlo.  An estimation bias is one
-path over three bundle methods: ``supremum`` for the worst case,
-``prior_mean`` for the averages and ``favor_sup`` for the function the
-average bias in favor integrates.  Under ``auto`` and ``exact``
-an average is exact wherever the bundle has a prior rule (the beta-binomial
-model has none yet, so its averages are drawn); under ``mc`` every average
-is drawn from the prior predictive and every supremum is still exact.
+path over four bundle methods: ``failure`` and ``favor_sup`` for the
+functions the biases against and in favor take, ``supremum`` for the worst
+case and ``prior_mean`` for the averages.  Under ``auto`` and ``exact`` every
+average is the bundle's exact prior rule, and nothing is drawn (a
+beta-binomial estimation on a grid has no exact rule and is refused); under
+``mc`` every average is drawn from the prior predictive and every supremum is
+still computed.
 Replications are laid out by index in a dedicated substream, so estimates do
 not depend on evaluation order or thread count.
 """
@@ -194,12 +195,11 @@ def _worst_case(bundle, psi0, cases, disc, mc, how, against: bool) -> BiasCompon
 
 
 def _average(bundle, g, how: str, drawn: Callable[[], Tuple[float, float]], smooth: bool) -> BiasComponent:
-    """The exact prior mean of ``g``, or the (estimate, standard error) of
-    ``drawn()`` when ``mc`` was asked for or the bundle has no prior rule."""
-    value = None if how == MONTE_CARLO else bundle.prior_mean(g, smooth)
-    if value is None:
+    """The exact prior mean of ``g``, or, when ``mc`` was asked for, the
+    (estimate, standard error) of ``drawn()``."""
+    if how == MONTE_CARLO:
         return BiasComponent(*drawn(), method=MONTE_CARLO)
-    return BiasComponent(value=min(value, 1.0), se=0.0, method=EXACT)
+    return BiasComponent(value=min(bundle.prior_mean(g, smooth), 1.0), se=0.0, method=EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -288,24 +288,24 @@ def bias_against_e(
     """Average and worst-case prior probability that the plausible region
     misses the true value.  Returns (average, supremum).
 
-    The supremum is always exact, of the point or of the anchored cell; a
-    finite model refuses a discretization, as its labels have no cells.  The
-    average is exact under ``auto``/``exact`` where the bundle has a prior
-    rule; otherwise it is the share of (true value, statistic) pairs drawn
-    from the prior predictive whose ratio at the true value is at most 1.
+    The supremum is computed under every method, of the point or of the
+    anchored cell; a finite model refuses a discretization, as its labels
+    have no cells.  The average is exact under ``auto``/``exact``; under
+    ``mc`` it is the share of (true value, statistic) pairs drawn from the
+    prior predictive whose ratio at the true value is at most 1.
     """
     how = _resolve_method(method)
     _check_grid(disc)
     mc = mc or McConfig()
 
-    g = lambda psi: bundle.region_prob(psi, psi, disc, against=True)
-    sup = BiasComponent(value=bundle.supremum(g), se=0.0, method=EXACT)
+    g = bundle.failure(disc)
 
     def drawn():
         psi, t = bundle.sample_joint(substream(mc.seed, "bias-against-e-avg"), mc.n_sim)
         return _mc_probability(bundle.log_rb(psi, t, disc) <= 0.0)
 
-    return _average(bundle, g, how, drawn, smooth=True), sup
+    avg = _average(bundle, g, how, drawn, smooth=True)  # first: a refused average skips the supremum
+    return avg, BiasComponent(value=bundle.supremum(g), se=0.0, method=EXACT)
 
 
 def bias_in_favor_e(
@@ -320,9 +320,9 @@ def bias_in_favor_e(
     of a value that is meaningfully false (at least ``delta`` away).
 
     The worst case at each value is exact, of the point or of the anchored
-    cell; its prior average is exact under ``auto``/``exact`` where the
-    bundle has a prior rule, else the mean over seeded prior draws.  A finite
-    model refuses a discretization, as its labels have no cells.
+    cell; its prior average is exact under ``auto``/``exact``, and the mean
+    over seeded prior draws under ``mc``.  A finite model refuses a
+    discretization, as its labels have no cells.
     """
     boundary_only = _bool_arg(boundary_only, "boundary_only")
     delta = _real_arg(delta, "delta", 0.0)

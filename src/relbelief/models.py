@@ -6,7 +6,9 @@ Three builtin bundles cover the package's needs:
   a conjugate normal prior on the mean.  Everything downstream (profiles,
   biases, conflict checks) has an exact normal-CDF path.
 * :class:`BetaBinomialBundle` -- binomial counts with a conjugate beta prior.
-  The data space is finite, so biases and checks are exact by enumeration.
+  The data space is finite, so biases and checks are exact by enumeration,
+  and prior averages by the pieces between the rates where a count's ratio
+  crosses 1.
 * :class:`FiniteBundle` -- a fully tabulated model (prior vector, likelihood
   table, interest map).  Every quantity is computable by exact enumeration,
   which makes it the reference oracle for the rest of the package.
@@ -22,10 +24,11 @@ it or its anchored cell falls below the prior-content floor), ``log_rb``
 statistic values), ``region_prob`` (the exact probability that this ratio is
 at most or at least 1 under each true value, for a point and for a cell
 alike), ``alternatives`` (the true values a bias in favor ranges over, with
-their Monte Carlo stream keys), the samplers, and three estimation methods:
-``supremum(g)``, ``prior_mean(g, smooth)`` (``None`` where the bundle has no
-exact rule yet) and ``favor_sup(delta, disc, boundary_only)`` (the function
-whose prior mean is the average bias in favor).  The two continuous bundles
+their Monte Carlo stream keys), the samplers, and four estimation methods:
+``supremum(g)``, ``prior_mean(g, smooth)``, ``failure(disc)`` (the function
+whose supremum and prior mean are the estimation biases against) and
+``favor_sup(delta, disc, boundary_only)`` (the function whose prior mean is
+the average bias in favor).  The two continuous bundles
 share one ``region_prob``, ``alternatives`` and ``favor_sup``, built in
 :class:`_ContinuousBundle` over a private primitive of each: the favor region
 of a hypothesized value, {statistic : ratio >= 1}, and its probability.
@@ -49,7 +52,7 @@ import numpy as np
 import scipy  # scipy.integrate and scipy.optimize load on first use, which post-data jobs never reach
 from scipy import special
 
-from .errors import DomainError, _real_arg, _whole_arg
+from .errors import DomainError, _bool_arg, _real_arg, _whole_arg
 
 # Cells whose prior content falls below this are excluded from inference, and
 # a hypothesized value whose cell (or label) falls below it is refused.  Prior
@@ -64,9 +67,11 @@ QUAD_DOUBLING_RTOL = 1e-6
 # Gauss-Hermite node counts tried in turn: the first doubling within
 # QUAD_DOUBLING_RTOL is accepted.  hermegauss(512) returns NaN weights.
 _QUAD_NODES = (64, 128, 256)
-# Newton steps allowed to the offset of a location-normal cell's favor window;
-# from its start each offset takes a few, and halves its distance to a root
-# near 0 at worst, so no offset reaches this.
+# Steps allowed to each vectorized root search: Newton's method for the offset
+# of a location-normal cell's favor window and for the beta-binomial
+# breakpoints, the Illinois method for where two favor sides cross.  From its
+# start each root takes a few, and a window offset halves its distance to a
+# root near 0 at worst, so no root reaches this.
 _WINDOW_NEWTON_CAP = 100
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # A Newton step below this share of the offset ends its steps: the error left
@@ -207,9 +212,11 @@ def _edge_cells(upper, cdf, sf):
 # ---------------------------------------------------------------------------
 # discretization
 
-# The longest 8-byte array numpy can represent: the bound on a grid's cells
-# and on the trials of a beta-binomial model.
+# The longest 8-byte array numpy can represent: the bound on a grid's cells.
 _MAX_ARRAY_LEN = np.iinfo(np.intp).max // 8
+# The most trials a beta-binomial model takes: its count tables hold n + 1
+# entries each, and an estimation bias solves 2 (n + 1) breakpoints.
+_MAX_TRIALS = 10**6
 
 
 @dataclass(frozen=True)
@@ -477,6 +484,7 @@ class _ContinuousBundle:
     def alternatives(self, psi0, delta: float, boundary_only: bool = True, disc: Optional[Discretization] = None):
         """(stream key, true value) pairs for the bias in favor of ``psi0``:
         its ``_candidates``, numbered after any are dropped."""
+        boundary_only = _bool_arg(boundary_only, "boundary_only")
         if np.ndim(psi0) == 0:
             psi0 = float(psi0)
         region = None if boundary_only else self._region(psi0, disc)
@@ -489,6 +497,7 @@ class _ContinuousBundle:
         bit.  The favor region is built once per value, or once per block of
         an array: a block spans at most ``_BLOCK_CELLS`` statistic cells.  A
         float takes no array of its own."""
+        boundary_only = _bool_arg(boundary_only, "boundary_only")
 
         def worst(p0):
             region = self._region(p0, disc)
@@ -504,6 +513,13 @@ class _ContinuousBundle:
             return np.concatenate([worst(psi0[start:start + rows]) for start in range(0, len(psi0), rows)])
 
         return g
+
+    def failure(self, disc: Optional[Discretization] = None):
+        """``g(psi)``: the exact probability that the ratio at ``psi`` (a value
+        or an array; of the point, or of the cell anchored there) is <= 1 when
+        ``psi`` is true, the function whose supremum and prior mean are the
+        estimation biases against."""
+        return lambda psi: self.region_prob(psi, psi, disc, against=True)
 
     def supremum(self, g) -> float:
         """Largest value of the vectorized ``g`` on the interest range: the
@@ -972,16 +988,123 @@ def _binomial(rng: np.random.Generator, n: int, p: float, size) -> np.ndarray:
     return np.subtract(n, counts, out=counts) if flip else counts
 
 
+def _ratio_root(k, m, c) -> np.ndarray:
+    """For arrays with k >= 1 and m >= 0, the root u <= log(k / (k + m)) of
+    f(u) = k u + m log1p(-e^u) + c, which must exist: the left root of a
+    function concave in u, with its maximum at log(k / (k + m)).
+
+    As log1p(-e^u) <= 0, f(u) <= k u + c, so f is <= 0 at u0 = -c / k, left
+    of the root.  Newton's method from there rises to the root monotonically,
+    the tangents of a concave function lying above it; each entry stops once
+    its step is below ``_NEWTON_RTOL`` of it."""
+    u = np.minimum(-c / k, np.log(k / (k + m)))
+    todo = np.arange(u.size)
+    for _ in range(_WINDOW_NEWTON_CAP):
+        if not todo.size:
+            break
+        v, kk, mm = u[todo], k[todo], m[todo]
+        f = kk * v + mm * np.log1p(-np.exp(v)) + c[todo]
+        nxt = v - f / (kk - mm / np.expm1(-v))  # f'(u) = k - m e^u / (1 - e^u)
+        u[todo] = np.fmax(nxt, v)  # no step back, and none to NaN
+        todo = todo[nxt - v > _NEWTON_RTOL * np.abs(v)]
+    return u
+
+
+# Gauss nodes per sub-piece of an exact beta-binomial prior average; every
+# sub-piece is summed at this many nodes and at twice as many, and split in
+# half until the two sums differ by at most _PIECE_TOL, or _PIECE_SPLITS times.
+_PIECE_NODES = 10
+_PIECE_TOL = 1e-13
+_PIECE_SPLITS = 40
+# Breakpoints closer than this share of their rate tie: two counts cross a
+# ratio of 1 at one rate.
+_TIE_RTOL = 1e-12
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_rule(nodes: int, a: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Jacobi nodes and log weights for the weight
+    (1 - t)^a (1 + t)^b on [-1, 1] (Gauss-Legendre at a = b = 0)."""
+    t, w = special.roots_jacobi(nodes, a, b)
+    log_w = np.log(w)
+    t.setflags(write=False)
+    log_w.setflags(write=False)
+    return t, log_w
+
+
+@np.errstate(divide="ignore")  # a sub-piece whose half-width underflows to 0 takes weight 0
+def _beta_sums(f, lo, hi, alpha: float, beta: float, nodes: int) -> np.ndarray:
+    """Gauss sums of ``f`` times the Beta(alpha, beta) density over each
+    [lo, hi] of two arrays, at ``nodes`` nodes: Gauss-Legendre inside (0, 1),
+    and on a sub-piece ending at 0 (or 1) Gauss-Jacobi against the density's
+    power of the rate (or of 1 - rate), so alpha or beta below 1 converges."""
+    log_b = special.betaln(alpha, beta)
+    x, log_w = np.empty((lo.size, nodes)), np.empty((lo.size, nodes))
+    left, right = lo == 0.0, hi == 1.0
+    inner = ~(left | right)
+    if inner.any():
+        t, log_gw = _gauss_rule(nodes, 0.0, 0.0)
+        half = 0.5 * (hi[inner] - lo[inner])[:, None]
+        x[inner] = lo[inner, None] + half * (1.0 + t)
+        log_w[inner] = log_gw + np.log(half) + (alpha - 1.0) * np.log(x[inner]) + (beta - 1.0) * np.log1p(-x[inner])
+    if left.any():  # rate = hi (1 + t) / 2
+        t, log_gw = _gauss_rule(nodes, 0.0, alpha - 1.0)
+        half = 0.5 * hi[left, None]
+        x[left] = half * (1.0 + t)
+        log_w[left] = log_gw + alpha * np.log(half) + (beta - 1.0) * np.log1p(-x[left])
+    if right.any():  # 1 - rate = (1 - lo) (1 - t) / 2
+        t, log_gw = _gauss_rule(nodes, beta - 1.0, 0.0)
+        half = 0.5 * (1.0 - lo[right, None])
+        x[right] = 1.0 - half * (1.0 - t)
+        log_w[right] = log_gw + beta * np.log(half) + (alpha - 1.0) * np.log(x[right])
+    return (np.exp(log_w - log_b) * f(x)).sum(axis=1)
+
+
+def _beta_mean(f, edges, alpha: float, beta: float) -> float:
+    """Mean of the vectorized ``f`` under the Beta(alpha, beta) prior, ``f``
+    smooth between consecutive ``edges`` (sorted, from 0 to 1).  Each
+    sub-piece takes :func:`_beta_sums` at ``_PIECE_NODES`` and at twice as
+    many nodes, and is split in half until the two differ by at most
+    ``_PIECE_TOL``: a kink the edges miss costs splits, not accuracy.  At most
+    ``_BLOCK_CELLS`` nodes are evaluated at once."""
+    lo, hi = edges[:-1], edges[1:]
+    rows = max(1, _BLOCK_CELLS // (2 * _PIECE_NODES))
+    total = 0.0
+    for split in range(_PIECE_SPLITS + 1):
+        parts = [
+            [_beta_sums(f, lo[i:i + rows], hi[i:i + rows], alpha, beta, k * _PIECE_NODES) for k in (1, 2)]
+            for i in range(0, lo.size, rows)
+        ]
+        coarse, fine = (np.concatenate(sums) for sums in zip(*parts))
+        open_ = np.abs(fine - coarse) > _PIECE_TOL
+        if split == _PIECE_SPLITS:
+            open_[:] = False
+        total += fine[~open_].sum()
+        lo, hi = lo[open_], hi[open_]
+        if not lo.size:
+            break
+        # near an end of (0, 1) the density's power of the distance to it
+        # varies on the scale of that distance: split at the geometric middle
+        # in the rate, or in 1 - rate, where the ends differ by a factor of 4
+        with np.errstate(divide="ignore"):
+            mid = np.where((lo > 0.0) & (hi > 4.0 * lo), np.exp(0.5 * (np.log(lo) + np.log(hi))),
+                           np.where((hi < 1.0) & (1.0 - lo > 4.0 * (1.0 - hi)),
+                                    -np.expm1(0.5 * (np.log1p(-lo) + np.log1p(-hi))), 0.5 * (lo + hi)))
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    return float(total)
+
+
 class BetaBinomialBundle(_ContinuousBundle):
     """Binomial counts with a conjugate beta prior on the success rate."""
 
     kind = "beta_binomial"
+    # the grid the supremum over a cell's failure probability, which has no
+    # breakpoints, is searched on (a grid estimation is Monte Carlo only)
     _sup_grid = (0.5, 0.5 - 1e-6, 201)
     _support = (0.0, 1.0)
 
     def __init__(self, n: int, alpha: float, beta: float):
-        # the n + 1 counts 0..n must fit an array of 8-byte entries
-        self.n = _whole_arg(n, "number of trials n", 1, _MAX_ARRAY_LEN)
+        self.n = _whole_arg(n, "number of trials n", 1, _MAX_TRIALS + 1)
         self.alpha = _real_arg(alpha, "alpha", 0.0)
         self.beta = _real_arg(beta, "beta", 0.0)
         self._counts = np.arange(self.n + 1)
@@ -1095,14 +1218,179 @@ class BetaBinomialBundle(_ContinuousBundle):
         k2 = self.n - np.argmax(favor[..., ::-1], axis=-1)
         if np.any(np.count_nonzero(favor, axis=-1) != k2 - k1 + 1):
             raise DomainError("the counts in favor of a hypothesized rate are not one interval")
+        return self._mode(k1, k2)
+
+    def _mode(self, k1, k2):
+        """The rate where P(k1 <= S <= k2) peaks (arrays of counts)."""
         # C(n-1, k1-1) / C(n-1, k2) = k1 C(n, k1) / ((n - k2) C(n, k2))
         with np.errstate(divide="ignore", invalid="ignore"):
             log_odds = np.log(k1) + self._log_binom[k1] - np.log(self.n - k2) - self._log_binom[k2]
-        return np.where(k1 == 0, 0.0, special.expit(log_odds / (k2 - k1 + 1)))
+        return np.where(k1 == 0, 0.0, special.expit(log_odds / np.maximum(k2 - k1 + 1, 1)))
 
-    def prior_mean(self, g, smooth: bool) -> None:
-        """No exact prior rule yet: averages over the beta prior are drawn."""
-        return None
+    def _count_prob(self, k1, k2, theta):
+        """P(k1 <= S <= k2) at the rates ``theta`` in [0, 1] (broadcast)."""
+        below = special.bdtr(np.maximum(k1 - 1, 0), self.n, theta)
+        return special.bdtr(k2, self.n, theta) - np.where(k1 > 0, below, 0.0)
+
+    @functools.cached_property
+    def _breakpoints(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(r1, r2, 1 - r2): for each count s, the rates between which its
+        point ratio is >= 1, one interval as the log ratio
+        s log(rate) + (n - s) log1p(-rate) + c_s is concave in the rate.  The
+        left ends are solved in log(rate), the right ones in log(1 - rate), by
+        :func:`_ratio_root`; count 0 is in favor down to rate 0, count n up
+        to 1.
+
+        The counts in favor at one rate are one interval too, the log ratio
+        being concave in the count.  It holds 0 near rate 0 and n near 1, and
+        changes one count at a time, so every count enters it, and both ends
+        rise with the count.  A count whose ratio, as computed, never exceeds
+        1 keeps the empty interval at its mode s / n, and two ends that tie
+        keep their order, which rounding could reverse by an ulp."""
+        n, s = self.n, self._counts
+        c = special.betaln(self.alpha, self.beta) - self._log_beta_post
+        mode = s / n
+        # the log ratio at its mode: the count is in favor somewhere
+        found = special.xlogy(s, mode) + special.xlog1py(n - s, -mode) + c > 0.0
+        lo, tail = mode.copy(), 1.0 - mode
+        left, right = found & (s > 0), found & (s < n)
+        lo[left] = np.exp(_ratio_root(s[left], n - s[left], c[left]))
+        lo[0], tail[n] = 0.0, 0.0
+        hi = 1.0 - tail
+        v = _ratio_root(n - s[right], s[right], c[right])
+        tail[right], hi[right] = np.exp(v), -np.expm1(v)
+        return np.maximum.accumulate(lo), np.maximum.accumulate(hi), tail
+
+    @functools.cached_property
+    def _pieces(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cuts, k1, k2): the rates 0 < ... < 1 where the counts in favor of
+        the point change (the breakpoints), and the interval [k1, k2] of
+        counts in favor between consecutive cuts: those whose favor interval
+        has begun and not ended there."""
+        lo, hi, _ = self._breakpoints
+        cuts = np.unique(np.concatenate((lo, hi)))
+        mid = 0.5 * (cuts[:-1] + cuts[1:])
+        return cuts, np.searchsorted(hi, mid), np.searchsorted(lo, mid) - 1
+
+    def failure(self, disc: Optional[Discretization] = None):
+        """``g`` of :meth:`_ContinuousBundle.failure`, marked with ``disc``
+        for :meth:`supremum` and :meth:`prior_mean`."""
+        g = super().failure(disc)
+        g.disc, g.favor = disc, None
+        return g
+
+    def favor_sup(self, delta: float, disc: Optional[Discretization] = None, boundary_only: bool = True):
+        """``g`` of :meth:`_ContinuousBundle.favor_sup`, marked with ``disc``
+        and ``favor`` = (delta, boundary_only) for :meth:`prior_mean`."""
+        g = super().favor_sup(delta, disc, boundary_only)
+        g.disc, g.favor = disc, (delta, bool(boundary_only))
+        return g
+
+    def supremum(self, g) -> float:
+        """Largest value of the failure probability ``g`` (from
+        :meth:`failure`).  For the point it is exact: between breakpoints the
+        counts in favor are a fixed [k1, k2], and P(k1 <= S <= k2) is
+        unimodal in the rate (see :meth:`_peak`), so the failure probability
+        peaks at an end of its piece; the supremum is the largest one-sided
+        limit at a piece end.  At a breakpoint a count's ratio is exactly 1, a
+        tie, which counts as a failure: there only the counts in favor on both
+        sides succeed.  Pieces narrower than ``_TIE_RTOL`` of their end lie
+        between breakpoints that tie (at n = 1 the two counts always do), and
+        are dropped, so their counts tie at one point.  A cell's failure
+        probability has no breakpoints here, and keeps the grid search."""
+        if g.disc is not None:
+            return super().supremum(g)
+        cuts, k1, k2 = self._pieces
+        keep = np.diff(cuts) > _TIE_RTOL * cuts[1:]
+        k1, k2 = k1[keep], k2[keep]
+        at = np.concatenate(([0.0], cuts[1:][keep][:-1], [1.0]))
+        k1 = np.concatenate((k1[:1], np.maximum(k1[:-1], k1[1:]), k1[-1:]))
+        k2 = np.concatenate((k2[:1], np.minimum(k2[:-1], k2[1:]), k2[-1:]))
+        return float(np.max(1.0 - np.maximum(self._count_prob(k1, k2, at), 0.0)))  # none in favor: 1
+
+    def prior_mean(self, g, smooth: bool) -> float:
+        """Exact prior expectation of the failure probability or of the
+        largest favor probability ``g`` of the point (from :meth:`failure` or
+        :meth:`favor_sup`; ``smooth`` is not read).  A cell's counts in favor
+        have no breakpoints here, so ``g`` of a cell is refused."""
+        if g.disc is not None:
+            raise DomainError("a beta-binomial estimation bias has no exact rule on a discretization "
+                              "(its cell ratios have no breakpoints): method 'mc' takes a discretization")
+        return self._mean_failure() if g.favor is None else self._mean_favor(*g.favor)
+
+    def _mean_failure(self) -> float:
+        """Average bias against, in closed form: the failure probability's
+        prior mean is sum_s m(s) Post_s(rate outside [r1(s), r2(s)]), with m
+        the prior predictive and Post_s the Beta(alpha + s, beta + n - s)
+        posterior."""
+        lo, _, tail = self._breakpoints
+        a, b = self.posterior_params(self._counts)
+        outside = special.betainc(a, b, lo) + special.betainc(b, a, tail)
+        return float(np.dot(np.exp(self.log_predictive()), outside))
+
+    def _mean_favor(self, delta: float, boundary_only: bool) -> float:
+        """Average bias in favor: the prior mean of the largest favor
+        probability over the candidates of each rate (:meth:`_candidates`).
+        On a piece between breakpoints the counts in favor [k1, k2], and so
+        their mode, are fixed; the function is smooth between the further
+        cuts where a candidate enters or leaves the support (delta, 1 - delta)
+        or the exterior search (mode -+ delta), and where the sides at
+        rate -+ delta cross.  P(k1 <= S <= k2) is log-concave in the rate, as
+        the probability of the convex set {U(k1) <= rate < U(k2 + 1)} under
+        the log-concave law of two uniform order statistics; so the log ratio
+        of the two sides rises in the rate, and crosses 0 at most once, within
+        mode -+ delta.  It is solved by the Illinois method."""
+        cuts, k1, k2 = self._pieces
+        mode = self._mode(k1, k2)
+        at_mode = self._count_prob(k1, k2, mode)
+
+        def sides(piece, theta):
+            return (self._count_prob(k1[piece], k2[piece], np.clip(theta + step, 0.0, 1.0)) for step in (-delta, delta))
+
+        def g(theta):
+            piece = np.searchsorted(cuts, theta, side="right") - 1
+            best = np.zeros(theta.shape)
+            for step, prob in zip((-delta, delta), sides(piece, theta)):
+                best = np.where((0.0 < theta + step) & (theta + step < 1.0), np.fmax(best, prob), best)
+            if not boundary_only:
+                peak = mode[piece]
+                side = np.where(peak <= 0.0, theta - delta, np.where(peak >= 1.0, theta + delta, peak))
+                reach = (np.abs(peak - theta) >= delta) & (0.0 < side) & (side < 1.0)
+                best = np.where(reach, np.fmax(best, at_mode[piece]), best)
+            return best
+
+        extra = [np.array([delta, 1.0 - delta])]
+        if not boundary_only:
+            extra += [mode - delta, mode + delta]
+        lo = np.maximum(np.maximum(cuts[:-1], mode - delta), delta)
+        hi = np.minimum(np.minimum(cuts[1:], mode + delta), 1.0 - delta)
+        pieces = np.flatnonzero(lo < hi)
+        extra.append(self._crossings(lambda j, t: np.subtract(*sides(j, t)), pieces, lo[pieces], hi[pieces]))
+        edges = np.concatenate([cuts, *extra])
+        edges = np.unique(edges[(0.0 < edges) & (edges < 1.0)])
+        return _beta_mean(g, np.concatenate(([0.0], edges, [1.0])), self.alpha, self.beta)
+
+    @staticmethod
+    def _crossings(diff, pieces, lo, hi) -> np.ndarray:
+        """The roots in (lo, hi) of ``diff(pieces, rate)``, which rises
+        through 0 at most once there (arrays): by the Illinois method, where
+        ``diff`` changes sign."""
+        d_lo, d_hi = diff(pieces, lo), diff(pieces, hi)
+        keep = (d_lo < 0.0) & (d_hi > 0.0)
+        pieces, lo, hi, d_lo, d_hi = pieces[keep], lo[keep], hi[keep], d_lo[keep], d_hi[keep]
+        moved = np.zeros(lo.shape)  # the end the last step moved: -1 lo, +1 hi
+        for _ in range(_WINDOW_NEWTON_CAP):
+            if not np.any(hi - lo > 4.0 * np.spacing(hi)):
+                break
+            x = np.clip(hi - d_hi * (hi - lo) / (d_hi - d_lo), lo, hi)
+            d = diff(pieces, x)
+            up = d < 0.0
+            d_hi = np.where(up & (moved < 0.0), 0.5 * d_hi, d_hi)  # Illinois: halve the end kept twice
+            d_lo = np.where(~up & (moved > 0.0), 0.5 * d_lo, d_lo)
+            lo, d_lo = np.where(up | (d == 0.0), x, lo), np.where(up, d, d_lo)
+            hi, d_hi = np.where(up, hi, x), np.where(up, d_hi, d)
+            moved = np.where(up, -1.0, 1.0)
+        return 0.5 * (lo + hi)
 
     def log_predictive(self) -> np.ndarray:
         """log prior predictive pmf of the success count, s = 0..n."""
@@ -1327,10 +1615,18 @@ class FiniteBundle:
         every other interest value above the prior floor.  Labels carry the
         discrete metric, so each lies at distance 1 and ``boundary_only``
         changes nothing; they have no cells, so ``disc`` is refused."""
+        _bool_arg(boundary_only, "boundary_only")
         refuse_grid(disc)
         if delta > 1.0:
             raise DomainError(f"no interest value lies at distance >= {delta} under the discrete metric")
         return [(int(j), int(j)) for j in self._usable if j != psi0]
+
+    def failure(self, disc: Optional[Discretization] = None):
+        """``g(psi)``: for interest indices ``psi``, the exact probability
+        that the ratio at ``psi`` is <= 1 when ``psi`` is true.  Labels have no
+        cells, so ``disc`` is refused."""
+        refuse_grid(disc)
+        return lambda psi: self.region_prob(psi, psi)
 
     def supremum(self, g) -> float:
         """Largest value of ``g`` over the usable interest labels."""
@@ -1346,6 +1642,7 @@ class FiniteBundle:
         labels psi_j (0 with none).  Tabulated once, in column blocks of at
         most ``_BLOCK_CELLS`` cells; ``boundary_only`` changes nothing, as
         every other label lies at distance 1."""
+        _bool_arg(boundary_only, "boundary_only")
         refuse_grid(disc)
         usable = self._usable
         worst = np.zeros(len(self.psi_labels))

@@ -59,8 +59,13 @@ _CELL = ("a hypothesis pair on a grid cell builds its favor region once, and a l
          "them is the crossing) instead of 64 halvings")
 _PRIOR = ("a hypothesis pair on a grid cell takes its cell's prior content once, not in the interest() of "
           "both biases and again in its favor region: 113 -> 65 calls at seed 1 and 114 -> 66 at seed 9001")
+_BB_EXACT = ("a beta-binomial estimation under exact has exact averages by breakpoint pieces, so it draws "
+             "nothing, and its supremum is the largest limit at a piece end instead of a 201-point grid search "
+             "refined by minimize_scalar, which evaluated the failure probability's count table at every point")
+_BB_SUP = ("a beta-binomial estimation under mc takes its supremum at the piece ends, not from a 201-point grid "
+           "search (its averages are drawn as before)")
 # "workload/seed" -> {metric: (old, new, reason)}, the same at both seeds unless
-# a value names its seed
+# a value names its seed; a new value of None: the count is no longer reported
 MOVED = {
     f"{workload}/{seed}": moves
     for seed in SEEDS
@@ -68,15 +73,40 @@ MOVED = {
         ("exact_bias", {
             "bias.bias_in_favor_h.calls": (251, 50, _FIG3),
             "bias.components": (361, 160, _FIG3),
-            "bias.exact_frac": (0.9944598337950139, 0.9875, _FIG3),
+            "bias.exact_frac": (0.9944598337950139, 1.0, f"{_FIG3} (0.9875); then {_BB_EXACT}"),
             "bias.favor_prob_locnormal.calls": (416, 1, _POINT),
             "models.interval_prob.calls": (1168, {1: 65, 9001: 66}[seed], f"{_CELL}; then {_PRIOR}"),
+            "bias.inexact_sup": (1, 0, _BB_EXACT),
+            "bias.substituted": (2, 0, _BB_EXACT),
+            "cli.bytes_written": ({1: 28819, 9001: 28812}[seed], {1: 28800, 9001: 28793}[seed],
+                                  f"{_BB_EXACT}: each standard error in bias_estimation.csv is 0"),
+            "models.draws": (30000, 0, _BB_EXACT),
+            "models.log_sampling_pmf.calls": ({1: 50, 9001: 51}[seed], 32, _BB_EXACT),
+            "models.sample.calls": (3, None, _BB_EXACT),
+            "rng.substream.calls": (2, 0, _BB_EXACT),
         }),
-        ("mc_bias", {"bias.favor_prob_locnormal.calls": (14, 0, _POINT)}),
+        ("mc_bias", {
+            "bias.favor_prob_locnormal.calls": (14, 0, _POINT),
+            "bias.inexact_sup": (1, 0, _BB_SUP),
+            "models.log_sampling_pmf.calls": (19, 1, _BB_SUP),
+        }),
     )
 }
 # "workload/seed" -> {"job index mix key": (old digest, new digest, reason)}
-MOVED_OUTPUTS = {}
+MOVED_OUTPUTS = {
+    "exact_bias/1": {"055 bias-estimation/beta_binomial/exact": (
+        "7c66f4cbed518bef05d3e647d1a5a3b973b51527d7d3596049a30621a6740178",
+        "783662b24a0db1182ae9a48f5e4bd6ce602f1008d1a40dfd9480cabb13035104", _BB_EXACT)},
+    "exact_bias/9001": {"055 bias-estimation/beta_binomial/exact": (
+        "c350cd3b5becc63b7d3244995ba6727a842de0c42f40de95427e2511eea057c5",
+        "c51774be3b465ea7ce5895d299fca4dae4a191f1db909cabf3dec94980ec0224", _BB_EXACT)},
+    "mc_bias/1": {"011 bias-estimation/beta_binomial/mc": (
+        "c2c66ffe5d98087f663dd6ccd9738393f4854a79784f1069a6d7428f7fc9df2a",
+        "1807fd8ab7a89680e102b4323fc2c0b4567b8e743aaec410d81eb66bc8a3b8cc", _BB_SUP)},
+    "mc_bias/9001": {"011 bias-estimation/beta_binomial/mc": (
+        "c764465b3de5307587b2a1e649784a154ebb237dc0196a7e7f2a1bda20b6d161",
+        "f9c0c36dd505bc5656f77fb2db5498e53c68155d8fc8be42624256ede01c140b", _BB_SUP)},
+}
 
 
 def _perfbench():
@@ -173,12 +203,15 @@ def collected() -> tuple:
 
 def _pinned(path: Path, moved: dict) -> dict:
     """The pinned file at ``path``, with the moves in ``moved`` applied once
-    each is checked to start from the pinned value."""
+    each is checked to start from the pinned value (a new value of None
+    removes the entry)."""
     pinned = json.loads(path.read_text(encoding="utf-8"))
     for key, moves in moved.items():
         for name, (old, new, _) in moves.items():
             assert pinned[key][name] == old, (key, name)
             pinned[key][name] = new
+            if new is None:
+                del pinned[key][name]
     return pinned
 
 

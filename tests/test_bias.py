@@ -582,10 +582,14 @@ def test_beta_binomial_exterior_runs_in_estimation_and_design(method, cell):
     disc = None if cell is None else Discretization(delta=cell)
     opts = dict(disc=disc, mc=McConfig(n_sim=2000, seed=5), method=method)
     bundle = make_beta_binomial(15, 2.0, 3.0)
-    boundary = estimation_bias(bundle, 0.15, **opts)
-    exterior = estimation_bias(bundle, 0.15, boundary_only=False, **opts)
-    assert exterior.avg_bias_in_favor > boundary.avg_bias_in_favor
-    assert exterior.avg_bias_against == boundary.avg_bias_against
+    if cell is not None and method != "mc":  # a grid estimation has no exact rule, and is refused
+        with pytest.raises(DomainError, match="discretization"):
+            estimation_bias(bundle, 0.15, boundary_only=False, **opts)
+    else:
+        boundary = estimation_bias(bundle, 0.15, **opts)
+        exterior = estimation_bias(bundle, 0.15, boundary_only=False, **opts)
+        assert exterior.avg_bias_in_favor > boundary.avg_bias_in_favor
+        assert exterior.avg_bias_against == boundary.avg_bias_against
 
     def evaluated(**kw):
         family = lambda n: make_beta_binomial(n, 2.0, 3.0)
@@ -730,8 +734,12 @@ OPTION_BUNDLES = {
 }
 
 
-# the (bundle, option) pairs an estimation bias refuses by name
-REFUSED_OPTIONS = {("finite", "discretization")}
+# the (bundle, option, method) triples an estimation bias refuses by name: a
+# finite model's labels have no cells, and a beta-binomial grid estimation has
+# no exact rule
+REFUSED_OPTIONS = {("finite", "discretization", m) for m in ("auto", "exact", "mc")} | {
+    ("beta_binomial", "discretization", m) for m in ("auto", "exact")
+}
 
 
 @pytest.mark.parametrize("method", ["auto", "exact", "mc"])
@@ -745,7 +753,9 @@ def test_estimation_options_are_honoured_or_refused(kind, functional, method):
     exterior of both continuous bundles is three candidates per value, for an
     array of values as for one, so an average honours it.  A location-normal
     grid is honoured exactly wherever the point is: exact cells under
-    ``auto``/``exact``, exact suprema under ``mc``."""
+    ``auto``/``exact``, exact suprema under ``mc``.  A beta-binomial grid is
+    honoured under ``mc`` and refused under ``auto``/``exact``, which have no
+    exact rule for its cells."""
     from relbelief import Discretization
 
     build, delta = OPTION_BUNDLES[kind]
@@ -761,7 +771,7 @@ def test_estimation_options_are_honoured_or_refused(kind, functional, method):
     if functional == "favor_e":
         options["boundary_only"] = {"boundary_only": False}
     for name, opts in options.items():
-        if (kind, name) in REFUSED_OPTIONS:
+        if (kind, name, method) in REFUSED_OPTIONS:
             with pytest.raises(DomainError, match=name):
                 components(**opts)
             continue
@@ -779,9 +789,8 @@ class _Drew(Exception):
 
 def test_no_exact_request_draws(monkeypatch):
     """Under ``auto`` and ``exact`` every hypothesis bias, of a point or a
-    cell, and every location-normal and finite estimation bias is computed
-    without one draw.  The one listed exemption: the beta-binomial estimation
-    averages, which have no exact prior rule yet and are drawn."""
+    cell, and every estimation bias is computed without one draw, or, for a
+    beta-binomial estimation on a grid, refused before any."""
     from relbelief import Discretization
     from relbelief.models import BetaBinomialBundle, FiniteBundle, LocationNormalBundle
 
@@ -802,10 +811,10 @@ def test_no_exact_request_draws(monkeypatch):
                 opts = dict(disc=disc, method=method)
                 comps = [bias_against_h(bundle, psi0, **opts)]
                 comps += [bias_in_favor_h(bundle, psi0, delta, boundary_only=bo, **opts) for bo in (True, False)]
-                if kind == "beta_binomial":
-                    with pytest.raises(_Drew):
+                if kind == "beta_binomial" and disc is not None:
+                    with pytest.raises(DomainError, match="discretization"):
                         bias_against_e(bundle, **opts)
-                    with pytest.raises(_Drew):
+                    with pytest.raises(DomainError, match="discretization"):
                         bias_in_favor_e(bundle, delta, **opts)
                 else:
                     comps += bias_against_e(bundle, **opts)
@@ -861,16 +870,16 @@ def test_prior_content_floor_refuses_only_a_named_value():
 def test_beta_binomial_cells_below_the_floor_are_evaluated_and_empty_ones_refused():
     """The floor refuses no cell of a supremum search or a prior average; a
     cell whose prior content underflows to 0 has no computable ratio and is
-    refused by name."""
+    refused by name.  A beta-binomial grid estimation is Monte Carlo only."""
     from relbelief import Discretization
 
     disc, mc = Discretization(delta=0.05), McConfig(n_sim=2000, seed=1)
     bundle = make_beta_binomial(10, 2.0, 20.0)  # the grid's cells near 1 hold about 1e-26
     assert bundle.prior_interval((0.95, 1.0)) < 1e-20
-    avg, sup = bias_against_e(bundle, disc=disc, mc=mc)
+    avg, sup = bias_against_e(bundle, disc=disc, mc=mc, method="mc")
     assert avg.value <= sup.value + 3.0 * avg.se
     with pytest.raises(DomainError, match="underflows to 0"):
-        bias_against_e(make_beta_binomial(10, 500.0, 1.0), disc=disc, mc=mc)
+        bias_against_e(make_beta_binomial(10, 500.0, 1.0), disc=disc, mc=mc, method="mc")
 
 
 def test_design_forwards_boundary_only(monkeypatch):

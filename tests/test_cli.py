@@ -1125,3 +1125,36 @@ def test_a_label_beyond_64_bits_is_an_integer_label(tmp_path):
     code, out = run(tmp_path, {"bundle": bundle, "data": {"outcome": "x0"}}, "analyze")
     assert code == 0
     assert read_csv(out / "profile.csv")[0]["label"] == str(10**25)
+
+
+def test_a_trial_count_beyond_the_cap_exits_3_before_it_allocates(tmp_path):
+    """A beta-binomial n above ``models._MAX_TRIALS`` is a domain error
+    raised before any count table is built: in a child process whose address
+    space is capped near 1 GiB, ``bias`` and ``analyze`` at 2**28 trials (a
+    table of 2 GiB) and at 2**40 (8 TiB) exit 3, where they raised
+    ``MemoryError`` (exit 1)."""
+    import subprocess
+    import sys
+
+    script = f"""
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from relbelief.cli import main
+codes = []
+for n in (2**28, 2**40):
+    for command, config in (
+        ("bias", {{"psi0": 0.5, "delta": 0.1}}),
+        ("analyze", {{"data": {{"successes": 1}}, "discretization": {{"delta": 0.05}}}}),
+    ):
+        path = {str(tmp_path)!r} + f"/{{command}}-{{n}}.json"
+        with open(path, "w") as fh:
+            json.dump({{"bundle": {{"kind": "beta_binomial", "n": n, "alpha": 1.0, "beta": 1.0}}, **config}}, fh)
+        codes.append(main([command, "--config", path, "--out", path + ".out"]))
+print(json.dumps(codes))
+"""
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [3, 3, 3, 3]
+    assert "number of trials n must be a whole number in [1, 1000001)" in done.stderr

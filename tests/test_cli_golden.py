@@ -8,11 +8,14 @@ Monte Carlo methods, plus ``design`` with and without an admissible size.
 The library versions in ``run_manifest.json`` depend on the installation and
 are compared with the installed ones instead.
 
-Three cases moved by design after they were recorded, each checked for
-moving only as intended (``ROUNDED``, ``DRAWN``): beta interval probabilities
-choose their survival branch by the CDF at the lower edge, which moves a few
-JSON floats by rounding, and under ``mc`` the finite average bias in favor
-is drawn from the prior instead of summed exactly.
+Four cases moved by design after they were recorded, each checked for
+moving only as intended (``ROUNDED``, ``DRAWN``, ``EXACT``): beta interval
+probabilities choose their survival branch by the CDF at the lower edge,
+which moves a few JSON floats by rounding; under ``mc`` the finite average
+bias in favor is drawn from the prior instead of summed exactly; and an
+``exact`` beta-binomial estimation is exact by breakpoint pieces instead of
+drawn, with its supremum at a piece end instead of on a grid, checked
+against ``oracle.BetaBinomialOracle``.
 
 Record with ``python tests/test_cli_golden.py`` -- only from code whose
 outputs are known to be right, never to make this test pass.
@@ -27,6 +30,7 @@ import numpy as np
 import pytest
 import scipy
 
+from oracle import BetaBinomialOracle
 from relbelief import __version__
 from relbelief.cli import main
 
@@ -151,6 +155,8 @@ ROUNDED = {
 }
 # case -> file whose average bias in favor is now drawn
 DRAWN = {"bias/estimation/finite/mc": "bias_estimation.csv"}
+# case -> (file, bundle, delta) of an estimation that is now exact
+EXACT = {"bias/estimation/beta_binomial/exact": ("bias_estimation.csv", BETABINOMIAL, 0.15)}
 
 
 def _pop(result, filename):
@@ -182,6 +188,21 @@ def test_cli_outputs_match_golden(golden, name, tmp_path):
         se = float(g["se_avg_in_favor"])
         assert float(w["se_avg_in_favor"]) == 0.0 and se > 0.0
         assert abs(float(g["avg_bias_in_favor"]) - float(w["avg_bias_in_favor"])) <= 3.0 * se
+    if name in EXACT:
+        filename, bundle, delta = EXACT[name]
+        (got, g), (want, w) = _pop(got, filename), _pop(want, filename)
+        g, w = _csv_row(g), _csv_row(w)
+        oracle = BetaBinomialOracle(bundle["n"], bundle["alpha"], bundle["beta"])
+        exact = {  # value column -> (its standard error's column, the oracle's value)
+            "avg_bias_against": ("se_avg_against", oracle.avg_bias_against()),
+            "sup_bias_against": ("se_sup_against", oracle.sup_bias_against()),
+            "avg_bias_in_favor": ("se_avg_in_favor", oracle.avg_bias_in_favor(delta)),
+        }
+        assert (g["method"], w["method"], g["delta"]) == ("Exact", "MonteCarlo", w["delta"])
+        for key, (se, value) in exact.items():  # written to 10 significant digits
+            assert abs(float(g[key]) - value) <= 1e-9 and float(g[se]) == 0.0
+        assert float(g["implied_coverage"]) == pytest.approx(1.0 - float(g["avg_bias_against"]), abs=1e-10)
+        assert abs(float(g["avg_bias_against"]) - float(w["avg_bias_against"])) <= 3.0 * float(w["se_avg_against"])
     assert got == want
 
 

@@ -21,6 +21,13 @@ exact region probability: a hypothesis bias on a cell is exact under
 ``auto``/``exact`` instead of drawn, and an estimation bias on a grid is
 computed instead of refused.  They are checked for moving as that says.
 
+The ``BB_EXACT`` cases moved when the beta-binomial model got exact rules by
+breakpoint pieces: its averages under ``auto``/``exact`` are exact instead of
+drawn, and its supremum is the largest limit at a piece end instead of a grid
+search.  They are checked against ``oracle.BetaBinomialOracle``.  The
+``BB_GRID_REFUSED`` cases, estimations on a grid under ``auto``/``exact``,
+have no exact rule and are refused; ``mc`` takes them.
+
 Record with ``python tests/test_golden_bias.py`` -- only from code whose
 outputs are known to be right, never to make this test pass.
 """
@@ -31,6 +38,7 @@ from pathlib import Path
 
 import pytest
 
+from oracle import BetaBinomialOracle
 from relbelief import (
     Discretization,
     DomainError,
@@ -145,6 +153,44 @@ CELL_EXACT = [
 ]
 
 
+BB_EXACT = [
+    # the average bias against drawn -> exact (under mc still drawn), the supremum searched -> exact
+    *(f"beta_binomial/against_e/{m}/point" for m in METHODS),
+    # the average bias in favor drawn -> exact
+    *(f"beta_binomial/favor_e/{m}/point/boundary" for m in ("auto", "exact")),
+]
+BB_GRID_REFUSED = [
+    *(f"beta_binomial/against_e/{m}/disc" for m in ("auto", "exact")),
+    *(f"beta_binomial/favor_e/{m}/disc/{s}" for m in ("auto", "exact") for s in ("boundary", "exterior")),
+]
+
+
+def _moved_to_bb_exact(key, want, got):
+    """Each exact value within 1e-9 of the oracle, and each within 3 standard
+    errors of its recorded draws; a drawn average holds bit for bit, and the
+    exact supremum never falls below the recorded grid search."""
+    _, func, method, *_ = key.split("/")
+    build, _, delta, _ = SETUPS["beta_binomial"]
+    bundle = build()
+    oracle = BetaBinomialOracle(bundle.n, bundle.alpha, bundle.beta)
+    if func == "favor_e":
+        [g], [w] = got, want
+        assert (g["method"], g["se"], w["method"]) == ("Exact", 0.0, "MonteCarlo")
+        assert abs(g["value"] - oracle.avg_bias_in_favor(delta)) <= 1e-9
+        assert abs(g["value"] - w["value"]) <= 3.0 * w["se"]
+        return
+    (g_avg, g_sup), (w_avg, w_sup) = got, want
+    if method == "mc":
+        assert g_avg == w_avg
+    else:
+        assert (g_avg["method"], g_avg["se"], w_avg["method"]) == ("Exact", 0.0, "MonteCarlo")
+        assert abs(g_avg["value"] - oracle.avg_bias_against()) <= 1e-9
+        assert abs(g_avg["value"] - w_avg["value"]) <= 3.0 * w_avg["se"]
+    assert (g_sup["method"], g_sup["se"]) == ("Exact", 0.0)
+    assert abs(g_sup["value"] - oracle.sup_bias_against()) <= 1e-9
+    assert g_sup["value"] >= w_sup["value"]
+
+
 def _moved_by_mc_policy(key, want, got):
     if key.startswith("finite/"):
         [g], [w] = got, want
@@ -198,6 +244,9 @@ def test_bias_matches_golden(golden, key):
     if key in CELL_EXACT:
         _moved_to_exact_cells(key, want, got, golden)
         return
+    if key in BB_EXACT:
+        _moved_to_bb_exact(key, want, got)
+        return
     if "error" in want:
         assert got == want
         return
@@ -218,6 +267,9 @@ def test_estimation_bias_no_longer_ignores_an_option(golden, key):
     got = _run(*CASES[key])
     if key in CELL_EXACT:
         _moved_to_exact_cells(key, golden[key], got, golden)
+        return
+    if key in BB_GRID_REFUSED:
+        assert "discretization" in got["error"] and "'mc'" in got["error"]
         return
     assert "error" not in got, got
     assert [g["value"] for g in got] != [w["value"] for w in golden[key]]

@@ -1476,3 +1476,24 @@ def test_beta_profile_evaluates_one_incomplete_beta_tail_per_edge(monkeypatch):
     m = rb_profile(bundle, 17, disc).n_cells
     assert m == 8000
     assert sum(evaluated) <= 2 * (m + 1) + 64
+
+
+@pytest.mark.parametrize("flag", ["no", 0, None, np.bool_(False)], ids=["str", "int", "None", "numpy-bool"])
+@pytest.mark.parametrize("kind", ["location_normal", "beta_binomial", "finite"])
+def test_boundary_only_at_the_bundle_primitives_is_a_bool(kind, flag):
+    """``alternatives`` and ``favor_sup`` of every bundle read
+    ``boundary_only`` as a Python or numpy bool, and refuse anything that
+    merely has a truth value ("no" ran as True, 0 and None as False)."""
+    bundle, psi0, delta = {
+        "location_normal": (make_location_normal(LocationNormalSpec(10, 1.0, 0.0, 1.0)), 0.3, 0.5),
+        "beta_binomial": (make_beta_binomial(10, 2.0, 3.0), 0.3, 0.1),
+        "finite": (make_finite(FiniteModelSpec(["a", "b"], [0.5, 0.5], [[0.3, 0.7], [0.6, 0.4]], ["x", "y"])), 0, 1.0),
+    }[kind]
+    if isinstance(flag, np.bool_):
+        assert bundle.alternatives(psi0, delta, flag) == bundle.alternatives(psi0, delta, False)
+        assert bundle.favor_sup(delta, None, flag)(psi0) == bundle.favor_sup(delta, None, False)(psi0)
+        return
+    with pytest.raises(DomainError, match="^boundary_only must be a bool, got "):
+        bundle.alternatives(psi0, delta, flag)
+    with pytest.raises(DomainError, match="^boundary_only must be a bool, got "):
+        bundle.favor_sup(delta, None, flag)
